@@ -38,8 +38,9 @@ from .execution import (
     restrict_dataset,
     runtime_bucket_rows,
 )
-from .llmgen import PromptSetting, prompt_hash
+from .llmgen import prompt_hash
 from .mechgen import MechConfig, generate_mechanical, select_seed_examples
+from .pipeline import make_backend, run_pipeline, validate_record
 from .records import ORIGIN_LLM, load_records, make_record, save_records
 from .schema import (
     CsvDirSampler,
@@ -52,14 +53,7 @@ from .schema import (
 )
 from .subschema import build_join_graph, enumerate_subschemas, load_subschemas, save_subschemas
 from .util import SCHEMA_VERSION, dump_json
-from .validation import (
-    VERDICT_ACCEPTED,
-    VERDICT_REJECTED,
-    ValidationReport,
-    deduplicate,
-    validate_relevance,
-    validate_syntax,
-)
+from .validation import VERDICT_ACCEPTED, deduplicate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,7 +213,6 @@ def cmd_gen_mech(args) -> int:
 
 def cmd_gen_llm(args) -> int:
     from .llmgen import build_prompt, extract_sql, generate_llm
-    from .pipeline import make_backend
     from .util import derive_seed
 
     config = load_config(args.config)
@@ -281,25 +274,11 @@ def cmd_validate(args) -> int:
     if args.subschemas:
         subschema_by_id = {s.id: s for s in load_subschemas(args.subschemas)}
     accepted = []
-    rejected = 0
     for record in records:
-        try:
-            tree = validate_syntax(record.sql)
-            codes = validate_relevance(
-                tree,
-                catalog,
-                subschema=subschema_by_id.get(record.subschema_id),
-                require_exact_tables=args.require_exact_tables,
-            )
-        except SqlsynthError:
-            codes = ["syntax"]
-        if codes:
-            record.validation = ValidationReport(
-                query_id=record.id, verdict=VERDICT_REJECTED, rejection_reasons=codes
-            )
-            rejected += 1
-        else:
-            record.validation = ValidationReport(query_id=record.id, verdict=VERDICT_ACCEPTED)
+        record.validation, _ = validate_record(
+            record, catalog, subschema_by_id.get(record.subschema_id), args.require_exact_tables
+        )
+        if record.validation.verdict == VERDICT_ACCEPTED:
             accepted.append(record)
     kept, dropped = deduplicate(
         accepted, literal_placeholders=not args.no_literal_placeholders
@@ -308,7 +287,7 @@ def cmd_validate(args) -> int:
     if args.kept:
         save_records(kept, args.kept)
     print(
-        f"{len(records)} records: {len(kept)} kept, {rejected} rejected, "
+        f"{len(records)} records: {len(kept)} kept, {len(records) - len(accepted)} rejected, "
         f"{len(dropped)} duplicates -> {args.out}"
     )
     return 0
@@ -320,11 +299,7 @@ def cmd_coverage(args) -> int:
     by_setting: dict[str, list] = {}
     for record in records:
         profile = profile_query(record.sql, catalog)
-        if record.origin == "mechanical":
-            label = "mechanical"
-        else:
-            label = PromptSetting.from_dict(record.prompt_setting).label
-        by_setting.setdefault(label, []).append(profile)
+        by_setting.setdefault(record.setting_label, []).append(profile)
     reports = [
         aggregate_coverage(profiles, label, catalog, CoverageTargets())
         for label, profiles in sorted(by_setting.items())
@@ -424,8 +399,6 @@ def cmd_run(args) -> int:
         config.mechanical.seed = args.seed
     if args.out:
         config.out_dir = args.out
-    from .pipeline import run_pipeline
-
     manifest = run_pipeline(config, resume=args.resume)
     counts = manifest["counts"]
     print(

@@ -39,7 +39,7 @@ from .sqltree import (
     parse_select,
     walk,
 )
-from .validation import REJECT_UNKNOWN_OBJECT, resolve_references
+from .validation import REJECT_UNKNOWN_OBJECT, ResolvedReferences, resolve_references
 
 CLAUSE_KEYS = ("select", "where", "group_by", "order_by", "having", "limit")
 OPERATOR_KEYS = ("and", "or", "not", "comparison", "in", "between", "like")
@@ -86,14 +86,21 @@ class ComplexityProfile:
 def profile_query(sql: str, catalog: SchemaCatalog) -> ComplexityProfile:
     """Profile one query under the counting contract above.
 
-    The query must already have passed syntax validation and resolve
+    The one-shot form: parses and resolves ``sql`` itself, then runs
+    :func:`profile_tree`. The pipeline does not call it; it profiles each
+    accepted candidate from the tree and references its validation already
+    built. The query must already have passed syntax validation and resolve
     against the catalog; unresolved identifiers raise UnknownObjectError.
     """
     tree = parse_select(sql)
     refs = resolve_references(tree, catalog)
     if REJECT_UNKNOWN_OBJECT in refs.codes:
         raise UnknownObjectError("; ".join(refs.notes) or "unresolved identifier")
+    return profile_tree(tree, refs)
 
+
+def profile_tree(tree: Query, refs: ResolvedReferences) -> ComplexityProfile:
+    """Profile a parsed query from its resolved references (one tree walk)."""
     join_count = 0
     select_count = 0
     clause_counts = {key: 0 for key in CLAUSE_KEYS}

@@ -12,6 +12,17 @@ Stage outputs land in the configured output directory:
 * ``labeled.jsonl``      kept records with runtime labels (execution runs)
 * ``manifest.json``      counts, accounting, file map, config snapshot
 
+Each candidate is analysed once. :func:`validate_record` parses it and
+resolves its references a single time, derives the relevance codes from
+those references, and profiles an accepted candidate from the same tree;
+the tree is dropped there. Across batches the generation loop keeps running
+folds of the kept corpus: the set of normalized forms already kept, which
+:func:`~sqlsynth.validation.deduplicate` extends with each batch's new
+records only, and the per-setting and overall profile lists, to which each
+newly kept record's profile is appended once (``record.profile`` is set at
+that point). Coverage then aggregates those lists, so no batch re-parses,
+re-normalizes or re-profiles what an earlier batch kept.
+
 Everything stochastic draws through seeds derived from the global seed plus
 stage/batch labels, so a rerun with the same config is byte-identical up to
 (and excluding) measured runtimes. The manifest carries no timestamps for
@@ -29,12 +40,13 @@ from pathlib import Path
 
 from .config import PipelineConfig
 from .coverage import (
+    ComplexityProfile,
     RegenDirectives,
     aggregate_coverage,
     clause_presence_rows,
     facet_stats_rows,
     plan_regeneration,
-    profile_query,
+    profile_tree,
     write_csv,
 )
 from .errors import BackendError, SqlsynthError
@@ -67,7 +79,8 @@ from .validation import (
     VERDICT_REJECTED,
     ValidationReport,
     deduplicate,
-    validate_relevance,
+    relevance_codes,
+    resolve_references,
     validate_syntax,
 )
 
@@ -290,6 +303,10 @@ def _generate(config, catalog, subschemas, subschema_by_id, paths):
     directives = RegenDirectives()
     reports = []
     gaps_remaining = 0
+    # folds over the kept corpus; each batch adds only its newly kept records
+    seen_forms: set[str] = set()
+    profiles_by_setting: dict[str, list[ComplexityProfile]] = {}
+    all_profiles: list[ComplexityProfile] = []
 
     batch = 0
     while True:
@@ -315,28 +332,30 @@ def _generate(config, catalog, subschemas, subschema_by_id, paths):
 
         accounting.generated = len(candidates)
 
-        # validation
+        # validation; each accepted candidate comes back with its profile
         accepted: list[QueryRecord] = []
+        profiles: dict[int, ComplexityProfile] = {}  # id(record) -> profile
         for record in candidates:
-            report = _validate_record(record, catalog, subschema_by_id.get(record.subschema_id),
-                                      config)
-            record.validation = report
+            record.validation, profile = validate_record(
+                record, catalog, subschema_by_id.get(record.subschema_id),
+                config.require_exact_tables,
+            )
             all_records.append(record)
-            if report.verdict == VERDICT_ACCEPTED:
+            if record.validation.verdict == VERDICT_ACCEPTED:
                 accepted.append(record)
+                profiles[id(record)] = profile
             else:
                 accounting.rejected += 1
-                for reason in report.rejection_reasons:
+                for reason in record.validation.rejection_reasons:
                     accounting.rejected_by_reason[reason] = (
                         accounting.rejected_by_reason.get(reason, 0) + 1
                     )
 
-        # deduplication against the cumulative kept corpus
-        merged_kept, dropped = deduplicate(
-            kept_records + accepted, literal_placeholders=config.literal_placeholder_dedup
+        # deduplication against every form kept so far
+        new_kept, dropped = deduplicate(
+            accepted, literal_placeholders=config.literal_placeholder_dedup, seen=seen_forms
         )
-        new_kept = merged_kept[len(kept_records):]
-        kept_records = merged_kept
+        kept_records.extend(new_kept)
         accounting.dedup_dropped = len(dropped)
         for record in dropped:
             accounting.rejected_by_reason["duplicate"] = (
@@ -345,9 +364,14 @@ def _generate(config, catalog, subschemas, subschema_by_id, paths):
         accounting.kept = len(new_kept)
         batches.append(accounting.to_dict())
 
-        # coverage over the cumulative kept corpus
+        # coverage over the cumulative kept corpus, folding in the new records
+        for record in new_kept:
+            profile = profiles[id(record)]
+            record.profile = profile.to_dict()
+            profiles_by_setting.setdefault(record.setting_label, []).append(profile)
+            all_profiles.append(profile)
         reports, directives, gaps_remaining = _coverage(
-            config, catalog, subschemas, kept_records
+            config, catalog, subschemas, profiles_by_setting, all_profiles
         )
 
         batch += 1
@@ -378,21 +402,28 @@ def _batch_mech_config(config, batch):
     return replace(config.mechanical, seed=derive_seed(config.seed, "mechanical-batch", batch))
 
 
-def _validate_record(record, catalog, subschema, config) -> ValidationReport:
+def validate_record(record, catalog, subschema, require_exact_tables: bool):
+    """Validate one candidate from a single parse and resolution.
+
+    Returns ``(report, profile)``. An accepted candidate's profile is built
+    from the same tree and references; a rejected one's is None. The tree is
+    dropped on return.
+    """
     try:
         tree = validate_syntax(record.sql)
     except SqlsynthError:
-        return ValidationReport(
+        report = ValidationReport(
             query_id=record.id, verdict=VERDICT_REJECTED, rejection_reasons=[REJECT_SYNTAX]
         )
-    codes = validate_relevance(
-        tree, catalog, subschema=subschema, require_exact_tables=config.require_exact_tables
-    )
+        return report, None
+    refs = resolve_references(tree, catalog)
+    codes = relevance_codes(refs, subschema, require_exact_tables)
     if codes:
-        return ValidationReport(
+        report = ValidationReport(
             query_id=record.id, verdict=VERDICT_REJECTED, rejection_reasons=codes
         )
-    return ValidationReport(query_id=record.id, verdict=VERDICT_ACCEPTED)
+        return report, None
+    return ValidationReport(query_id=record.id, verdict=VERDICT_ACCEPTED), profile_tree(tree, refs)
 
 
 def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, batch, accounting):
@@ -488,22 +519,10 @@ def _batch_settings(config, directives):
     return settings
 
 
-def _coverage(config, catalog, subschemas, kept_records):
-    by_setting: dict[str, list] = {}
-    all_profiles = []
-    for record in kept_records:
-        profile = profile_query(record.sql, catalog)
-        record.profile = profile.to_dict()
-        label = (
-            "mechanical"
-            if record.origin == "mechanical"
-            else PromptSetting.from_dict(record.prompt_setting).label
-        )
-        by_setting.setdefault(label, []).append(profile)
-        all_profiles.append(profile)
+def _coverage(config, catalog, subschemas, profiles_by_setting, all_profiles):
     reports = [
         aggregate_coverage(profiles, label, catalog, config.coverage_targets)
-        for label, profiles in sorted(by_setting.items())
+        for label, profiles in sorted(profiles_by_setting.items())
     ]
     if not all_profiles:
         return [], RegenDirectives(), 0
@@ -583,10 +602,7 @@ def select_training_subset(kept_records, size: int, mode: str = "stratified"):
     groups: dict[str, list] = {}
     order: list[str] = []
     for record in kept_records:
-        if record.origin == "mechanical":
-            label = "mechanical"
-        else:
-            label = PromptSetting.from_dict(record.prompt_setting).label
+        label = record.setting_label
         if label not in groups:
             groups[label] = []
             order.append(label)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .llmgen import PromptSetting
 from .util import read_jsonl, write_jsonl
 from .validation import ValidationReport, query_id
 
@@ -41,6 +42,14 @@ class QueryRecord:
                 raise ValueError("mechanical records must not carry prompt metadata")
         else:
             raise ValueError(f"unknown origin {self.origin!r}")
+
+    @property
+    def setting_label(self) -> str:
+        """The group coverage and training selection report this record
+        under: ``mechanical``, or its prompt setting's label."""
+        if self.origin == ORIGIN_MECHANICAL:
+            return ORIGIN_MECHANICAL
+        return PromptSetting.from_dict(self.prompt_setting).label
 
     def to_dict(self) -> dict:
         return {

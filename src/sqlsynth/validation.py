@@ -174,7 +174,13 @@ def validate_relevance(
     columns use only the known literals; (d) with a subschema, referenced
     tables stay within (or exactly equal, per flag) its table set.
     """
-    refs = resolve_references(tree, catalog)
+    return relevance_codes(resolve_references(tree, catalog), subschema, require_exact_tables)
+
+
+def relevance_codes(refs: ResolvedReferences, subschema, require_exact_tables: bool) -> list[str]:
+    """Relevance codes from already-resolved ``refs``, adding rule (d) of
+    :func:`validate_relevance`; callers that keep ``refs`` for profiling
+    resolve once and call this instead."""
     if subschema is not None:
         allowed = {t.lower() for t in subschema.tables}
         used = set(refs.tables)
@@ -536,15 +542,20 @@ def _check_literal_in_enum(column: ColumnDef, literal: Literal, refs: ResolvedRe
 # ---------------------------------------------------------------------------
 
 
-def deduplicate(records, literal_placeholders: bool = True):
+def deduplicate(records, literal_placeholders: bool = True, seen: set[str] | None = None):
     """Split ``records`` into (kept, dropped) by normalized-form identity.
 
     The first occurrence of each normalized form is kept; later ones are
     rejected with reason ``duplicate``. Literal placeholders are on by
     default so queries differing only in constants collapse. Order is
     preserved; every record's report gains its normalized form.
+
+    ``seen`` holds the forms already kept, such as those of earlier
+    batches, and gains the forms kept here. A caller folding batches passes
+    the same set each time, so each record is normalized once.
     """
-    seen: set[str] = set()
+    if seen is None:
+        seen = set()
     kept, dropped = [], []
     for record in records:
         form = normalize_sql(record.sql, literal_placeholders=literal_placeholders)

@@ -1,19 +1,29 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from sqlsynth import coverage as coverage_mod
 from sqlsynth import pipeline as pipeline_mod
-from sqlsynth.config import config_from_dict
-from sqlsynth.llmgen import StubBackend
+from sqlsynth import sqltree as sqltree_mod
+from sqlsynth import validation as validation_mod
+from sqlsynth.config import config_from_dict, load_config
+from sqlsynth.coverage import aggregate_coverage, profile_query
+from sqlsynth.llmgen import PromptSetting, StubBackend
 from sqlsynth.pipeline import run_pipeline
 from sqlsynth.records import load_records
+from sqlsynth.schema import load_catalog
+from sqlsynth.util import SCHEMA_VERSION, dump_json
 
-from tests.conftest import TPCH_DDL_PATH
+from tests.conftest import REPO_ROOT, TPCH_DDL_PATH
 
-SAMPLE_DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "tpch_sample"
+SAMPLE_DATA_DIR = REPO_ROOT / "data" / "tpch_sample"
+DEMO_CONFIG = REPO_ROOT / "data" / "demo" / "demo.toml"
+COMMITTED_DEMO_OUT = REPO_ROOT / "out" / "demo"
 
 
 def base_config(tmp_path, **overrides):
@@ -234,6 +244,29 @@ class TestStubLlmPipeline:
         assert batch["dedup_dropped"] == 1
         assert batch["kept"] == 8
 
+    def test_duplicates_dropped_across_batches(self, tmp_path, monkeypatch):
+        # Every prompt of every batch completes to the same table-free query,
+        # valid on any subschema: the first batch keeps it once, and later
+        # batches must drop every copy as a duplicate.
+        class ConstantBackend(StubBackend):
+            def complete(self, prompt, params):
+                return ["SELECT 1 AS one"]
+
+        monkeypatch.setattr(pipeline_mod, "make_backend", lambda cfg: ConstantBackend(tmp_path))
+        config = self._config(
+            tmp_path, tmp_path / "stub",
+            pipeline={"loop_limit": 2}, coverage={"min_clause_freq": 0.99},
+        )
+        manifest = run_pipeline(config)
+        assert manifest["counts"]["batches"] == 3
+        kept = load_records(Path(config.out_dir) / "kept.jsonl")
+        forms = [record.validation.normalized_form for record in kept]
+        assert len(set(forms)) == len(forms)
+        assert sum(1 for record in kept if record.origin == "llm") == 1
+        for batch in manifest["batches"][1:]:
+            assert batch["llm_calls"] > 0
+            assert batch["dedup_dropped"] >= batch["llm_calls"]
+
     def test_end_to_end_determinism(self, tmp_path, monkeypatch):
         stub_dir = tmp_path / "stub"
         config = self._config(tmp_path, stub_dir)
@@ -443,3 +476,136 @@ class TestDegenerateInputs:
         manifest = run_pipeline(config)
         assert manifest["counts"]["subschemas"] == 0
         assert manifest["counts"]["kept"] == 0
+
+
+def demo_config(out_dir):
+    """The shipped demo config (seed 42) writing to ``out_dir``, execution off."""
+    config = load_config(DEMO_CONFIG)
+    config.out_dir = str(out_dir)
+    config.execution.enabled = False
+    return config
+
+
+def multi_batch_demo_config(out_dir):
+    """The demo with its coverage gaps held open, so all four batches run."""
+    config = demo_config(out_dir)
+    config.loop_limit = 3
+    config.coverage_targets.min_clause_freq = 0.99
+    return config
+
+
+def count_calls(monkeypatch, functions: dict) -> Counter:
+    """Rebind each function, in every loaded sqlsynth module holding it, to a
+    shim that counts its calls under the function's key in ``functions``."""
+    counts: Counter = Counter()
+    modules = [
+        module for name, module in list(sys.modules.items())
+        if name == "sqlsynth" or name.startswith("sqlsynth.")
+    ]
+
+    def shim(key, fn):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for key, fn in functions.items():
+        counted = shim(key, fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+class TestCommittedDemoOutputs:
+    # manifest.json embeds absolute config paths and labeled.jsonl measured
+    # runtimes; every other file of the committed demo run is pinned.
+    GOLDEN = (
+        "catalog.json",
+        "subschemas.jsonl",
+        "records.jsonl",
+        "kept.jsonl",
+        "coverage.json",
+        "coverage_facets.csv",
+        "coverage_clauses.csv",
+    )
+
+    def test_demo_rerun_matches_committed_bytes(self, tmp_path):
+        run_pipeline(demo_config(tmp_path))
+        for name in self.GOLDEN:
+            assert (tmp_path / name).read_bytes() == (COMMITTED_DEMO_OUT / name).read_bytes(), name
+
+
+class TestIncrementalAnalysis:
+    def test_folded_coverage_matches_from_scratch_oracle(self, tmp_path):
+        config = multi_batch_demo_config(tmp_path / "out")
+        manifest = run_pipeline(config)
+        assert manifest["counts"]["batches"] == 4
+        out = Path(config.out_dir)
+        catalog = load_catalog(out / "catalog.json")
+
+        kept = load_records(out / "kept.jsonl")
+        by_setting: dict[str, list] = {}
+        all_profiles = []
+        for record in kept:
+            profile = profile_query(record.sql, catalog)
+            assert record.profile == profile.to_dict(), record.sql
+            label = (
+                "mechanical" if record.origin == "mechanical"
+                else PromptSetting.from_dict(record.prompt_setting).label
+            )
+            by_setting.setdefault(label, []).append(profile)
+            all_profiles.append(profile)
+        reports = [
+            aggregate_coverage(profiles, label, catalog, config.coverage_targets)
+            for label, profiles in sorted(by_setting.items())
+        ]
+        reports.append(aggregate_coverage(all_profiles, "all", catalog, config.coverage_targets))
+        expected = tmp_path / "expected_coverage.json"
+        dump_json(
+            {
+                "schema_version": SCHEMA_VERSION,
+                "kind": "coverage",
+                "reports": [report.to_dict() for report in reports],
+            },
+            expected,
+        )
+        assert (out / "coverage.json").read_bytes() == expected.read_bytes()
+
+        records = load_records(out / "records.jsonl")
+        dropped = [r for r in records if r.validation.verdict != "accepted"]
+        assert any("duplicate" in r.validation.rejection_reasons for r in dropped)
+        assert any("duplicate" not in r.validation.rejection_reasons for r in dropped)
+        assert len(records) - len(dropped) == len(kept)
+        for record in records:
+            if record.validation.verdict == "accepted":
+                assert record.profile == profile_query(record.sql, catalog).to_dict()
+            else:
+                assert record.profile is None, record.sql
+
+    def test_each_candidate_parsed_once_and_never_reprofiled(self, tmp_path, monkeypatch):
+        # LLM off: seed-example selection would add its own clause-tag parses.
+        config = multi_batch_demo_config(tmp_path / "out")
+        config.llm.enabled = False
+        calls = count_calls(
+            monkeypatch,
+            {
+                "parse": sqltree_mod.parse_select,
+                "resolve": validation_mod.resolve_references,
+                "normalize": sqltree_mod.normalize_sql,
+                "profile": coverage_mod.profile_query,
+            },
+        )
+        counts = run_pipeline(config)["counts"]
+        monkeypatch.undo()
+        assert counts["batches"] == 4
+        generated = counts["generated"]
+        accepted = counts["kept"] + counts["dedup_dropped"]
+        assert generated > 0
+        assert calls["parse"] == generated
+        assert calls["resolve"] <= generated
+        # one for each record's query id, one for each accepted record's dedup key
+        assert calls["normalize"] <= generated + accepted
+        assert calls["profile"] == 0
