@@ -9,6 +9,7 @@ The package splits into stages mirroring the generation pipeline:
 * :mod:`sqlsynth.validation`  syntax/relevance checks and deduplication
 * :mod:`sqlsynth.coverage`    structural profiling, gap detection, steering
 * :mod:`sqlsynth.execution`   engine drivers, runtime labels, retention
+* :mod:`sqlsynth.sqlite_engine` the child process behind each SQLite session
 * :mod:`sqlsynth.evaluation`  Q-error aggregates and routing simulation
 * :mod:`sqlsynth.pipeline`    end-to-end orchestration (also: the CLI)
 

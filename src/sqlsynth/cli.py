@@ -331,8 +331,8 @@ def cmd_execute(args) -> int:
         engine_id=args.engine_id, driver="sqlite", options={"database": args.database}
     )
     session = SqliteSession(args.database)
-    restrict_dataset(catalog, args.data_dir, session, args.max_rows)
     try:
+        restrict_dataset(catalog, args.data_dir, session, args.max_rows)
         labels = execute_batch(records, engine, timeout_ms=args.timeout_ms, session=session)
     finally:
         session.close()

@@ -1,16 +1,31 @@
 """Query execution against database engines: timing, timeouts, retention.
 
-Two driver kinds: an in-process SQLite engine for CI and desk-scale runs,
+Two driver kinds: an embedded SQLite engine for CI and desk-scale runs,
 and a generic DB-API driver that imports a configured module (Presto, Hive,
-anything PEP 249) for real deployments. Runtime is wall clock around
-statement execution plus full result consumption, measured serially per
-engine so labels are uncontended.
+anything PEP 249) for real deployments. A label's runtime covers statement
+execution plus full result consumption, timed with ``perf_counter_ns``
+where the statement runs and stored as float milliseconds at microsecond
+resolution. Each engine runs its batch serially, so its labels never
+overlap each other.
+
+Each SQLite engine runs in its own child process (``sqlite_engine.py``),
+which loads the data files, runs and times every statement and replies
+over a pipe; ``SqliteSession`` is the parent's handle to it. In-process
+SQLite does not scale across threads: a one-row recursive CTE took 2.31 s
+alone and 4.8 s on each of two threads, but 3.0-3.2 s on each of two
+processes, and the 209 demo queries on a 100x TPC-H dataset took 7.3 s on
+one engine alone, about 11 s per engine with two engine threads, and
+6.2-6.8 s per engine with two engine processes. So engines that share a
+process inflate each other's labels by about 1.5x; engines in their own
+processes keep labels uncontended while the engines run in parallel.
 """
 
 from __future__ import annotations
 
 import importlib
-import sqlite3
+import pickle
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -18,6 +33,7 @@ from pathlib import Path
 
 from .errors import EngineConnectionError, LoadError
 from .schema import SchemaCatalog, render_create_statements
+from .sqlite_engine import elapsed_ms
 
 DEFAULT_TIMEOUT_MS = 600_000  # ten minutes
 DEFAULT_MIN_EMPTY_RUNTIME_MS = 10_000  # empty results faster than this are dropped
@@ -55,7 +71,7 @@ class EngineSpec:
 class RuntimeLabel:
     query_id: str
     engine_id: str
-    runtime_ms: int
+    runtime_ms: float
     row_count: int | None
     timed_out: bool = False
     error: str | None = None
@@ -103,48 +119,99 @@ def apply_retention(labels, min_empty_runtime_ms: int = DEFAULT_MIN_EMPTY_RUNTIM
 
 
 class SqliteSession:
-    """One open SQLite connection; timeouts via progress-handler interrupt."""
+    """Handle to one SQLite engine process, which owns the connection.
 
-    _PROGRESS_STEP = 5_000  # VM instructions between deadline checks
+    The process runs each statement under a progress-handler deadline and
+    times it there, so a label holds no pipe latency. It exits when its
+    input closes: on ``close()``, or when an unclosed session is dropped.
+    """
+
+    _ENGINE = Path(__file__).with_name("sqlite_engine.py")
+    _CLOSE_GRACE_S = 5.0  # a busy engine is killed after this long
 
     def __init__(self, database: str):
+        self.process = subprocess.Popen(
+            [sys.executable, "-I", "-S", str(self._ENGINE), database],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+        )
+        reply = self._request()  # the engine reports the open unasked
+        if reply is None or reply[0] != "ok":
+            detail = self._exited() if reply is None else reply[1]
+            self.close()
+            raise EngineConnectionError(detail)
+
+    def _request(self, *request):
+        """Send ``request`` (when given) and return the engine's reply;
+        None once the engine process is gone."""
         try:
-            self.conn = sqlite3.connect(database)
-        except sqlite3.Error as exc:
-            raise EngineConnectionError(f"cannot open sqlite database {database!r}: {exc}")
+            if request:
+                pickle.dump(request, self.process.stdin, pickle.HIGHEST_PROTOCOL)
+                self.process.stdin.flush()
+            return pickle.load(self.process.stdout)
+        except (OSError, EOFError, ValueError, pickle.UnpicklingError):
+            return None
+
+    def _exited(self) -> str:
+        return f"engine process exited (code {self.process.wait()})"
 
     def run(self, sql: str, timeout_ms: int):
-        """Execute and consume ``sql``; returns (row_count, timed_out, error)."""
-        deadline = time.monotonic() + timeout_ms / 1000.0
-        self.conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0,
-                                       self._PROGRESS_STEP)
-        try:
-            cursor = self.conn.execute(sql)
-            rows = 0
-            while True:
-                chunk = cursor.fetchmany(1024)
-                if not chunk:
-                    break
-                rows += len(chunk)
-            return rows, False, None
-        except sqlite3.OperationalError as exc:
-            if "interrupted" in str(exc).lower():
-                return None, True, None
-            return None, False, str(exc)
-        except sqlite3.Error as exc:
-            return None, False, str(exc)
-        finally:
-            self.conn.set_progress_handler(None, 0)
+        """Execute and consume ``sql``; returns (row_count, timed_out, error,
+        elapsed_ms). A dead engine process yields an error, not a hang."""
+        reply = self._request("run", sql, timeout_ms)
+        if reply is None:
+            return None, False, self._exited(), 0.0
+        status, payload = reply
+        if status != "ok":
+            return None, False, payload, 0.0
+        return payload
+
+    def _setup(self, *request):
+        """Send a request that fills the database; LoadError if it fails."""
+        reply = self._request(*request)
+        if reply is None:
+            raise LoadError(self._exited())
+        status, payload = reply
+        if status != "ok":
+            raise LoadError(payload)
+        return payload
 
     def executescript(self, script: str):
-        self.conn.executescript(script)
+        self._setup("script", script)
 
     def executemany(self, sql: str, rows):
-        self.conn.executemany(sql, rows)
-        self.conn.commit()
+        """Insert ``rows`` sent over the pipe; for small fixtures, since
+        ``load_table`` reads data files inside the engine."""
+        self._setup("many", sql, list(rows))
+
+    def load_table(self, table: str, data_dir, column_count: int, cap: int) -> int:
+        """Have the engine insert at most ``cap`` rows of ``<table>.tbl`` or
+        ``<table>.csv`` from ``data_dir``; returns the loaded count."""
+        return self._setup("load", table, str(data_dir), column_count, cap)
 
     def close(self):
-        self.conn.close()
+        """Close the engine's input and reap the process; idempotent."""
+        try:
+            self.process.stdin.close()
+        except OSError:
+            pass  # a dead engine leaves unflushed bytes behind
+        try:
+            self.process.wait(self._CLOSE_GRACE_S)
+        except subprocess.TimeoutExpired:
+            self.process.kill()
+            self.process.wait()
+        self.process.stdout.close()
+
+    def __del__(self):
+        # Popen keeps a running child's object, pipes included, alive after
+        # the last reference goes; closing the pipes lets the engine exit.
+        process = getattr(self, "process", None)
+        if process is not None:
+            for pipe in (process.stdin, process.stdout):
+                try:
+                    pipe.close()
+                except OSError:
+                    pass
 
 
 class DbApiSession:
@@ -162,6 +229,7 @@ class DbApiSession:
         result: dict = {}
 
         def work():
+            started = time.perf_counter_ns()
             try:
                 cursor = self.conn.cursor()
                 cursor.execute(sql)
@@ -174,6 +242,7 @@ class DbApiSession:
                 result["rows"] = rows
             except Exception as exc:  # per-query failures are data, not errors
                 result["error"] = str(exc)
+            result["elapsed_ms"] = elapsed_ms(started)
 
         thread = threading.Thread(target=work, daemon=True)
         thread.start()
@@ -185,37 +254,16 @@ class DbApiSession:
                     break
                 except Exception:
                     continue
-            return None, True, None
+            return None, True, None, float(timeout_ms)
         if "error" in result:
-            return None, False, result["error"]
-        return result.get("rows", 0), False, None
+            return None, False, result["error"], result["elapsed_ms"]
+        return result["rows"], False, None, result["elapsed_ms"]
 
     def close(self):
         try:
             self.conn.close()
         except Exception:
             pass
-
-
-class EngineValueSampler:
-    """Column-value sampler backed by a live engine session.
-
-    Satisfies the schema module's ValueSampler protocol so column profiling
-    can run against data already loaded in an engine instead of flat files.
-    """
-
-    def __init__(self, session):
-        self.session = session
-
-    def sample(self, table: str, column: str, limit: int) -> list:
-        sql = f"SELECT {column} FROM {table} LIMIT {int(limit)}"
-        conn = self.session.conn
-        if hasattr(conn, "execute"):  # sqlite3 connections execute directly
-            cursor = conn.execute(sql)
-        else:
-            cursor = conn.cursor()
-            cursor.execute(sql)
-        return [row[0] for row in cursor.fetchall()]
 
 
 def connect(engine: EngineSpec):
@@ -256,16 +304,14 @@ def execute_batch(
     try:
         labels = []
         for record in records:
-            started = time.perf_counter()
-            row_count, timed_out, error = session.run(record.sql, timeout_ms)
-            elapsed_ms = int((time.perf_counter() - started) * 1000)
+            row_count, timed_out, error, runtime_ms = session.run(record.sql, timeout_ms)
             if timed_out:
-                elapsed_ms = timeout_ms
+                runtime_ms = timeout_ms
             labels.append(
                 RuntimeLabel(
                     query_id=record.id,
                     engine_id=engine.engine_id,
-                    runtime_ms=elapsed_ms,
+                    runtime_ms=runtime_ms,
                     row_count=row_count,
                     timed_out=timed_out,
                     error=error,
@@ -288,25 +334,19 @@ def restrict_dataset(
     session,
     max_rows_per_table: int,
 ) -> dict[str, int]:
-    """Create the catalog's tables in ``session`` and load at most
-    ``max_rows_per_table`` rows per table from ``<table>.tbl`` (pipe
-    delimited) or ``<table>.csv`` files; returns loaded counts."""
+    """Create the catalog's tables in the SQLite ``session`` and load at
+    most ``max_rows_per_table`` rows per table from ``<table>.tbl`` (pipe
+    delimited) or ``<table>.csv`` files; returns loaded counts. The engine
+    process reads the files itself."""
     if max_rows_per_table < 1:
         raise LoadError(f"max_rows_per_table must be >= 1, got {max_rows_per_table}")
-    data_dir = Path(data_dir)
     session.executescript("\n".join(render_create_statements(catalog)))
-    counts: dict[str, int] = {}
-    for table in catalog.tables:
-        rows = _read_rows(data_dir, table.name, len(table.columns), max_rows_per_table)
-        placeholders = ", ".join("?" for _ in table.columns)
-        try:
-            session.executemany(
-                f"INSERT INTO {table.name} VALUES ({placeholders})", rows
-            )
-        except Exception as exc:
-            raise LoadError(f"loading table {table.name!r} failed: {exc}") from exc
-        counts[table.name] = len(rows)
-    return counts
+    return {
+        table.name: session.load_table(
+            table.name, data_dir, len(table.columns), max_rows_per_table
+        )
+        for table in catalog.tables
+    }
 
 
 def runtime_bucket_rows(records) -> list[dict]:
@@ -314,11 +354,7 @@ def runtime_bucket_rows(records) -> list[dict]:
     for the workload-balance report."""
     counts: dict[tuple[str, str, str], int] = {}
     for record in records:
-        if record.origin == "mechanical":
-            setting = "mechanical"
-        else:
-            ps = record.prompt_setting or {}
-            setting = f"{ps.get('shots', '?')}-shot:{ps.get('bias', '?')}"
+        setting = record.setting_label
         for engine_id, label in sorted(record.labels.items()):
             bucket = bucket_runtime(
                 RuntimeLabel(
@@ -339,36 +375,4 @@ def runtime_bucket_rows(records) -> list[dict]:
             counts.items(), key=lambda kv: (kv[0][0], kv[0][1], bucket_order[kv[0][2]])
         )
     ]
-    return rows
-
-
-def _read_rows(data_dir: Path, table: str, column_count: int, cap: int) -> list[tuple]:
-    tbl_path = data_dir / f"{table}.tbl"
-    csv_path = data_dir / f"{table}.csv"
-    rows: list[tuple] = []
-    if tbl_path.exists():
-        with open(tbl_path, encoding="utf-8") as fh:
-            for line in fh:
-                if len(rows) >= cap:
-                    break
-                fields = line.rstrip("\n").split("|")
-                if fields and fields[-1] == "":
-                    fields = fields[:-1]  # .tbl files carry a trailing delimiter
-                if len(fields) != column_count:
-                    raise LoadError(
-                        f"{tbl_path.name}: expected {column_count} fields, got {len(fields)}"
-                    )
-                rows.append(tuple(fields))
-    elif csv_path.exists():
-        import csv as _csv
-
-        with open(csv_path, newline="", encoding="utf-8") as fh:
-            reader = _csv.reader(fh)
-            next(reader, None)  # header
-            for fields in reader:
-                if len(rows) >= cap:
-                    break
-                rows.append(tuple(fields))
-    else:
-        raise LoadError(f"no data file for table {table!r} in {data_dir}")
     return rows

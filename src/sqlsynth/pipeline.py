@@ -50,7 +50,7 @@ from .coverage import (
     write_csv,
 )
 from .errors import BackendError, SqlsynthError
-from .execution import SqliteSession, apply_retention, connect, execute_batch, restrict_dataset
+from .execution import apply_retention, connect, execute_batch, restrict_dataset
 from .llmgen import (
     HttpBackend,
     PromptSetting,
@@ -539,14 +539,12 @@ def _coverage(config, catalog, subschemas, profiles_by_setting, all_profiles):
 
 def _run_engine(config, catalog, kept_records, engine):
     """One engine worker: load data when configured, run the batch serially."""
-    if engine.driver == "sqlite" and config.execution.data_dir:
-        session = SqliteSession(engine.options.get("database", ":memory:"))
-        restrict_dataset(
-            catalog, config.execution.data_dir, session, config.execution.max_rows_per_table
-        )
-    else:
-        session = connect(engine)
+    session = connect(engine)
     try:
+        if engine.driver == "sqlite" and config.execution.data_dir:
+            restrict_dataset(
+                catalog, config.execution.data_dir, session, config.execution.max_rows_per_table
+            )
         return execute_batch(
             kept_records, engine, timeout_ms=config.execution.timeout_ms, session=session
         )

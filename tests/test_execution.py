@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import gc
+import os
+import signal
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +27,21 @@ from sqlsynth.execution import (
 from sqlsynth.records import make_record
 
 SAMPLE_DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "tpch_sample"
+
+
+@pytest.fixture
+def open_session():
+    """Opens in-memory SQLite sessions for a test and closes them after it,
+    so no engine process outlives the test."""
+    opened = []
+
+    def open_():
+        opened.append(SqliteSession(":memory:"))
+        return opened[-1]
+
+    yield open_
+    for session in opened:
+        session.close()
 
 
 def label(ms, rows=1, timed_out=False, error=None):
@@ -91,8 +111,8 @@ class TestSqliteExecution:
     def _engine(self):
         return EngineSpec(engine_id="sqlite-mem", driver="sqlite")
 
-    def _session_with_table(self):
-        session = SqliteSession(":memory:")
+    def _session_with_table(self, open_session):
+        session = open_session()
         session.executescript(
             "CREATE TABLE region (r_regionkey integer, r_name char(25));"
         )
@@ -102,22 +122,22 @@ class TestSqliteExecution:
         )
         return session
 
-    def test_count_query(self):
-        session = self._session_with_table()
+    def test_count_query(self, open_session):
+        session = self._session_with_table(open_session)
         records = [make_record("SELECT COUNT(*) FROM region", "mechanical", "s")]
         labels = execute_batch(records, self._engine(), timeout_ms=5_000, session=session)
         assert labels[0].row_count == 1
         assert labels[0].runtime_ms >= 0
         assert not labels[0].timed_out and labels[0].error is None
 
-    def test_row_counts_consume_results(self):
-        session = self._session_with_table()
+    def test_row_counts_consume_results(self, open_session):
+        session = self._session_with_table(open_session)
         records = [make_record("SELECT r_name FROM region", "mechanical", "s")]
         labels = execute_batch(records, self._engine(), timeout_ms=5_000, session=session)
         assert labels[0].row_count == 5
 
-    def test_error_query_is_data_not_exception(self):
-        session = self._session_with_table()
+    def test_error_query_is_data_not_exception(self, open_session):
+        session = self._session_with_table(open_session)
         records = [
             make_record("SELECT ghost FROM region", "mechanical", "s"),
             make_record("SELECT COUNT(*) FROM region", "mechanical", "s"),
@@ -126,8 +146,8 @@ class TestSqliteExecution:
         assert labels[0].error is not None and labels[0].row_count is None
         assert labels[1].error is None  # batch continued
 
-    def test_timeout_clamps_runtime(self):
-        session = SqliteSession(":memory:")
+    def test_timeout_clamps_runtime(self, open_session):
+        session = open_session()
         session.executescript("CREATE TABLE n (x integer);")
         session.executemany("INSERT INTO n VALUES (?)", [(i,) for i in range(300)])
         slow = make_record(
@@ -140,13 +160,13 @@ class TestSqliteExecution:
         assert labels[0].runtime_ms == 150
         assert labels[0].row_count is None
 
-    def test_rerun_same_row_counts(self):
+    def test_rerun_same_row_counts(self, open_session):
         engine = EngineSpec(engine_id="sqlite-mem", driver="sqlite")
         record = make_record(
             "SELECT r_regionkey FROM region WHERE r_regionkey < 3", "mechanical", "s"
         )
         for _ in range(2):
-            session = self._session_with_table()
+            session = self._session_with_table(open_session)
             labels = execute_batch([record], engine, timeout_ms=5_000, session=session)
             assert labels[0].row_count == 3
 
@@ -162,6 +182,125 @@ class TestSqliteExecution:
     def test_unknown_driver(self):
         with pytest.raises(EngineConnectionError):
             connect(EngineSpec(engine_id="x", driver="warp"))
+
+
+def _wait_exit_code(pid: int, seconds: float = 10.0):
+    """The exit code of child ``pid`` once it exits, or None if it was
+    already reaped elsewhere; fails if it is still running after
+    ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        try:
+            reaped, status = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            return None
+        if reaped:
+            return os.waitstatus_to_exitcode(status)
+        time.sleep(0.01)
+    pytest.fail(f"engine process {pid} still running after {seconds} s")
+
+
+class TestEngineProcess:
+    """Each SQLite session is a child process that owns the connection."""
+
+    def _engine(self):
+        return EngineSpec(engine_id="sqlite-mem", driver="sqlite")
+
+    def _session(self, open_session, rows=300):
+        session = open_session()
+        session.executescript("CREATE TABLE n (x integer);")
+        session.executemany("INSERT INTO n VALUES (?)", [(i,) for i in range(rows)])
+        return session
+
+    def test_labels_are_positive_float_ms(self, open_session):
+        session = self._session(open_session)
+        records = [
+            make_record(sql, "mechanical", "s")
+            for sql in ("SELECT 1", "SELECT x FROM n", "SELECT COUNT(*) FROM n a, n b")
+        ]
+        labels = execute_batch(records, self._engine(), timeout_ms=5_000, session=session)
+        for item in labels:
+            assert isinstance(item.runtime_ms, float)
+            assert item.runtime_ms > 0
+            assert round(item.runtime_ms, 3) == item.runtime_ms  # microsecond resolution
+
+    def test_killed_engine_labels_the_rest_as_errors(self, open_session):
+        session = self._session(open_session)
+        records = [
+            make_record("SELECT COUNT(*) FROM n", "mechanical", "s"),
+            make_record(
+                "SELECT COUNT(*) FROM n a, n b, n c, n d WHERE a.x + b.x + c.x + d.x > 0",
+                "mechanical",
+                "s",
+            ),
+            make_record("SELECT x FROM n", "mechanical", "s"),
+        ]
+        killer = threading.Timer(0.5, os.kill, (session.process.pid, signal.SIGKILL))
+        killer.start()
+        try:
+            labels = execute_batch(records, self._engine(), timeout_ms=60_000, session=session)
+        finally:
+            killer.cancel()
+        assert labels[0].error is None and labels[0].row_count == 1
+        exited = f"engine process exited (code {-signal.SIGKILL})"
+        assert [item.error for item in labels[1:]] == [exited, exited]
+        assert not any(item.timed_out for item in labels)
+        session.close()
+        session.close()
+        assert session.process.returncode == -signal.SIGKILL
+
+    def test_load_into_dead_engine_raises_load_error(self, open_session, tpch_catalog_inferred):
+        session = open_session()
+        session.process.kill()
+        with pytest.raises(LoadError, match="engine process exited"):
+            restrict_dataset(tpch_catalog_inferred, SAMPLE_DATA_DIR, session, 10)
+
+    def test_close_is_idempotent_and_reaps(self, open_session):
+        session = self._session(open_session)
+        session.close()
+        assert session.process.returncode == 0
+        session.close()
+        assert session.process.returncode == 0
+        assert session.run("SELECT 1", 1_000)[2] == "engine process exited (code 0)"
+
+    def test_dropped_session_exits_on_eof(self):
+        session = SqliteSession(":memory:")
+        pid = session.process.pid
+        with pytest.warns(ResourceWarning, match="still running"):  # Popen's note on the drop
+            del session
+            gc.collect()
+        assert _wait_exit_code(pid) in (0, None)
+
+    def test_engine_rejects_multiple_statements_as_data(self, open_session):
+        session = self._session(open_session)
+        row_count, timed_out, error, _ = session.run("SELECT 1; SELECT 2", 1_000)
+        assert row_count is None and not timed_out and error
+        assert session.run("SELECT 1", 1_000)[:3] == (1, False, None)
+
+    def test_malformed_tbl_rejected_and_rolled_back(self, open_session, tmp_path):
+        from sqlsynth.schema import ingest_ddl
+
+        catalog = ingest_ddl("CREATE TABLE t (a integer, b varchar(5))")
+        (tmp_path / "t.tbl").write_text("1|x|\n2|y|\n3|\n", encoding="utf-8")
+        session = open_session()
+        with pytest.raises(LoadError, match="t.tbl: expected 2 fields, got 1"):
+            restrict_dataset(catalog, tmp_path, session, 100)
+        assert session.run("SELECT * FROM t", 1_000)[0] == 0
+
+    def test_missing_file_message(self, open_session, tmp_path):
+        from sqlsynth.schema import ingest_ddl
+
+        catalog = ingest_ddl("CREATE TABLE t (a integer)")
+        session = open_session()
+        with pytest.raises(LoadError, match=f"no data file for table 't' in {tmp_path}"):
+            restrict_dataset(catalog, tmp_path, session, 100)
+
+    def test_engines_run_in_separate_processes(self, open_session):
+        first, second = open_session(), open_session()
+        assert len({os.getpid(), first.process.pid, second.process.pid}) == 3
+        first.close()
+        second.close()
+        assert (first.process.returncode, second.process.returncode) == (0, 0)
 
 
 class _FakeCursor:
@@ -214,6 +353,7 @@ class TestDbApiDriver:
             [make_record("SELECT 1", "mechanical", "s")], engine, timeout_ms=2_000
         )
         assert labels[0].row_count == 7
+        assert isinstance(labels[0].runtime_ms, float) and labels[0].runtime_ms > 0
 
     def test_query_error_captured(self):
         engine = EngineSpec(
@@ -237,65 +377,48 @@ class TestDbApiDriver:
 
 
 class TestRestrictDataset:
-    def test_loads_sample_capped(self, tpch_catalog_inferred):
-        session = SqliteSession(":memory:")
+    def test_loads_sample_capped(self, open_session, tpch_catalog_inferred):
+        session = open_session()
         counts = restrict_dataset(tpch_catalog_inferred, SAMPLE_DATA_DIR, session, 40_000)
         assert counts["region"] == 5
         assert counts["nation"] == 25
         assert counts["lineitem"] > 100
 
-    def test_cap_truncates(self, tpch_catalog_inferred):
-        session = SqliteSession(":memory:")
+    def test_cap_truncates(self, open_session, tpch_catalog_inferred):
+        session = open_session()
         counts = restrict_dataset(tpch_catalog_inferred, SAMPLE_DATA_DIR, session, 10)
         assert all(count <= 10 for count in counts.values())
         assert counts["lineitem"] == 10
 
-    def test_zero_cap_rejected(self, tpch_catalog_inferred):
-        session = SqliteSession(":memory:")
+    def test_zero_cap_rejected(self, open_session, tpch_catalog_inferred):
+        session = open_session()
         with pytest.raises(LoadError):
             restrict_dataset(tpch_catalog_inferred, SAMPLE_DATA_DIR, session, 0)
 
-    def test_missing_file_rejected(self, tpch_catalog_inferred, tmp_path):
-        session = SqliteSession(":memory:")
+    def test_missing_file_rejected(self, open_session, tpch_catalog_inferred, tmp_path):
+        session = open_session()
         with pytest.raises(LoadError):
             restrict_dataset(tpch_catalog_inferred, tmp_path, session, 100)
 
-    def test_loaded_data_queryable(self, tpch_catalog_inferred):
-        session = SqliteSession(":memory:")
+    def test_loaded_data_queryable(self, open_session, tpch_catalog_inferred):
+        session = open_session()
         restrict_dataset(tpch_catalog_inferred, SAMPLE_DATA_DIR, session, 40_000)
-        rows, timed_out, error = session.run(
+        rows, timed_out, error, elapsed = session.run(
             "SELECT n_name FROM nation INNER JOIN region ON n_regionkey = r_regionkey "
             "WHERE r_name = 'EUROPE'",
             5_000,
         )
-        assert error is None and not timed_out
+        assert error is None and not timed_out and elapsed > 0
         assert rows == 5  # France, Germany, Romania, Russia, United Kingdom
 
-    def test_csv_fallback(self, tmp_path):
+    def test_csv_fallback(self, open_session, tmp_path):
         from sqlsynth.schema import ingest_ddl
 
         catalog = ingest_ddl("CREATE TABLE t (a integer, b varchar(5))")
         (tmp_path / "t.csv").write_text("a,b\n1,x\n2,y\n3,z\n", encoding="utf-8")
-        session = SqliteSession(":memory:")
+        session = open_session()
         counts = restrict_dataset(catalog, tmp_path, session, 2)
         assert counts == {"t": 2}
-
-
-class TestEngineValueSampler:
-    def test_samples_from_loaded_engine(self, tpch_catalog_inferred):
-        from sqlsynth.execution import EngineValueSampler
-        from sqlsynth.schema import profile_columns
-
-        session = SqliteSession(":memory:")
-        restrict_dataset(tpch_catalog_inferred, SAMPLE_DATA_DIR, session, 40_000)
-        sampler = EngineValueSampler(session)
-        values = sampler.sample("region", "r_name", 3)
-        assert values == ["AFRICA", "AMERICA", "ASIA"]
-
-        profiled = profile_columns(tpch_catalog_inferred, sampler, sample_cap=500)
-        flag = profiled.table("lineitem").column("l_returnflag").metadata
-        assert flag.enumerated_values == ["A", "N", "R"]
-        session.close()
 
 
 class TestBucketTotality:

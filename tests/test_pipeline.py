@@ -609,3 +609,35 @@ class TestIncrementalAnalysis:
         # one for each record's query id, one for each accepted record's dedup key
         assert calls["normalize"] <= generated + accepted
         assert calls["profile"] == 0
+
+
+class TestDemoLabelsScore:
+    def test_demo_labels_round_trip_through_evaluate(self, tmp_path):
+        """Every label the shipped demo measures is a duration ``evaluate``
+        accepts: predicting twice each label scores a Q-error of exactly 2."""
+        import csv
+
+        from sqlsynth.cli import main
+
+        config = load_config(DEMO_CONFIG)
+        config.out_dir = str(tmp_path / "out")
+        counts = run_pipeline(config)["counts"]
+        labeled = load_records(tmp_path / "out" / "labeled.jsonl")
+        assert len(labeled) == counts["kept"] == counts["labels_kept"]
+
+        predictions = tmp_path / "predictions.csv"
+        with open(predictions, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["query_id", "engine_id", "predicted_ms", "true_ms"])
+            for record in labeled:
+                for engine_id, label in record.labels.items():
+                    assert label["runtime_ms"] > 0, record.id
+                    writer.writerow(
+                        [record.id, engine_id, 2 * label["runtime_ms"], label["runtime_ms"]]
+                    )
+        summary_path = tmp_path / "evaluation.json"
+        assert main(["evaluate", "--predictions", str(predictions), "--out", str(summary_path)]) == 0
+        evaluation = json.loads(summary_path.read_text(encoding="utf-8"))
+        summary = evaluation["summary"]
+        assert (summary["q_median"], summary["q_mean"], summary["q_p95"]) == (2.0, 2.0, 2.0)
+        assert len(evaluation["routing"]["assignments"]) == len(labeled)
