@@ -1,16 +1,13 @@
 """Pipeline configuration: TOML file loading and typed sub-configs.
 
-The file format is TOML (sections, ``key = value``). On Python 3.11+ the
-standard ``tomllib`` parses it; older interpreters fall back to a strict
-built-in reader covering the subset this config actually uses: sections
-(dotted names allowed), strings, integers, floats, booleans, and flat
-arrays. Anything outside that subset is a configuration error, not a silent
-misread.
+The file format is TOML, parsed by the standard library's ``tomllib``. A
+file that is not valid TOML, or whose values have the wrong types or
+violate a constraint, is a :class:`~sqlsynth.errors.ConfigError`.
 """
 
 from __future__ import annotations
 
-import re
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,140 +17,12 @@ from .execution import DEFAULT_MIN_EMPTY_RUNTIME_MS, DEFAULT_TIMEOUT_MS, EngineS
 from .llmgen import CANONICAL_SETTINGS, GenParams, PromptSetting
 from .mechgen import MechConfig
 
-try:
-    import tomllib  # Python >= 3.11
-except ImportError:  # pragma: no cover - depends on interpreter version
-    tomllib = None
-
-
-# ---------------------------------------------------------------------------
-# TOML subset reader (fallback)
-# ---------------------------------------------------------------------------
-
-_SECTION_RE = re.compile(r"\[([^\[\]]+)\]\s*(?:#.*)?$")
-_KEY_RE = re.compile(r"([A-Za-z0-9_.-]+|\"[^\"]+\")\s*=\s*(.+)$")
-
-
-def _strip_comment(text: str) -> str:
-    out = []
-    in_string = False
-    quote = ""
-    for ch in text:
-        if in_string:
-            out.append(ch)
-            if ch == quote:
-                in_string = False
-        elif ch in "\"'":
-            in_string = True
-            quote = ch
-            out.append(ch)
-        elif ch == "#":
-            break
-        else:
-            out.append(ch)
-    return "".join(out).strip()
-
-
-def _parse_scalar(text: str, where: str):
-    text = text.strip()
-    if not text:
-        raise ConfigError(f"{where}: empty value")
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1].replace('\\"', '"').replace("\\\\", "\\")
-    if text.startswith("'") and text.endswith("'") and len(text) >= 2:
-        return text[1:-1]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if re.fullmatch(r"[+-]?\d+", text):
-        return int(text)
-    if re.fullmatch(r"[+-]?(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?", text):
-        return float(text)
-    raise ConfigError(f"{where}: cannot parse value {text!r}")
-
-
-def _split_array_items(body: str, where: str) -> list[str]:
-    items = []
-    depth = 0
-    current = []
-    in_string = False
-    quote = ""
-    for ch in body:
-        if in_string:
-            current.append(ch)
-            if ch == quote:
-                in_string = False
-        elif ch in "\"'":
-            in_string = True
-            quote = ch
-            current.append(ch)
-        elif ch == "[":
-            depth += 1
-            current.append(ch)
-        elif ch == "]":
-            depth -= 1
-            current.append(ch)
-        elif ch == "," and depth == 0:
-            items.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    tail = "".join(current).strip()
-    if tail:
-        items.append(tail)
-    if in_string or depth != 0:
-        raise ConfigError(f"{where}: unbalanced array")
-    return items
-
-
-def _parse_value(text: str, where: str):
-    text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError(f"{where}: arrays must close on the same line")
-        return [_parse_scalar(item, where) for item in _split_array_items(text[1:-1], where)]
-    return _parse_scalar(text, where)
-
-
-def parse_toml_subset(text: str) -> dict:
-    """Strict reader for the config subset of TOML (see module docstring)."""
-    root: dict = {}
-    current = root
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        where = f"line {lineno}"
-        if line.startswith("[["):
-            raise ConfigError(f"{where}: arrays of tables are not supported; use [section.name]")
-        section = _SECTION_RE.fullmatch(line)
-        if section:
-            current = root
-            for part in section.group(1).split("."):
-                part = part.strip().strip('"')
-                if not part:
-                    raise ConfigError(f"{where}: empty section name component")
-                current = current.setdefault(part, {})
-                if not isinstance(current, dict):
-                    raise ConfigError(f"{where}: section clashes with a value")
-            continue
-        keyval = _KEY_RE.fullmatch(line)
-        if not keyval:
-            raise ConfigError(f"{where}: expected 'key = value' or '[section]'")
-        key = keyval.group(1).strip('"')
-        current[key] = _parse_value(keyval.group(2), where)
-    return root
-
 
 def load_toml(path: str | Path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
-    if tomllib is not None:
-        try:
-            return tomllib.loads(text)
-        except tomllib.TOMLDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    return parse_toml_subset(text)
+    try:
+        return tomllib.loads(Path(path).read_text(encoding="utf-8"))
+    except tomllib.TOMLDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

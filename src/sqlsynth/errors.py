@@ -9,6 +9,10 @@ class ConfigError(SqlsynthError):
     """A pipeline configuration file is missing, malformed, or inconsistent."""
 
 
+class DataFileError(SqlsynthError):
+    """A data file is not JSON, or is not the kind of file a stage reads."""
+
+
 class DdlSyntaxError(SqlsynthError):
     """DDL text could not be parsed.
 

@@ -12,16 +12,31 @@ Stage outputs land in the configured output directory:
 * ``labeled.jsonl``      kept records with runtime labels (execution runs)
 * ``manifest.json``      counts, accounting, file map, config snapshot
 
+Each stage has one implementation here. :func:`run_pipeline` calls them in
+turn, and each per-stage command of :mod:`sqlsynth.cli` calls the same one
+from the same config:
+
+==============  ==========================================================
+``preprocess``  :func:`build_catalog`
+``subschemas``  :func:`build_subschemas`
+``gen-mech``    :func:`mechanical_batch` (batch 0)
+``gen-llm``     :func:`_llm_batch` (batch 0, no directives)
+``validate``    :func:`validate_batch`
+``coverage``    :func:`coverage_reports`, then :func:`write_coverage`
+``execute``     :func:`_execute`
+==============  ==========================================================
+
+So ``run`` with ``loop_limit = 0`` and that chain of commands write the same
+bytes, runtimes apart.
+
 Each candidate is analysed once. :func:`validate_record` parses it and
 resolves its references a single time, derives the relevance codes from
 those references, and profiles an accepted candidate from the same tree;
-the tree is dropped there. Across batches the generation loop keeps running
-folds of the kept corpus: the set of normalized forms already kept, which
-:func:`~sqlsynth.validation.deduplicate` extends with each batch's new
-records only, and the per-setting and overall profile lists, to which each
-newly kept record's profile is appended once (``record.profile`` is set at
-that point). Coverage then aggregates those lists, so no batch re-parses,
-re-normalizes or re-profiles what an earlier batch kept.
+the tree is dropped there. :func:`validate_batch` deduplicates against the
+set of normalized forms already kept, which it extends with the batch's
+new records only, and stores each newly kept record's profile on it
+(``record.profile``). Coverage then aggregates the kept profiles, so no
+batch re-parses, re-normalizes or re-profiles what an earlier batch kept.
 
 Everything stochastic draws through seeds derived from the global seed plus
 stage/batch labels, so a rerun with the same config is byte-identical up to
@@ -35,12 +50,13 @@ from __future__ import annotations
 import logging
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .config import PipelineConfig
 from .coverage import (
     ComplexityProfile,
+    CoverageReport,
     RegenDirectives,
     aggregate_coverage,
     clause_presence_rows,
@@ -187,34 +203,15 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
     if resume and paths["catalog"].exists():
         catalog = load_catalog(paths["catalog"])
     else:
-        catalog = ingest_ddl(Path(config.ddl_path).read_text(encoding="utf-8"), name=config.name)
-        if config.infer_fks:
-            prefixes = derive_column_prefixes(catalog)
-            prefixes.update(config.prefix_overrides)
-            catalog = infer_foreign_keys(catalog, prefixes)
-        if config.sample_data_dir:
-            catalog = profile_columns(
-                catalog,
-                CsvDirSampler(config.sample_data_dir, catalog),
-                sample_cap=config.sample_cap,
-                enum_threshold=config.enum_threshold,
-                label_columns=set(config.label_columns),
-            )
+        catalog = build_catalog(config)
         save_catalog(catalog, paths["catalog"])
 
     # -- subschema enumeration ----------------------------------------------
     if resume and paths["subschemas"].exists():
         subschemas = load_subschemas(paths["subschemas"])
     else:
-        graph = build_join_graph(catalog)
-        subschemas = enumerate_subschemas(
-            graph,
-            max_tables=config.subschema.max_tables,
-            min_tables=config.subschema.min_tables,
-            safety_limit=config.subschema.safety_limit,
-        )
+        subschemas = build_subschemas(config, catalog)
         save_subschemas(subschemas, paths["subschemas"])
-    subschema_by_id = {s.id: s for s in subschemas}
 
     # -- generation loop -----------------------------------------------------
     generation_done = resume and paths["kept"].exists() and paths["records"].exists()
@@ -224,9 +221,7 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
         batches = manifest_prev.get("batches", [])
         gaps_remaining = manifest_prev.get("counts", {}).get("gaps_remaining", 0)
     else:
-        kept_records, batches, gaps_remaining = _generate(
-            config, catalog, subschemas, subschema_by_id, paths
-        )
+        kept_records, batches, gaps_remaining = _generate(config, catalog, subschemas, paths)
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -289,90 +284,75 @@ def _merge_reason_counts(batches) -> dict:
     return dict(sorted(merged.items()))
 
 
+def build_catalog(config: PipelineConfig):
+    """Ingest the DDL, infer foreign keys and profile columns, as configured."""
+    catalog = ingest_ddl(Path(config.ddl_path).read_text(encoding="utf-8"), name=config.name)
+    if config.infer_fks:
+        prefixes = derive_column_prefixes(catalog)
+        prefixes.update(config.prefix_overrides)
+        catalog = infer_foreign_keys(catalog, prefixes)
+    if config.sample_data_dir:
+        catalog = profile_columns(
+            catalog,
+            CsvDirSampler(config.sample_data_dir, catalog),
+            sample_cap=config.sample_cap,
+            enum_threshold=config.enum_threshold,
+            label_columns=set(config.label_columns),
+        )
+    return catalog
+
+
+def build_subschemas(config: PipelineConfig, catalog):
+    """Enumerate the connected table subsets the subschema policy allows."""
+    return enumerate_subschemas(
+        build_join_graph(catalog),
+        max_tables=config.subschema.max_tables,
+        min_tables=config.subschema.min_tables,
+        safety_limit=config.subschema.safety_limit,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Generation
 # ---------------------------------------------------------------------------
 
 
-def _generate(config, catalog, subschemas, subschema_by_id, paths):
+def _generate(config, catalog, subschemas, paths):
     backend = make_backend(config) if config.llm.enabled else None
+    subschema_by_id = {s.id: s for s in subschemas}
     all_records: list[QueryRecord] = []
     kept_records: list[QueryRecord] = []
-    mech_pools: dict[str, list[QueryRecord]] = {s.id: [] for s in subschemas}
+    kept_profiles: list[ComplexityProfile] = []
+    mech_pools: dict[str, list[QueryRecord]] = {}
+    seen_forms: set[str] = set()  # normalized forms of the kept corpus
     batches: list[dict] = []
     directives = RegenDirectives()
-    reports = []
-    gaps_remaining = 0
-    # folds over the kept corpus; each batch adds only its newly kept records
-    seen_forms: set[str] = set()
-    profiles_by_setting: dict[str, list[ComplexityProfile]] = {}
-    all_profiles: list[ComplexityProfile] = []
 
     batch = 0
     while True:
         accounting = BatchAccounting(batch=batch)
-        candidates: list[QueryRecord] = []
-
-        if config.mech_per_subschema > 0:
-            mech_config = _batch_mech_config(config, batch)
-            for subschema in subschemas:
-                records = generate_mechanical(
-                    subschema, catalog, mech_config, config.mech_per_subschema
-                )
-                for record in records:
-                    record.batch = batch
-                mech_pools[subschema.id].extend(records)
-                candidates.extend(records)
-
+        candidates = mechanical_batch(config, catalog, subschemas, batch)
+        for record in candidates:
+            mech_pools.setdefault(record.subschema_id, []).append(record)
         if backend is not None:
-            llm_candidates = _llm_batch(
+            candidates += _llm_batch(
                 config, catalog, subschemas, mech_pools, directives, backend, batch, accounting
             )
-            candidates.extend(llm_candidates)
+        all_records.extend(candidates)
 
-        accounting.generated = len(candidates)
-
-        # validation; each accepted candidate comes back with its profile
-        accepted: list[QueryRecord] = []
-        profiles: dict[int, ComplexityProfile] = {}  # id(record) -> profile
-        for record in candidates:
-            record.validation, profile = validate_record(
-                record, catalog, subschema_by_id.get(record.subschema_id),
-                config.require_exact_tables,
-            )
-            all_records.append(record)
-            if record.validation.verdict == VERDICT_ACCEPTED:
-                accepted.append(record)
-                profiles[id(record)] = profile
-            else:
-                accounting.rejected += 1
-                for reason in record.validation.rejection_reasons:
-                    accounting.rejected_by_reason[reason] = (
-                        accounting.rejected_by_reason.get(reason, 0) + 1
-                    )
-
-        # deduplication against every form kept so far
-        new_kept, dropped = deduplicate(
-            accepted, literal_placeholders=config.literal_placeholder_dedup, seen=seen_forms
+        new_kept, new_profiles = validate_batch(
+            config, catalog, subschema_by_id, candidates, seen_forms, accounting
         )
         kept_records.extend(new_kept)
-        accounting.dedup_dropped = len(dropped)
-        for record in dropped:
-            accounting.rejected_by_reason["duplicate"] = (
-                accounting.rejected_by_reason.get("duplicate", 0) + 1
-            )
-        accounting.kept = len(new_kept)
+        kept_profiles.extend(new_profiles)
         batches.append(accounting.to_dict())
 
-        # coverage over the cumulative kept corpus, folding in the new records
-        for record in new_kept:
-            profile = profiles[id(record)]
-            record.profile = profile.to_dict()
-            profiles_by_setting.setdefault(record.setting_label, []).append(profile)
-            all_profiles.append(profile)
-        reports, directives, gaps_remaining = _coverage(
-            config, catalog, subschemas, profiles_by_setting, all_profiles
-        )
+        # coverage over the cumulative kept corpus steers the next batch
+        reports = coverage_reports(config, catalog, kept_records, kept_profiles)
+        gaps_remaining = 0
+        if reports:
+            gaps_remaining = len(reports[-1].gap_list)
+            directives = plan_regeneration(reports[-1], subschemas, catalog)
 
         batch += 1
         if batch > config.loop_limit:
@@ -384,22 +364,23 @@ def _generate(config, catalog, subschemas, subschema_by_id, paths):
 
     save_records(all_records, paths["records"])
     save_records(kept_records, paths["kept"])
-    reports_payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "coverage",
-        "reports": [report.to_dict() for report in reports],
-    }
-    dump_json(reports_payload, paths["coverage"])
-    if reports:
-        write_csv(facet_stats_rows(reports), paths["facets_csv"])
-        write_csv(clause_presence_rows(reports), paths["clauses_csv"])
+    write_coverage(reports, paths["coverage"])
     return kept_records, batches, gaps_remaining
 
 
-def _batch_mech_config(config, batch):
-    from dataclasses import replace
-
-    return replace(config.mechanical, seed=derive_seed(config.seed, "mechanical-batch", batch))
+def mechanical_batch(config, catalog, subschemas, batch: int) -> list[QueryRecord]:
+    """One batch of mechanical queries, ``mech_per_subschema`` per subschema."""
+    if config.mech_per_subschema == 0:
+        return []
+    mech_config = replace(
+        config.mechanical, seed=derive_seed(config.seed, "mechanical-batch", batch)
+    )
+    records = []
+    for subschema in subschemas:
+        records += generate_mechanical(subschema, catalog, mech_config, config.mech_per_subschema)
+    for record in records:
+        record.batch = batch
+    return records
 
 
 def validate_record(record, catalog, subschema, require_exact_tables: bool):
@@ -426,13 +407,52 @@ def validate_record(record, catalog, subschema, require_exact_tables: bool):
     return ValidationReport(query_id=record.id, verdict=VERDICT_ACCEPTED), profile_tree(tree, refs)
 
 
+def validate_batch(config, catalog, subschema_by_id, candidates, seen_forms, accounting):
+    """Validate one batch of candidates, then deduplicate the accepted ones
+    against ``seen_forms`` (the kept corpus's normalized forms, extended in
+    place). Sets ``record.validation`` on every candidate and
+    ``record.profile`` on each newly kept one, and counts the batch into
+    ``accounting``. Returns the newly kept records and their profiles."""
+    accounting.generated = len(candidates)
+    accepted: list[QueryRecord] = []
+    profiles: dict[int, ComplexityProfile] = {}  # id(record) -> profile
+    for record in candidates:
+        record.validation, profile = validate_record(
+            record, catalog, subschema_by_id.get(record.subschema_id),
+            config.require_exact_tables,
+        )
+        if record.validation.verdict == VERDICT_ACCEPTED:
+            accepted.append(record)
+            profiles[id(record)] = profile
+        else:
+            accounting.rejected += 1
+            for reason in record.validation.rejection_reasons:
+                accounting.rejected_by_reason[reason] = (
+                    accounting.rejected_by_reason.get(reason, 0) + 1
+                )
+
+    new_kept, dropped = deduplicate(
+        accepted, literal_placeholders=config.literal_placeholder_dedup, seen=seen_forms
+    )
+    accounting.kept = len(new_kept)
+    accounting.dedup_dropped = len(dropped)
+    if dropped:
+        accounting.rejected_by_reason["duplicate"] = (
+            accounting.rejected_by_reason.get("duplicate", 0) + len(dropped)
+        )
+    new_profiles = [profiles[id(record)] for record in new_kept]
+    for record, profile in zip(new_kept, new_profiles):
+        record.profile = profile.to_dict()
+    return new_kept, new_profiles
+
+
 def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, batch, accounting):
     chosen = _choose_subschemas(config, subschemas, directives, batch)
     settings = _batch_settings(config, directives)
     tasks = []
     for subschema in chosen:
         for setting in settings:
-            pool = mech_pools[subschema.id]
+            pool = mech_pools.get(subschema.id, [])
             if len(pool) < setting.shots:
                 logger.warning(
                     "skipping %s on %s: pool of %d can't seed %d shots",
@@ -519,17 +539,39 @@ def _batch_settings(config, directives):
     return settings
 
 
-def _coverage(config, catalog, subschemas, profiles_by_setting, all_profiles):
+def coverage_reports(config, catalog, kept_records, profiles) -> list[CoverageReport]:
+    """Coverage of a kept corpus: one report per setting label, in label
+    order, then the overall report ``"all"`` last. ``profiles`` are the kept
+    records' profiles, in the same order. No reports for an empty corpus."""
+    if not profiles:
+        return []
+    by_setting: dict[str, list[ComplexityProfile]] = {}
+    for record, profile in zip(kept_records, profiles):
+        by_setting.setdefault(record.setting_label, []).append(profile)
+    targets = config.coverage_targets
     reports = [
-        aggregate_coverage(profiles, label, catalog, config.coverage_targets)
-        for label, profiles in sorted(profiles_by_setting.items())
+        aggregate_coverage(group, label, catalog, targets)
+        for label, group in sorted(by_setting.items())
     ]
-    if not all_profiles:
-        return [], RegenDirectives(), 0
-    overall = aggregate_coverage(all_profiles, "all", catalog, config.coverage_targets)
-    reports.append(overall)
-    directives = plan_regeneration(overall, subschemas, catalog)
-    return reports, directives, len(overall.gap_list)
+    reports.append(aggregate_coverage(profiles, "all", catalog, targets))
+    return reports
+
+
+def write_coverage(reports, path) -> None:
+    """Write ``coverage.json`` to ``path`` and, when there are reports, the
+    facet and clause CSVs next to it."""
+    path = Path(path)
+    dump_json(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "kind": "coverage",
+            "reports": [report.to_dict() for report in reports],
+        },
+        path,
+    )
+    if reports:
+        write_csv(facet_stats_rows(reports), path.with_name(FILES["facets_csv"]))
+        write_csv(clause_presence_rows(reports), path.with_name(FILES["clauses_csv"]))
 
 
 # ---------------------------------------------------------------------------

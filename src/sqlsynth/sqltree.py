@@ -317,13 +317,6 @@ def walk(node: Node):
         stack.extend(children(current))
 
 
-def iter_select_cores(node: Node):
-    """Yield every SelectCore in the tree, outermost first."""
-    for n in walk(node):
-        if isinstance(n, SelectCore):
-            yield n
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import hashlib
 import json
 from pathlib import Path
 
+from .errors import DataFileError
+
 SCHEMA_VERSION = 1
 
 _SEP = "\x1f"
@@ -28,7 +30,9 @@ def derive_seed(*parts) -> int:
 
 
 def dump_json(obj, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=False) + "\n", encoding="utf-8")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obj, indent=2, sort_keys=False) + "\n", encoding="utf-8")
 
 
 def load_json(path: str | Path):
@@ -37,6 +41,7 @@ def load_json(path: str | Path):
 
 def write_jsonl(path: str | Path, kind: str, rows) -> None:
     """Write a JSONL file headed by a schema-version line."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind}) + "\n")
         for row in rows:
@@ -44,14 +49,25 @@ def write_jsonl(path: str | Path, kind: str, rows) -> None:
 
 
 def read_jsonl(path: str | Path, kind: str | None = None) -> list:
-    """Read a JSONL file, checking the header line when ``kind`` is given."""
-    rows = []
+    """Read a JSONL file, checking the header line when ``kind`` is given.
+
+    A line that is not JSON, or a header of another kind, raises
+    :class:`~sqlsynth.errors.DataFileError`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if kind is not None and header.get("kind") != kind:
-            raise ValueError(f"{path}: expected kind {kind!r}, found {header.get('kind')!r}")
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+        header = _json_line(path, 1, fh.readline())
+        found = header.get("kind") if isinstance(header, dict) else None
+        if kind is not None and found != kind:
+            raise DataFileError(f"{path}: expected kind {kind!r}, found {found!r}")
+        return [
+            _json_line(path, lineno, line)
+            for lineno, line in enumerate(fh, start=2)
+            if line.strip()
+        ]
+
+
+def _json_line(path, lineno: int, line: str):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataFileError(f"{path}, line {lineno}: not JSON ({exc})") from exc

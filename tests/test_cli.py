@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,30 +14,70 @@ from sqlsynth.util import load_json
 
 from tests.conftest import TPCH_DDL_PATH
 
-SAMPLE_DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "tpch_sample"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SAMPLE_DATA_DIR = REPO_ROOT / "data" / "tpch_sample"
+DEMO_DIR = REPO_ROOT / "data" / "demo"
+
+
+def write_stage_config(tmp_path, ddl=TPCH_DDL_PATH, seed=0, per_subschema=2):
+    """A config for the stage commands: TPC-H, subschemas of up to two
+    tables, labelling on one in-memory SQLite engine."""
+    config = tmp_path / "stages.toml"
+    config.write_text(
+        f"""
+        [pipeline]
+        name = "schema"
+        out_dir = "out"
+        seed = {seed}
+        mech_per_subschema = {per_subschema}
+
+        [schema]
+        ddl = "{Path(ddl).as_posix()}"
+
+        [subschema]
+        max_tables = 2
+
+        [execution]
+        enabled = true
+        data_dir = "{SAMPLE_DATA_DIR.as_posix()}"
+        timeout_ms = 30000
+        min_empty_runtime_ms = 0
+
+        [engines.sqlite-local]
+        driver = "sqlite"
+        """,
+        encoding="utf-8",
+    )
+    return config
 
 
 @pytest.fixture()
-def catalog_path(tmp_path):
+def config_path(tmp_path):
+    return write_stage_config(tmp_path)
+
+
+@pytest.fixture()
+def catalog_path(tmp_path, config_path):
     out = tmp_path / "catalog.json"
-    assert main(["preprocess", "--ddl", str(TPCH_DDL_PATH), "--out", str(out)]) == 0
+    assert main(["preprocess", "--config", str(config_path), "--out", str(out)]) == 0
     return out
 
 
 @pytest.fixture()
-def subschemas_path(tmp_path, catalog_path):
+def subschemas_path(tmp_path, config_path, catalog_path):
     out = tmp_path / "subschemas.jsonl"
     code = main(
-        ["subschemas", "--catalog", str(catalog_path), "--out", str(out), "--max-tables", "2"]
+        ["subschemas", "--config", str(config_path), "--catalog", str(catalog_path),
+         "--out", str(out)]
     )
     assert code == 0
     return out
 
 
 class TestPreprocess:
-    def test_writes_catalog_with_summary(self, tmp_path, capsys):
+    def test_writes_catalog_with_summary(self, tmp_path, config_path, capsys):
         out = tmp_path / "catalog.json"
-        code = main(["preprocess", "--ddl", str(TPCH_DDL_PATH), "--out", str(out)])
+        code = main(["preprocess", "--config", str(config_path), "--out", str(out)])
         assert code == 0
         printed = capsys.readouterr().out
         assert "8 tables" in printed
@@ -45,40 +86,52 @@ class TestPreprocess:
         assert len(data["tables"]) == 8
 
     def test_missing_ddl_nonzero_exit(self, tmp_path):
-        code = main(
-            ["preprocess", "--ddl", str(tmp_path / "nope.sql"), "--out", str(tmp_path / "c.json")]
-        )
+        config = write_stage_config(tmp_path, ddl=tmp_path / "nope.sql")
+        code = main(["preprocess", "--config", str(config), "--out", str(tmp_path / "c.json")])
         assert code != 0
 
     def test_bad_ddl_exit_code_1(self, tmp_path):
         bad = tmp_path / "bad.sql"
         bad.write_text("CREATE TABLE t (x NOTATYPE)")
-        code = main(["preprocess", "--ddl", str(bad), "--out", str(tmp_path / "c.json")])
+        config = write_stage_config(tmp_path, ddl=bad)
+        code = main(["preprocess", "--config", str(config), "--out", str(tmp_path / "c.json")])
         assert code == 1
 
     def test_json_errors(self, tmp_path, capsys):
         bad = tmp_path / "bad.sql"
         bad.write_text("CREATE TABLE t (x NOTATYPE)")
-        main(["--json-errors", "preprocess", "--ddl", str(bad), "--out", str(tmp_path / "c.json")])
+        config = write_stage_config(tmp_path, ddl=bad)
+        main(["--json-errors", "preprocess", "--config", str(config),
+              "--out", str(tmp_path / "c.json")])
         err = capsys.readouterr().err
         payload = json.loads(err)
         assert payload["error"]["kind"] == "DdlSyntaxError"
+
+    def test_creates_missing_output_directory(self, tmp_path, config_path):
+        out = tmp_path / "new_dir" / "deeper" / "catalog.json"
+        assert main(["preprocess", "--config", str(config_path), "--out", str(out)]) == 0
+        assert load_json(out)["kind"] == "catalog"
 
 
 class TestStageCommands:
     def test_subschemas(self, subschemas_path, capsys):
         assert subschemas_path.exists()
 
-    def test_gen_mech_and_validate_and_coverage(self, tmp_path, catalog_path, subschemas_path):
+    def test_gen_mech_and_validate_and_coverage(self, tmp_path):
+        config = write_stage_config(tmp_path, seed=5, per_subschema=2)
+        catalog = tmp_path / "catalog.json"
+        subschemas = tmp_path / "subschemas.jsonl"
+        assert main(["preprocess", "--config", str(config), "--out", str(catalog)]) == 0
+        assert main(["subschemas", "--config", str(config), "--catalog", str(catalog),
+                     "--out", str(subschemas)]) == 0
         records = tmp_path / "mech.jsonl"
         code = main(
             [
                 "gen-mech",
-                "--catalog", str(catalog_path),
-                "--subschemas", str(subschemas_path),
+                "--config", str(config),
+                "--catalog", str(catalog),
+                "--subschemas", str(subschemas),
                 "--out", str(records),
-                "--seed", "5",
-                "--per-subschema", "2",
             ]
         )
         assert code == 0
@@ -87,7 +140,9 @@ class TestStageCommands:
         code = main(
             [
                 "validate",
-                "--catalog", str(catalog_path),
+                "--config", str(config),
+                "--catalog", str(catalog),
+                "--subschemas", str(subschemas),
                 "--records", str(records),
                 "--out", str(validated),
                 "--kept", str(kept),
@@ -96,47 +151,45 @@ class TestStageCommands:
         assert code == 0
         kept_records = load_records(kept)
         assert kept_records
-        coverage = tmp_path / "coverage.json"
+        coverage = tmp_path / "csv" / "coverage.json"
         code = main(
             [
                 "coverage",
-                "--catalog", str(catalog_path),
+                "--config", str(config),
+                "--catalog", str(catalog),
                 "--records", str(kept),
                 "--out", str(coverage),
-                "--csv-dir", str(tmp_path / "csv"),
             ]
         )
         assert code == 0
         assert (tmp_path / "csv" / "coverage_facets.csv").exists()
-        report_dir = tmp_path / "report"
-        code = main(
-            ["report", "--coverage", str(coverage), "--out-dir", str(report_dir)]
-        )
-        assert code == 0
-        assert (report_dir / "facets.csv").exists()
-        assert (report_dir / "clause_presence.csv").exists()
+        assert (tmp_path / "csv" / "coverage_clauses.csv").exists()
 
-    def test_execute_labels(self, tmp_path, catalog_path, subschemas_path):
+    def test_execute_labels(self, tmp_path):
+        config = write_stage_config(tmp_path, per_subschema=1)
+        catalog = tmp_path / "catalog.json"
+        subschemas = tmp_path / "subschemas.jsonl"
+        main(["preprocess", "--config", str(config), "--out", str(catalog)])
+        main(["subschemas", "--config", str(config), "--catalog", str(catalog),
+              "--out", str(subschemas)])
         records = tmp_path / "mech.jsonl"
         main(
             [
                 "gen-mech",
-                "--catalog", str(catalog_path),
-                "--subschemas", str(subschemas_path),
+                "--config", str(config),
+                "--catalog", str(catalog),
+                "--subschemas", str(subschemas),
                 "--out", str(records),
-                "--per-subschema", "1",
             ]
         )
         labeled = tmp_path / "labeled.jsonl"
         code = main(
             [
                 "execute",
-                "--catalog", str(catalog_path),
+                "--config", str(config),
+                "--catalog", str(catalog),
                 "--records", str(records),
                 "--out", str(labeled),
-                "--data-dir", str(SAMPLE_DATA_DIR),
-                "--min-empty-runtime-ms", "0",
-                "--timeout-ms", "30000",
             ]
         )
         assert code == 0
@@ -266,7 +319,9 @@ class TestShippedDemo:
 
 
 class TestValidateSubschemaRule:
-    def test_out_of_subschema_reference_rejected(self, tmp_path, catalog_path, subschemas_path):
+    def test_out_of_subschema_reference_rejected(
+        self, tmp_path, config_path, catalog_path, subschemas_path
+    ):
         from sqlsynth.records import make_record, save_records
         from sqlsynth.subschema import load_subschemas
 
@@ -279,6 +334,7 @@ class TestValidateSubschemaRule:
         code = main(
             [
                 "validate",
+                "--config", str(config_path),
                 "--catalog", str(catalog_path),
                 "--records", str(records_path),
                 "--subschemas", str(subschemas_path),
@@ -288,6 +344,138 @@ class TestValidateSubschemaRule:
         assert code == 0
         checked = load_records(out)
         assert checked[0].validation.rejection_reasons == ["uses_wrong_tables"]
+
+
+class TestWrongInputs:
+    def _validate(self, config_path, catalog_path, subschemas_path, records, out):
+        return main(
+            [
+                "--json-errors", "validate",
+                "--config", str(config_path),
+                "--catalog", str(catalog_path),
+                "--subschemas", str(subschemas_path),
+                "--records", str(records),
+                "--out", str(out),
+            ]
+        )
+
+    def test_wrong_kind_is_a_json_error(
+        self, tmp_path, config_path, catalog_path, subschemas_path, capsys
+    ):
+        capsys.readouterr()
+        code = self._validate(
+            config_path, catalog_path, subschemas_path, subschemas_path, tmp_path / "v.jsonl"
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "DataFileError"
+        assert "'query_records'" in error["message"] and "'subschemas'" in error["message"]
+        assert not (tmp_path / "v.jsonl").exists()
+
+    def test_non_json_first_line_is_a_json_error(
+        self, tmp_path, config_path, catalog_path, subschemas_path, capsys
+    ):
+        junk = tmp_path / "junk.jsonl"
+        junk.write_text("SELECT 1\n", encoding="utf-8")
+        capsys.readouterr()
+        code = self._validate(
+            config_path, catalog_path, subschemas_path, junk, tmp_path / "v.jsonl"
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "DataFileError"
+        assert "line 1" in error["message"]
+
+    def test_coverage_needs_profiled_records(
+        self, tmp_path, config_path, catalog_path, subschemas_path, capsys
+    ):
+        records = tmp_path / "mech.jsonl"
+        assert main(["gen-mech", "--config", str(config_path), "--catalog", str(catalog_path),
+                     "--subschemas", str(subschemas_path), "--out", str(records)]) == 0
+        capsys.readouterr()
+        code = main(["--json-errors", "coverage", "--config", str(config_path),
+                     "--catalog", str(catalog_path), "--records", str(records),
+                     "--out", str(tmp_path / "coverage.json")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "DataFileError"
+
+
+def demo_config_copy(tmp_path, loop_limit: int = 0):
+    """The shipped demo config with ``loop_limit`` replaced and its relative
+    paths made absolute, written under ``tmp_path``."""
+    text = (DEMO_DIR / "demo.toml").read_text(encoding="utf-8")
+    for old, new in (
+        ("loop_limit = 1 ", f"loop_limit = {loop_limit} "),
+        ('"../', f'"{DEMO_DIR.parent.as_posix()}/'),
+        ('"stub_completions"', f'"{(DEMO_DIR / "stub_completions").as_posix()}"'),
+    ):
+        assert old in text, old
+        text = text.replace(old, new)
+    path = tmp_path / "demo.toml"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _without_runtimes(path):
+    rows = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    for row in rows[1:]:
+        assert row["labels"]
+        for label in row["labels"].values():
+            assert label["runtime_ms"] > 0
+            label["runtime_ms"] = None
+    return rows
+
+
+class TestStagesMatchRun:
+    def test_stage_chain_writes_what_run_writes(self, tmp_path):
+        config = str(demo_config_copy(tmp_path, loop_limit=0))
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", config, "--out", str(run_dir)]) == 0
+
+        cli = tmp_path / "cli"
+        catalog, subschemas = str(cli / "catalog.json"), str(cli / "subschemas.jsonl")
+        mech, llm = str(cli / "mech.jsonl"), str(cli / "llm.jsonl")
+        kept = str(cli / "kept.jsonl")
+        common = ["--config", config, "--catalog", catalog]
+        for argv in (
+            ["preprocess", "--config", config, "--out", catalog],
+            ["subschemas", *common, "--out", subschemas],
+            ["gen-mech", *common, "--subschemas", subschemas, "--out", mech],
+            ["gen-llm", *common, "--subschemas", subschemas, "--pool", mech, "--out", llm],
+            ["validate", *common, "--subschemas", subschemas, "--records", mech,
+             "--records", llm, "--out", str(cli / "records.jsonl"), "--kept", kept],
+            ["coverage", *common, "--records", kept, "--out", str(cli / "coverage.json")],
+            ["execute", *common, "--records", kept, "--out", str(cli / "labeled.jsonl")],
+        ):
+            assert main(argv) == 0, argv
+
+        manifest = load_json(run_dir / "manifest.json")
+        assert manifest["counts"]["llm_calls"] > 0
+        assert manifest["counts"]["kept"] > 0
+        for name in ("catalog.json", "subschemas.jsonl", "records.jsonl", "kept.jsonl",
+                     "coverage.json", "coverage_facets.csv", "coverage_clauses.csv"):
+            assert (cli / name).read_bytes() == (run_dir / name).read_bytes(), name
+        assert _without_runtimes(cli / "labeled.jsonl") == _without_runtimes(
+            run_dir / "labeled.jsonl"
+        )
+
+
+class TestReadmeStageByStage:
+    def test_every_command_of_the_block_runs(self, tmp_path, monkeypatch):
+        readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Stage by stage:", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        commands = [
+            line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("sqlsynth ")
+        ]
+        assert len(commands) >= 9
+        monkeypatch.chdir(tmp_path)
+        for command in commands:
+            argv = [
+                str(REPO_ROOT / arg) if arg.startswith("data/") else arg
+                for arg in shlex.split(command, comments=True)[1:]
+            ]
+            assert main(argv) == 0, command
 
 
 class TestCrossProcessDeterminism:

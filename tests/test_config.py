@@ -2,64 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from sqlsynth.config import (
-    ConfigError,
-    config_from_dict,
-    load_config,
-    parse_toml_subset,
-)
+from sqlsynth.config import ConfigError, config_from_dict, load_config
 
 from tests.conftest import TPCH_DDL_PATH
-
-
-class TestTomlSubset:
-    def test_sections_and_scalars(self):
-        data = parse_toml_subset(
-            """
-            # top comment
-            [pipeline]
-            name = "demo"   # inline comment
-            seed = 42
-            ratio = 0.75
-            resume = false
-
-            [llm.params]
-            temperature = 0.8
-            """
-        )
-        assert data["pipeline"]["name"] == "demo"
-        assert data["pipeline"]["seed"] == 42
-        assert data["pipeline"]["ratio"] == 0.75
-        assert data["pipeline"]["resume"] is False
-        assert data["llm"]["params"]["temperature"] == 0.8
-
-    def test_arrays(self):
-        data = parse_toml_subset('x = [1, 2, 3]\ny = ["a", "b"]\nz = []')
-        assert data["x"] == [1, 2, 3]
-        assert data["y"] == ["a", "b"]
-        assert data["z"] == []
-
-    def test_hash_inside_string_kept(self):
-        data = parse_toml_subset('s = "a#b"')
-        assert data["s"] == "a#b"
-
-    def test_dotted_sections_nest(self):
-        data = parse_toml_subset("[engines.sqlite-mem]\ndriver = \"sqlite\"")
-        assert data["engines"]["sqlite-mem"]["driver"] == "sqlite"
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "key value",
-            "x = ",
-            "x = [1, 2",
-            "[[tables]]\nx = 1",
-            "x = 2026-08-10",  # dates are outside the supported subset
-        ],
-    )
-    def test_rejects_unsupported(self, text):
-        with pytest.raises(ConfigError):
-            parse_toml_subset(text)
 
 
 MINIMAL = {
@@ -152,6 +97,13 @@ class TestPipelineConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "nope.toml")
+
+    @pytest.mark.parametrize("text", ["key value", "x = ", "x = [1, 2"])
+    def test_malformed_toml_is_config_error(self, tmp_path, text):
+        path = tmp_path / "bad.toml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="bad.toml"):
+            load_config(path)
 
 
 class TestTypeGuards:

@@ -24,7 +24,6 @@ from sqlsynth.sqltree import (
     SetOp,
     Star,
     TableName,
-    iter_select_cores,
     normalize_sql,
     parse_select,
     walk,
@@ -181,7 +180,7 @@ class TestSubqueries:
         query = parse_select(
             "SELECT x FROM (SELECT x FROM t WHERE x IN (SELECT y FROM u)) s"
         )
-        assert len(list(iter_select_cores(query))) == 3
+        assert sum(isinstance(n, SelectCore) for n in walk(query)) == 3
 
 
 class TestSetOps:
