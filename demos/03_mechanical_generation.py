@@ -23,33 +23,33 @@ subschema = next(
     s for s in enumerate_subschemas(graph) if s.tables == ("customer", "nation", "orders")
 )
 
-config = MechConfig(seed=7, p_group_by=0.5, p_order_by=0.5, p_having=0.4, p_where=0.8)
-records = generate_mechanical(subschema, catalog, config, 6)
+config = MechConfig(p_group_by=0.5, p_order_by=0.5, p_having=0.4, p_where=0.8)
+records = generate_mechanical(subschema, catalog, config, 6, seed=7)
 print(f"six queries over {subschema.tables}:\n")
 for record in records:
     print(f"  {record.sql}\n")
 
 # Same seed, same output; different seed, different workload.
-again = generate_mechanical(subschema, catalog, config, 6)
+again = generate_mechanical(subschema, catalog, config, 6, seed=7)
 assert [r.sql for r in again] == [r.sql for r in records]
 print("regenerating with the same seed reproduces the workload byte for byte")
 
 # Every generated query passes the validators: correct by construction.
 clean = all(
     validate_relevance(validate_syntax(r.sql), catalog, subschema=subschema) == []
-    for r in generate_mechanical(subschema, catalog, config, 200)
+    for r in generate_mechanical(subschema, catalog, config, 200, seed=7)
 )
 print(f"200/200 generated queries pass syntax + relevance checks: {clean}")
 
 # Clause probability shows up as corpus frequency.
-biased = MechConfig(seed=11, p_group_by=0.9)
+biased = MechConfig(p_group_by=0.9)
 share = sum(
-    "GROUP BY" in r.sql for r in generate_mechanical(subschema, catalog, biased, 2_000)
+    "GROUP BY" in r.sql for r in generate_mechanical(subschema, catalog, biased, 2_000, seed=11)
 ) / 2_000
 print(f"with p_group_by = 0.9, observed GROUP BY share over 2000 queries: {share:.3f}")
 
 # Seed examples for few-shot prompting, biased toward a clause.
-pool = generate_mechanical(subschema, catalog, config, 30)
+pool = generate_mechanical(subschema, catalog, config, 30, seed=7)
 examples = select_seed_examples(pool, 3, bias="group_by", bias_weight=0.9, rng_seed=1)
 print("\nthree seed examples biased toward GROUP BY:")
 for example in examples:

@@ -24,7 +24,7 @@ subschema = next(s for s in enumerate_subschemas(graph) if s.tables == ("nation"
 
 print("the six canonical prompt settings:", ", ".join(s.label for s in CANONICAL_SETTINGS))
 
-pool = generate_mechanical(subschema, catalog, MechConfig(seed=3, p_group_by=0.6), 12)
+pool = generate_mechanical(subschema, catalog, MechConfig(p_group_by=0.6), 12, seed=3)
 examples = select_seed_examples(pool, 3, bias="group_by", rng_seed=5)
 prompt = build_prompt(subschema, catalog, PromptSetting(3, "group_by"), examples)
 print("\n----- 3-shot, group-by-biased prompt -----")

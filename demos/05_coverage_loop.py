@@ -35,9 +35,9 @@ print(f"  tables={profile.referenced_tables}")
 print(f"  columns={profile.referenced_columns}")
 
 # A deliberately narrow corpus: only nation-region queries.
-config = MechConfig(seed=5, p_group_by=0.3, p_having=0.2)
+config = MechConfig(p_group_by=0.3, p_having=0.2)
 narrow = next(s for s in subschemas if s.tables == ("nation", "region"))
-records = generate_mechanical(narrow, catalog, config, 120)
+records = generate_mechanical(narrow, catalog, config, 120, seed=5)
 profiles = [profile_query(r.sql, catalog) for r in records]
 report = aggregate_coverage(profiles, "mechanical", catalog, CoverageTargets())
 

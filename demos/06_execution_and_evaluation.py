@@ -39,10 +39,10 @@ print("loaded sample data (rows per table):", counts)
 
 graph = build_join_graph(catalog)
 subschemas = [s for s in enumerate_subschemas(graph) if len(s.tables) <= 3]
-config = MechConfig(seed=6, p_group_by=0.4, p_where=0.8)
+config = MechConfig(p_group_by=0.4, p_where=0.8)
 records = []
 for subschema in subschemas[:20]:
-    records.extend(generate_mechanical(subschema, catalog, config, 2))
+    records.extend(generate_mechanical(subschema, catalog, config, 2, seed=6))
 
 engine = EngineSpec(engine_id="sqlite-demo", driver="sqlite")
 labels = execute_batch(records, engine, timeout_ms=60_000, session=session)

@@ -281,7 +281,6 @@ def cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config.seed = args.seed
-        config.mechanical.seed = args.seed
     if args.out:
         config.out_dir = args.out
     manifest = pipeline.run_pipeline(config, resume=args.resume)

@@ -1,21 +1,47 @@
-"""Pipeline configuration: TOML file loading and typed sub-configs.
+"""Pipeline configuration: one dataclass per TOML section, one strict loader.
 
-The file format is TOML, parsed by the standard library's ``tomllib``. A
-file that is not valid TOML, or whose values have the wrong types or
-violate a constraint, is a :class:`~sqlsynth.errors.ConfigError`.
+A config file has the sections ``[pipeline]``, ``[schema]``,
+``[subschema]``, ``[mechanical]``, ``[llm]`` (with ``[llm.params]``),
+``[validators]``, ``[coverage]``, ``[selection]`` and ``[execution]``, plus
+one ``[engines.<id>]`` table per engine. Each section is a dataclass whose
+field names are the section's keys and whose field defaults are the only
+defaults. The ``[pipeline]`` keys are the plain fields of
+:class:`PipelineConfig`; each other section is its field of the same name,
+so ``[selection] size`` is ``config.selection.size``. The engine tables
+land in ``config.execution.engines``.
+
+:func:`config_from_dict` checks a parsed file against those dataclasses.
+An unknown section or key, a value that does not match its field's
+annotation, and a value that violates a constraint are each a
+:class:`~sqlsynth.errors.ConfigError` naming ``[section] key``, as is a file
+that is not TOML. :func:`config_snapshot` writes a config back in the
+file's shape for the run manifest.
 """
 
 from __future__ import annotations
 
+import os
 import tomllib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .coverage import CoverageTargets
 from .errors import ConfigError
 from .execution import DEFAULT_MIN_EMPTY_RUNTIME_MS, DEFAULT_TIMEOUT_MS, EngineSpec
 from .llmgen import CANONICAL_SETTINGS, GenParams, PromptSetting
 from .mechgen import MechConfig
+
+#: Field metadata of a path key: a relative value resolves against the
+#: config file's directory, and the snapshot writes it relative to it.
+PATH = {"path": True}
+
+#: The keys of an ``[engines.<id>]`` table besides ``driver``, by driver.
+ENGINE_OPTIONS = {
+    "sqlite": {"database": str},
+    "dbapi": {"module": str, "connect_args": dict},
+}
 
 
 def load_toml(path: str | Path) -> dict:
@@ -26,8 +52,19 @@ def load_toml(path: str | Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Typed pipeline config
+# Sections
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class SchemaSettings:
+    ddl: str = field(default="", metadata=PATH)
+    infer_fks: bool = True
+    prefixes: dict[str, str] = field(default_factory=dict)  # table -> column prefix
+    sample_data_dir: str | None = field(default=None, metadata=PATH)  # column profiling source
+    sample_cap: int = 10_000
+    enum_threshold: int = 20
+    label_columns: tuple[str, ...] = ()  # "table.column" entries
 
 
 @dataclass
@@ -43,7 +80,7 @@ class LlmSettings:
     enabled: bool = False
     settings: tuple[PromptSetting, ...] = CANONICAL_SETTINGS
     backend: str = "stub"  # stub | http
-    stub_dir: str | None = None
+    stub_dir: str | None = field(default=None, metadata=PATH)
     url: str | None = None
     model: str = "unspecified-model"
     auth_env: str = "SQLSYNTH_API_TOKEN"
@@ -54,227 +91,109 @@ class LlmSettings:
 
 
 @dataclass
+class ValidatorSettings:
+    literal_placeholder_dedup: bool = True
+    require_exact_tables: bool = False
+
+
+@dataclass
+class SelectionSettings:
+    size: int | None = None  # training-subset size; None keeps everything
+    mode: str = "stratified"  # stratified | first_n
+
+
+@dataclass
 class ExecutionSettings:
     enabled: bool = False
     timeout_ms: int = DEFAULT_TIMEOUT_MS
     min_empty_runtime_ms: int = DEFAULT_MIN_EMPTY_RUNTIME_MS
-    data_dir: str | None = None
+    data_dir: str | None = field(default=None, metadata=PATH)
     max_rows_per_table: int = 40_000
-    engines: tuple[EngineSpec, ...] = ()
+    engines: tuple[EngineSpec, ...] = field(default=(), init=False)  # the [engines.*] tables
 
 
 @dataclass
 class PipelineConfig:
     name: str = "run"
-    out_dir: str = "out"
+    out_dir: str = field(default="out", metadata=PATH)
     seed: int = 0
     loop_limit: int = 0  # regeneration rounds after the initial batch
     kept_target: int | None = None
-    ddl_path: str = ""
-    infer_fks: bool = True
-    prefix_overrides: dict = field(default_factory=dict)
-    sample_data_dir: str | None = None  # column profiling source
-    sample_cap: int = 10_000
-    enum_threshold: int = 20
-    label_columns: tuple = ()
+    mech_per_subschema: int = 2
+    schema: SchemaSettings = field(default_factory=SchemaSettings)
     subschema: SubschemaPolicy = field(default_factory=SubschemaPolicy)
     mechanical: MechConfig = field(default_factory=MechConfig)
-    mech_per_subschema: int = 2
     llm: LlmSettings = field(default_factory=LlmSettings)
-    literal_placeholder_dedup: bool = True
-    require_exact_tables: bool = False
-    coverage_targets: CoverageTargets = field(default_factory=CoverageTargets)
-    selection_size: int | None = None  # training-subset size; None keeps everything
-    selection_mode: str = "stratified"  # stratified | first_n
+    validators: ValidatorSettings = field(default_factory=ValidatorSettings)
+    coverage: CoverageTargets = field(default_factory=CoverageTargets)
+    selection: SelectionSettings = field(default_factory=SelectionSettings)
     execution: ExecutionSettings = field(default_factory=ExecutionSettings)
+    #: The config file's directory, when loaded from one.
+    base_dir: str | None = field(default=None, init=False)
 
     def validate(self):
-        if not self.ddl_path:
-            raise ConfigError("schema.ddl is required")
+        if not self.schema.ddl:
+            raise ConfigError("[schema] ddl is required")
+        bad_columns = [c for c in self.schema.label_columns if "." not in c]
+        if bad_columns:
+            raise ConfigError(
+                f"[schema] label_columns: expected 'table.column', got {bad_columns}"
+            )
         if self.loop_limit < 0:
-            raise ConfigError("pipeline.loop_limit must be >= 0")
+            raise ConfigError("[pipeline] loop_limit must be >= 0")
         if self.mech_per_subschema < 0:
-            raise ConfigError("pipeline.mech_per_subschema must be >= 0")
-        if self.selection_size is not None and self.selection_size < 1:
-            raise ConfigError("selection.size must be >= 1 when given")
-        if self.selection_mode not in ("stratified", "first_n"):
-            raise ConfigError("selection.mode must be 'stratified' or 'first_n'")
-        try:
-            self.mechanical.validate()
-            self.llm.params.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError("[pipeline] mech_per_subschema must be >= 0")
+        if self.selection.size is not None and self.selection.size < 1:
+            raise ConfigError("[selection] size must be >= 1 when given")
+        if self.selection.mode not in ("stratified", "first_n"):
+            raise ConfigError("[selection] mode must be 'stratified' or 'first_n'")
+        for section, checked in (("mechanical", self.mechanical), ("llm.params", self.llm.params)):
+            try:
+                checked.validate()
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {exc}") from exc
         if self.llm.enabled and self.llm.backend == "stub" and not self.llm.stub_dir:
-            raise ConfigError("llm.stub_dir is required for the stub backend")
+            raise ConfigError("[llm] stub_dir is required for the stub backend")
         if self.llm.enabled and self.llm.backend == "http" and not self.llm.url:
-            raise ConfigError("llm.url is required for the http backend")
+            raise ConfigError("[llm] url is required for the http backend")
         if self.execution.enabled and not self.execution.engines:
-            raise ConfigError("execution.enabled requires at least one [engines.*] section")
+            raise ConfigError("[execution] enabled requires at least one [engines.*] section")
         if self.execution.enabled and not self.execution.data_dir:
-            raise ConfigError("execution.data_dir is required when execution is enabled")
+            raise ConfigError("[execution] data_dir is required when execution is enabled")
 
 
-def _section(data: dict, name: str) -> dict:
-    value = data.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"[{name}] must be a section")
-    return value
-
-
-def _take(section: dict, key: str, default):
-    value = section.get(key, default)
-    if default is not None and value is not None:
-        # bool is an int subclass; require an exact match so `seed = true`
-        # cannot masquerade as an integer (and vice versa)
-        if isinstance(value, bool) != isinstance(default, bool) and isinstance(default, (bool, int)):
-            raise ConfigError(
-                f"{key}: expected {type(default).__name__}, got {type(value).__name__}"
-            )
-        if not isinstance(value, type(default)):
-            if isinstance(default, float) and isinstance(value, int):
-                return float(value)
-            raise ConfigError(
-                f"{key}: expected {type(default).__name__}, got {type(value).__name__}"
-            )
-    return value
+# ---------------------------------------------------------------------------
+# Loading
+# ---------------------------------------------------------------------------
 
 
 def config_from_dict(data: dict, base_dir: Path | None = None) -> PipelineConfig:
     """Build and validate a PipelineConfig from parsed TOML data.
 
-    Relative paths are resolved against ``base_dir`` (the config file's
-    directory) so runs behave the same from any working directory.
+    An unknown section or key, or a value of the wrong type, is a
+    ConfigError naming ``[section] key``. Relative paths are resolved
+    against ``base_dir`` (the config file's directory) so runs behave the
+    same from any working directory.
     """
-    base = base_dir or Path(".")
-
-    def resolve(path_text):
-        if path_text in (None, ""):
-            return path_text
-        path = Path(path_text)
-        return str(path if path.is_absolute() else base / path)
-
-    pipeline = _section(data, "pipeline")
-    schema = _section(data, "schema")
-    sub = _section(data, "subschema")
-    mech = _section(data, "mechanical")
-    llm = _section(data, "llm")
-    llm_params = _section(llm, "params")
-    validators = _section(data, "validators")
-    cov = _section(data, "coverage")
-    selection = _section(data, "selection")
-    execution = _section(data, "execution")
-    engines_raw = _section(data, "engines")
-
-    mech_config = MechConfig(
-        seed=_take(pipeline, "seed", 0),
-        p_where=_take(mech, "p_where", 0.6),
-        p_group_by=_take(mech, "p_group_by", 0.3),
-        p_order_by=_take(mech, "p_order_by", 0.4),
-        p_having=_take(mech, "p_having", 0.25),
-        p_aggregate=_take(mech, "p_aggregate", 0.3),
-        max_predicates=_take(mech, "max_predicates", 3),
-        aggregate_functions=tuple(
-            mech.get("aggregate_functions", list(MechConfig().aggregate_functions))
-        ),
-        projection_count_range=tuple(mech.get("projection_count_range", [1, 4])),
+    base = Path(base_dir) if base_dir is not None else Path(".")
+    hints = get_type_hints(PipelineConfig)
+    pipeline = _table(data.get("pipeline", {}), "pipeline")
+    for key in pipeline:
+        if is_dataclass(hints.get(key)):  # a section, not a [pipeline] key
+            raise ConfigError(f"[pipeline] {key}: unknown key")
+    values = _load(PipelineConfig, pipeline, "pipeline", base)
+    for name, table in data.items():
+        if name in ("pipeline", "engines"):
+            continue
+        if not is_dataclass(hints.get(name)):
+            raise ConfigError(f"[{name}]: unknown section")
+        values[name] = hints[name](**_load(hints[name], table, name, base))
+    config = PipelineConfig(**values)
+    config.execution.engines = tuple(
+        _engine(engine_id, table, base)
+        for engine_id, table in sorted(_table(data.get("engines", {}), "engines").items())
     )
-
-    setting_labels = llm.get("settings")
-    if setting_labels is None:
-        settings = CANONICAL_SETTINGS
-    else:
-        try:
-            settings = tuple(PromptSetting.parse(label) for label in setting_labels)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    llm_settings = LlmSettings(
-        enabled=_take(llm, "enabled", False),
-        settings=settings,
-        backend=_take(llm, "backend", "stub"),
-        stub_dir=resolve(llm.get("stub_dir")),
-        url=llm.get("url"),
-        model=_take(llm, "model", "unspecified-model"),
-        auth_env=_take(llm, "auth_env", "SQLSYNTH_API_TOKEN"),
-        timeout=_take(llm, "timeout", 60.0),
-        retries=_take(llm, "retries", 2),
-        concurrency=_take(llm, "concurrency", 4),
-        params=GenParams(
-            temperature=_take(llm_params, "temperature", 0.8),
-            top_p=_take(llm_params, "top_p", 0.95),
-            repetition_penalty=_take(llm_params, "repetition_penalty", 1.05),
-            n_completions=_take(llm_params, "n_completions", 5),
-            max_tokens=_take(llm_params, "max_tokens", 512),
-        ),
-    )
-
-    engine_specs = []
-    for engine_id, options in sorted(engines_raw.items()):
-        if not isinstance(options, dict):
-            raise ConfigError(f"[engines.{engine_id}] must be a section")
-        driver = options.get("driver")
-        if driver not in ("sqlite", "dbapi"):
-            raise ConfigError(f"engines.{engine_id}.driver must be 'sqlite' or 'dbapi'")
-        opts = {k: v for k, v in options.items() if k not in ("driver", "workers")}
-        if "database" in opts:
-            opts["database"] = resolve(opts["database"]) if opts["database"] != ":memory:" else opts["database"]
-        engine_specs.append(
-            EngineSpec(
-                engine_id=engine_id,
-                driver=driver,
-                options=opts,
-                worker_count=options.get("workers", 1),
-            )
-        )
-
-    execution_settings = ExecutionSettings(
-        enabled=_take(execution, "enabled", False),
-        timeout_ms=_take(execution, "timeout_ms", DEFAULT_TIMEOUT_MS),
-        min_empty_runtime_ms=_take(
-            execution, "min_empty_runtime_ms", DEFAULT_MIN_EMPTY_RUNTIME_MS
-        ),
-        data_dir=resolve(execution.get("data_dir")),
-        max_rows_per_table=_take(execution, "max_rows_per_table", 40_000),
-        engines=tuple(engine_specs),
-    )
-
-    label_columns = tuple(
-        tuple(item.split(".", 1)) for item in schema.get("label_columns", [])
-    )
-
-    config = PipelineConfig(
-        name=_take(pipeline, "name", "run"),
-        out_dir=resolve(_take(pipeline, "out_dir", "out")),
-        seed=_take(pipeline, "seed", 0),
-        loop_limit=_take(pipeline, "loop_limit", 0),
-        kept_target=pipeline.get("kept_target"),
-        ddl_path=resolve(schema.get("ddl", "")),
-        infer_fks=_take(schema, "infer_fks", True),
-        prefix_overrides=_section(schema, "prefixes"),
-        sample_data_dir=resolve(schema.get("sample_data_dir")),
-        sample_cap=_take(schema, "sample_cap", 10_000),
-        enum_threshold=_take(schema, "enum_threshold", 20),
-        label_columns=label_columns,
-        subschema=SubschemaPolicy(
-            min_tables=_take(sub, "min_tables", 1),
-            max_tables=sub.get("max_tables"),
-            safety_limit=_take(sub, "safety_limit", 24),
-            llm_sample_count=_take(sub, "llm_sample_count", 4),
-        ),
-        mechanical=mech_config,
-        mech_per_subschema=_take(pipeline, "mech_per_subschema", 2),
-        llm=llm_settings,
-        literal_placeholder_dedup=_take(validators, "literal_placeholder_dedup", True),
-        require_exact_tables=_take(validators, "require_exact_tables", False),
-        coverage_targets=CoverageTargets(
-            min_table_freq=_take(cov, "min_table_freq", 0.02),
-            min_clause_freq=_take(cov, "min_clause_freq", 0.10),
-            min_column_freq=_take(cov, "min_column_freq", 0.005),
-        ),
-        selection_size=selection.get("size"),
-        selection_mode=_take(selection, "mode", "stratified"),
-        execution=execution_settings,
-    )
+    config.base_dir = None if base_dir is None else str(base_dir)
     config.validate()
     return config
 
@@ -284,3 +203,127 @@ def load_config(path: str | Path) -> PipelineConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     return config_from_dict(load_toml(path), base_dir=path.resolve().parent)
+
+
+def _table(value, section: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"[{section}] must be a table")
+    return value
+
+
+def _load(cls, table, section: str, base: Path) -> dict:
+    """The keyword arguments of ``cls`` from the TOML table ``[section]``:
+    known keys only, each value checked against its field's annotation."""
+    hints = get_type_hints(cls)
+    keys = {f.name: f for f in fields(cls) if f.init}
+    values = {}
+    for key, value in _table(table, section).items():
+        if key not in keys:
+            raise ConfigError(f"[{section}] {key}: unknown key")
+        hint = hints[key]
+        if is_dataclass(hint):
+            value = hint(**_load(hint, value, f"{section}.{key}", base))
+        else:
+            value = _convert(hint, value, f"[{section}] {key}")
+        if keys[key].metadata.get("path") and value:
+            value = str(base / value)
+        values[key] = value
+    return values
+
+
+def _convert(hint, value, where: str):
+    """``value`` as the annotated type ``hint``: a TOML array becomes a
+    tuple, a label a PromptSetting and an integer a float where one is due."""
+    if isinstance(hint, UnionType):  # the optional keys: X | None
+        hint = next(arg for arg in get_args(hint) if arg is not type(None))
+    origin = get_origin(hint) or hint
+    args = get_args(hint)
+    if origin is tuple and isinstance(value, list):
+        kinds = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
+        if len(kinds) == len(value):
+            return tuple(_convert(kind, item, where) for kind, item in zip(kinds, value))
+    elif origin is dict and isinstance(value, dict) and args:
+        return {key: _convert(args[1], item, where) for key, item in value.items()}
+    elif hint is PromptSetting and isinstance(value, str):
+        try:
+            return PromptSetting.parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    elif hint is float and type(value) is int:
+        return float(value)
+    elif isinstance(value, origin) and (type(value) is bool) == (origin is bool):
+        return value
+    expected = hint.__name__ if isinstance(hint, type) else str(hint)
+    raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+
+
+def _engine(engine_id: str, table, base: Path) -> EngineSpec:
+    section = f"engines.{engine_id}"
+    options = dict(_table(table, section))
+    driver = options.pop("driver", None)
+    if driver not in ENGINE_OPTIONS:
+        raise ConfigError(f"[{section}] driver must be 'sqlite' or 'dbapi'")
+    for key, value in options.items():
+        if key not in ENGINE_OPTIONS[driver]:
+            raise ConfigError(f"[{section}] {key}: unknown key for driver {driver!r}")
+        options[key] = _convert(ENGINE_OPTIONS[driver][key], value, f"[{section}] {key}")
+    if driver == "dbapi" and "module" not in options:
+        raise ConfigError(f"[{section}] module is required for the dbapi driver")
+    if options.get("database", ":memory:") != ":memory:":
+        options["database"] = str(base / options["database"])
+    return EngineSpec(engine_id=engine_id, driver=driver, options=options)
+
+
+# ---------------------------------------------------------------------------
+# Snapshot
+# ---------------------------------------------------------------------------
+
+
+def config_snapshot(config: PipelineConfig) -> dict:
+    """``config`` in its file's shape, for the run manifest.
+
+    Every section and key is written, settings as labels, engines as
+    ``[engines.<id>]`` tables, and paths relative to the config file's
+    directory, so the manifest does not depend on the checkout. Two things
+    are left out: ``out_dir``, the directory the manifest sits in, and
+    optional keys left unset, which TOML cannot spell. Loading the result
+    from the config file's directory gives ``config`` back, ``out_dir``
+    apart.
+    """
+    tables = _dump(config, config.base_dir)
+    del tables["out_dir"]
+    snapshot = {"pipeline": {k: v for k, v in tables.items() if not isinstance(v, dict)}}
+    snapshot.update((k, v) for k, v in tables.items() if isinstance(v, dict))
+    snapshot["engines"] = {}
+    for engine in config.execution.engines:
+        options = dict(engine.options)
+        if options.get("database", ":memory:") != ":memory:":
+            options["database"] = _relative(options["database"], config.base_dir)
+        snapshot["engines"][engine.engine_id] = {"driver": engine.driver, **options}
+    return snapshot
+
+
+def _dump(section, base_dir: str | None) -> dict:
+    table = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if not f.init or value is None:
+            continue
+        if f.metadata.get("path"):
+            value = _relative(value, base_dir)
+        table[f.name] = _plain(value, base_dir)
+    return table
+
+
+def _plain(value, base_dir: str | None):
+    if isinstance(value, PromptSetting):
+        return value.label
+    if is_dataclass(value):
+        return _dump(value, base_dir)
+    if isinstance(value, tuple):
+        return [_plain(item, base_dir) for item in value]
+    return value
+
+
+def _relative(path: str, base_dir: str | None) -> str:
+    return os.path.relpath(path, base_dir) if base_dir else path

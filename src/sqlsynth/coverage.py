@@ -176,13 +176,6 @@ class CoverageTargets:
     min_clause_freq: float = 0.10  # share of queries carrying each steerable clause
     min_column_freq: float = 0.005  # columns below this presence count as unused
 
-    def to_dict(self) -> dict:
-        return {
-            "min_table_freq": self.min_table_freq,
-            "min_clause_freq": self.min_clause_freq,
-            "min_column_freq": self.min_column_freq,
-        }
-
 
 @dataclass
 class CoverageGap:

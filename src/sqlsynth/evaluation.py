@@ -19,7 +19,7 @@ import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DomainError, EmptyInputError, MismatchError
+from .errors import DataFileError, DomainError, EmptyInputError, MismatchError
 from .util import read_jsonl
 
 
@@ -165,45 +165,39 @@ def load_predictions_csv(path: str | Path) -> PredictionMatrix:
     Engine and query order follow first appearance, which also fixes the
     routing tie-break order.
     """
-    engines: list[str] = []
-    queries: list[str] = []
-    pred: dict = {}
-    true: dict = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(_CSV_COLUMNS) - set(reader.fieldnames or ())
         if missing:
             raise MismatchError(f"{path}: missing columns {sorted(missing)}")
-        for row in reader:
-            query = row["query_id"]
-            engine = row["engine_id"]
-            if engine not in engines:
-                engines.append(engine)
-            if query not in queries:
-                queries.append(query)
-            key = (query, engine)
-            pred[key] = float(row["predicted_ms"])
-            true[key] = float(row["true_ms"])
-    matrix = PredictionMatrix(engines=engines, queries=queries, pred=pred, true=true)
-    matrix.validate()
-    return matrix
+        return _prediction_matrix(path, ((reader.line_num, row) for row in reader))
 
 
 def load_predictions_jsonl(path: str | Path) -> PredictionMatrix:
+    """Load a ``predictions`` JSONL file of the CSV's columns, one row per line."""
+    return _prediction_matrix(path, enumerate(read_jsonl(path, "predictions"), start=2))
+
+
+def _prediction_matrix(path, numbered_rows) -> PredictionMatrix:
+    """Fold ``(line number, row)`` pairs into a validated matrix; a row
+    missing a column or holding a non-number is a DataFileError naming its
+    file and line."""
     engines: list[str] = []
     queries: list[str] = []
     pred: dict = {}
     true: dict = {}
-    for row in read_jsonl(path, "predictions"):
-        query = row["query_id"]
-        engine = row["engine_id"]
+    for lineno, row in numbered_rows:
+        try:
+            query, engine = row["query_id"], row["engine_id"]
+            key = (query, engine)
+            pred[key] = float(row["predicted_ms"])
+            true[key] = float(row["true_ms"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFileError(f"{path}, line {lineno}: bad prediction row ({exc!r})") from exc
         if engine not in engines:
             engines.append(engine)
         if query not in queries:
             queries.append(query)
-        key = (query, engine)
-        pred[key] = float(row["predicted_ms"])
-        true[key] = float(row["true_ms"])
     matrix = PredictionMatrix(engines=engines, queries=queries, pred=pred, true=true)
     matrix.validate()
     return matrix

@@ -56,15 +56,6 @@ class EngineSpec:
     engine_id: str
     driver: str  # "sqlite" | "dbapi"
     options: dict = field(default_factory=dict)
-    worker_count: int = 1  # informational, recorded with the labels
-
-    def to_dict(self) -> dict:
-        return {
-            "engine_id": self.engine_id,
-            "driver": self.driver,
-            "options": self.options,
-            "worker_count": self.worker_count,
-        }
 
 
 @dataclass

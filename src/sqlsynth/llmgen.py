@@ -32,7 +32,7 @@ BIAS_GROUP_BY = "group_by"
 
 #: Constraint sentences inserted before the examples for biased settings.
 #: The group-by sentence is fixed wording; the order-by one is this
-#: toolkit's symmetric counterpart and can be overridden per call.
+#: toolkit's symmetric counterpart.
 BIAS_SENTENCES = {
     BIAS_GROUP_BY: (
         "Whenever possible, please use a group by clause. "
@@ -123,96 +123,32 @@ def prompt_hash(prompt: str) -> str:
     return stable_hash_hex(prompt, length=16)
 
 
-@dataclass
-class PromptSpec:
-    """Everything a prompt is rendered from; kept for auditability."""
-
-    create_statements: list[str]
-    table_names: list[str]
-    constraint_text: str | None
-    seed_examples: list[str]  # example SQL texts, in prompt order
-    generation_params: GenParams
-
-    def __post_init__(self):
-        named = set()
-        for statement in self.create_statements:
-            m = re.search(r"CREATE TABLE\s+(\S+)", statement, re.IGNORECASE)
-            if m:
-                named.add(m.group(1).lower())
-        if named != {t.lower() for t in self.table_names}:
-            raise ValueError(
-                f"table names {sorted(self.table_names)} do not match the "
-                f"CREATE statements {sorted(named)}"
-            )
-
-
-def make_prompt_spec(
-    subschema: Subschema,
-    catalog: SchemaCatalog,
-    setting: PromptSetting,
-    examples: "list[SeedExample]",
-    params: GenParams | None = None,
-    column_filter: dict | None = None,
-    bias_sentences: dict | None = None,
-) -> PromptSpec:
-    if len(examples) != setting.shots:
-        raise ArityError(f"setting wants {setting.shots} examples, got {len(examples)}")
-    statements = render_create_statements(
-        catalog, table_filter=set(subschema.tables), column_filter=column_filter
-    )
-    sentences = dict(BIAS_SENTENCES)
-    if bias_sentences:
-        sentences.update(bias_sentences)
-    return PromptSpec(
-        create_statements=statements,
-        table_names=list(subschema.tables),
-        constraint_text=sentences[setting.bias] if setting.bias != BIAS_NONE else None,
-        seed_examples=[example.sql for example in examples],
-        generation_params=params or GenParams(),
-    )
-
-
-def render_prompt(spec: PromptSpec) -> str:
-    parts = [PROMPT_HEADER, ""]
-    for statement in spec.create_statements:
-        parts.append(statement)
-        parts.append("")
-    parts.append(PROMPT_REQUEST)
-    parts.append(", ".join(spec.table_names))
-    if spec.constraint_text:
-        parts.append("")
-        parts.append(spec.constraint_text)
-    if spec.seed_examples:
-        parts.append("")
-        parts.append(PROMPT_EXAMPLES_HEADER)
-        for index, sql in enumerate(spec.seed_examples, start=1):
-            parts.append(f"{index}. {sql}")
-    return "\n".join(parts) + "\n"
-
-
 def build_prompt(
     subschema: Subschema,
     catalog: SchemaCatalog,
     setting: PromptSetting,
     examples: "list[SeedExample]",
     column_filter: dict | None = None,
-    bias_sentences: dict | None = None,
 ) -> str:
     """Render the generation prompt; pure and byte-deterministic.
 
     ``column_filter`` narrows the CREATE statements to a targeted column
-    subset (coverage-gap steering); ``bias_sentences`` overrides the default
-    constraint wording per bias.
+    subset (coverage-gap steering).
     """
-    spec = make_prompt_spec(
-        subschema,
-        catalog,
-        setting,
-        examples,
-        column_filter=column_filter,
-        bias_sentences=bias_sentences,
-    )
-    return render_prompt(spec)
+    if len(examples) != setting.shots:
+        raise ArityError(f"setting wants {setting.shots} examples, got {len(examples)}")
+    parts = [PROMPT_HEADER, ""]
+    for statement in render_create_statements(
+        catalog, table_filter=set(subschema.tables), column_filter=column_filter
+    ):
+        parts += [statement, ""]
+    parts += [PROMPT_REQUEST, ", ".join(subschema.tables)]
+    if setting.bias != BIAS_NONE:
+        parts += ["", BIAS_SENTENCES[setting.bias]]
+    if examples:
+        parts += ["", PROMPT_EXAMPLES_HEADER]
+        parts += [f"{index}. {example.sql}" for index, example in enumerate(examples, start=1)]
+    return "\n".join(parts) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ on enumerated columns use only the known literals, and label columns never
 appear in arithmetic.
 
 Determinism: the generator draws from a Mersenne-Twister ``random.Random``
-seeded with a stable hash of (config seed, subschema id), so output depends
-only on (seed, subschema, config, n) and is reproducible across platforms.
+seeded with a stable hash of (seed, subschema id), so output depends only
+on (seed, subschema, config, n) and is reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ _LIKE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 @dataclass
 class MechConfig:
-    seed: int = 0
     p_where: float = 0.6
     p_group_by: float = 0.3
     p_order_by: float = 0.4
@@ -60,19 +59,6 @@ class MechConfig:
         unknown = set(self.aggregate_functions) - set(DEFAULT_AGGREGATES)
         if unknown:
             raise ValueError(f"unsupported aggregate functions: {sorted(unknown)}")
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "p_where": self.p_where,
-            "p_group_by": self.p_group_by,
-            "p_order_by": self.p_order_by,
-            "p_having": self.p_having,
-            "p_aggregate": self.p_aggregate,
-            "max_predicates": self.max_predicates,
-            "aggregate_functions": list(self.aggregate_functions),
-            "projection_count_range": list(self.projection_count_range),
-        }
 
 
 @dataclass(frozen=True)
@@ -108,16 +94,16 @@ def clause_tags(sql: str) -> frozenset:
 
 
 def generate_mechanical(
-    subschema: Subschema, catalog: SchemaCatalog, config: MechConfig, n: int
+    subschema: Subschema, catalog: SchemaCatalog, config: MechConfig, n: int, *, seed: int = 0
 ) -> list[QueryRecord]:
     """Generate ``n`` valid queries over ``subschema``; deterministic for
-    (config.seed, subschema, config, n), with records for a smaller ``n``
-    forming a prefix of a larger one."""
+    (seed, subschema, config, n), with records for a smaller ``n`` forming
+    a prefix of a larger one."""
     config.validate()
     if n < 1:
         raise ValueError("n must be >= 1")
     tables = [catalog.require_table(name) for name in subschema.tables]
-    rng = random.Random(derive_seed(config.seed, "mechanical", subschema.id))
+    rng = random.Random(derive_seed(seed, "mechanical", subschema.id))
     records = []
     for _ in range(n):
         sql = _build_query(rng, subschema, tables, config)

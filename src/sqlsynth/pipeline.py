@@ -50,10 +50,10 @@ from __future__ import annotations
 import logging
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .config import PipelineConfig
+from .config import PipelineConfig, config_snapshot
 from .coverage import (
     ComplexityProfile,
     CoverageReport,
@@ -140,45 +140,6 @@ class BatchAccounting:
         }
 
 
-def config_snapshot(config: PipelineConfig) -> dict:
-    return {
-        "name": config.name,
-        "seed": config.seed,
-        "loop_limit": config.loop_limit,
-        "kept_target": config.kept_target,
-        "ddl_path": config.ddl_path,
-        "infer_fks": config.infer_fks,
-        "sample_data_dir": config.sample_data_dir,
-        "subschema": {
-            "min_tables": config.subschema.min_tables,
-            "max_tables": config.subschema.max_tables,
-            "llm_sample_count": config.subschema.llm_sample_count,
-        },
-        "mechanical": config.mechanical.to_dict(),
-        "mech_per_subschema": config.mech_per_subschema,
-        "llm": {
-            "enabled": config.llm.enabled,
-            "settings": [s.label for s in config.llm.settings],
-            "backend": config.llm.backend,
-            "model": config.llm.model,
-            "params": config.llm.params.to_dict(),
-        },
-        "validators": {
-            "literal_placeholder_dedup": config.literal_placeholder_dedup,
-            "require_exact_tables": config.require_exact_tables,
-        },
-        "selection": {"size": config.selection_size, "mode": config.selection_mode},
-        "coverage_targets": config.coverage_targets.to_dict(),
-        "execution": {
-            "enabled": config.execution.enabled,
-            "timeout_ms": config.execution.timeout_ms,
-            "min_empty_runtime_ms": config.execution.min_empty_runtime_ms,
-            "max_rows_per_table": config.execution.max_rows_per_table,
-            "engines": [e.to_dict() for e in config.execution.engines],
-        },
-    }
-
-
 def make_backend(config: PipelineConfig):
     if config.llm.backend == "stub":
         return StubBackend(config.llm.stub_dir)
@@ -256,9 +217,9 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
     dump_json(manifest, paths["manifest"])
 
     # -- training-subset selection ----------------------------------------------
-    if config.selection_size is not None:
+    if config.selection.size is not None:
         training = select_training_subset(
-            kept_records, config.selection_size, config.selection_mode
+            kept_records, config.selection.size, config.selection.mode
         )
         save_records(training, paths["training"])
         manifest["files"]["training"] = FILES["training"]
@@ -286,18 +247,19 @@ def _merge_reason_counts(batches) -> dict:
 
 def build_catalog(config: PipelineConfig):
     """Ingest the DDL, infer foreign keys and profile columns, as configured."""
-    catalog = ingest_ddl(Path(config.ddl_path).read_text(encoding="utf-8"), name=config.name)
-    if config.infer_fks:
+    schema = config.schema
+    catalog = ingest_ddl(Path(schema.ddl).read_text(encoding="utf-8"), name=config.name)
+    if schema.infer_fks:
         prefixes = derive_column_prefixes(catalog)
-        prefixes.update(config.prefix_overrides)
+        prefixes.update(schema.prefixes)
         catalog = infer_foreign_keys(catalog, prefixes)
-    if config.sample_data_dir:
+    if schema.sample_data_dir:
         catalog = profile_columns(
             catalog,
-            CsvDirSampler(config.sample_data_dir, catalog),
-            sample_cap=config.sample_cap,
-            enum_threshold=config.enum_threshold,
-            label_columns=set(config.label_columns),
+            CsvDirSampler(schema.sample_data_dir, catalog),
+            sample_cap=schema.sample_cap,
+            enum_threshold=schema.enum_threshold,
+            label_columns={tuple(column.split(".", 1)) for column in schema.label_columns},
         )
     return catalog
 
@@ -372,12 +334,12 @@ def mechanical_batch(config, catalog, subschemas, batch: int) -> list[QueryRecor
     """One batch of mechanical queries, ``mech_per_subschema`` per subschema."""
     if config.mech_per_subschema == 0:
         return []
-    mech_config = replace(
-        config.mechanical, seed=derive_seed(config.seed, "mechanical-batch", batch)
-    )
+    seed = derive_seed(config.seed, "mechanical-batch", batch)
     records = []
     for subschema in subschemas:
-        records += generate_mechanical(subschema, catalog, mech_config, config.mech_per_subschema)
+        records += generate_mechanical(
+            subschema, catalog, config.mechanical, config.mech_per_subschema, seed=seed
+        )
     for record in records:
         record.batch = batch
     return records
@@ -419,7 +381,7 @@ def validate_batch(config, catalog, subschema_by_id, candidates, seen_forms, acc
     for record in candidates:
         record.validation, profile = validate_record(
             record, catalog, subschema_by_id.get(record.subschema_id),
-            config.require_exact_tables,
+            config.validators.require_exact_tables,
         )
         if record.validation.verdict == VERDICT_ACCEPTED:
             accepted.append(record)
@@ -432,7 +394,7 @@ def validate_batch(config, catalog, subschema_by_id, candidates, seen_forms, acc
                 )
 
     new_kept, dropped = deduplicate(
-        accepted, literal_placeholders=config.literal_placeholder_dedup, seen=seen_forms
+        accepted, literal_placeholders=config.validators.literal_placeholder_dedup, seen=seen_forms
     )
     accounting.kept = len(new_kept)
     accounting.dedup_dropped = len(dropped)
@@ -548,7 +510,7 @@ def coverage_reports(config, catalog, kept_records, profiles) -> list[CoverageRe
     by_setting: dict[str, list[ComplexityProfile]] = {}
     for record, profile in zip(kept_records, profiles):
         by_setting.setdefault(record.setting_label, []).append(profile)
-    targets = config.coverage_targets
+    targets = config.coverage
     reports = [
         aggregate_coverage(group, label, catalog, targets)
         for label, group in sorted(by_setting.items())

@@ -280,15 +280,17 @@ def test_criterion_4_clause_bias_statistics(tpch_catalog_inferred):
             s for s in enumerate_subschemas(graph) if s.tables == ("nation", "region")
         )
 
-        config = MechConfig(seed=4, p_group_by=0.9)
-        records = generate_mechanical(subschema, tpch_catalog_inferred, config, 10_000)
+        config = MechConfig(p_group_by=0.9)
+        records = generate_mechanical(subschema, tpch_catalog_inferred, config, 10_000, seed=4)
         profiles = [profile_query(r.sql, tpch_catalog_inferred) for r in records]
         report = aggregate_coverage(profiles, "mechanical", tpch_catalog_inferred)
         share = report.clause_presence_freq["group_by"]
         assert 0.87 <= share <= 0.93, f"group_by presence {share:.4f} outside [0.87, 0.93]"
 
-        zero_config = MechConfig(seed=5, p_group_by=0.0, p_having=0.0)
-        zero_records = generate_mechanical(subschema, tpch_catalog_inferred, zero_config, 2_000)
+        zero_config = MechConfig(p_group_by=0.0, p_having=0.0)
+        zero_records = generate_mechanical(
+            subschema, tpch_catalog_inferred, zero_config, 2_000, seed=5
+        )
         zero_profiles = [profile_query(r.sql, tpch_catalog_inferred) for r in zero_records]
         zero_report = aggregate_coverage(zero_profiles, "mechanical", tpch_catalog_inferred)
         assert zero_report.clause_presence_freq["group_by"] == 0.0
@@ -426,10 +428,12 @@ def test_criterion_9_desk_scale_execution(tpch_catalog_inferred):
         subschemas = enumerate_subschemas(graph)
         rng = random.Random(9)
         chosen = rng.sample(subschemas, 25)
-        config = MechConfig(seed=9, p_group_by=0.4, p_having=0.3, p_where=0.7)
+        config = MechConfig(p_group_by=0.4, p_having=0.3, p_where=0.7)
         records = []
         for subschema in chosen:
-            records.extend(generate_mechanical(subschema, tpch_catalog_inferred, config, 2))
+            records.extend(
+                generate_mechanical(subschema, tpch_catalog_inferred, config, 2, seed=9)
+            )
         assert len(records) == 50
 
         session = SqliteSession(":memory:")

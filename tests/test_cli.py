@@ -246,6 +246,19 @@ class TestEvaluate:
         bad.write_text("nope\n1\n", encoding="utf-8")
         assert main(["evaluate", "--predictions", str(bad)]) == 1
 
+    @pytest.mark.parametrize("name, text, line", [
+        ("p.csv", "query_id,engine_id,predicted_ms,true_ms\nq0,a,100,120\nq1,a,abc,5\n", 3),
+        ("p.jsonl", '{"schema_version": 1, "kind": "predictions"}\n'
+                    '{"query_id": "q0", "engine_id": "a", "predicted_ms": 100}\n', 2),
+    ], ids=["csv", "jsonl"])
+    def test_malformed_prediction_row_is_a_json_error(self, tmp_path, capsys, name, text, line):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        assert main(["--json-errors", "evaluate", "--predictions", str(path)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "DataFileError"
+        assert f"{path}, line {line}" in error["message"]
+
 
 class TestRun:
     def _write_config(self, tmp_path, **pipeline_extra):
@@ -290,6 +303,7 @@ class TestRun:
         assert main(["run", "--config", str(config), "--seed", "9", "--out", str(out)]) == 0
         manifest = load_json(out / "manifest.json")
         assert manifest["seed"] == 9
+        assert manifest["config"]["pipeline"]["seed"] == 9
 
 
 class TestEntryPoint:

@@ -158,8 +158,8 @@ class TestAggregate:
         subschema = next(
             s for s in enumerate_subschemas(graph) if s.tables == ("nation", "region")
         )
-        config = MechConfig(seed=11, p_group_by=0.9)
-        records = generate_mechanical(subschema, tpch_catalog_inferred, config, 2000)
+        config = MechConfig(p_group_by=0.9)
+        records = generate_mechanical(subschema, tpch_catalog_inferred, config, 2000, seed=11)
         profiles = [profile_query(r.sql, tpch_catalog_inferred) for r in records]
         report = aggregate_coverage(profiles, "mechanical", tpch_catalog_inferred)
         assert 0.87 <= report.clause_presence_freq["group_by"] <= 0.93

@@ -112,16 +112,6 @@ class TestBuildPrompt:
         )
         assert BIAS_SENTENCES["order_by"] in prompt
 
-    def test_bias_sentence_override(self, nation_region, tpch_catalog_inferred):
-        prompt = build_prompt(
-            nation_region,
-            tpch_catalog_inferred,
-            PromptSetting(0, "order_by"),
-            [],
-            bias_sentences={"order_by": "Sort the results."},
-        )
-        assert "Sort the results." in prompt
-
     def test_arity_mismatch(self, nation_region, tpch_catalog_inferred):
         with pytest.raises(ArityError):
             build_prompt(
@@ -286,40 +276,6 @@ class TestPromptHash:
     def test_stable(self):
         assert prompt_hash("abc") == prompt_hash("abc")
         assert prompt_hash("abc") != prompt_hash("abd")
-
-
-class TestPromptSpec:
-    def test_spec_fields_and_render_round_trip(self, nation_region, tpch_catalog_inferred):
-        from sqlsynth.llmgen import make_prompt_spec, render_prompt
-
-        spec = make_prompt_spec(
-            nation_region,
-            tpch_catalog_inferred,
-            PromptSetting(3, "group_by"),
-            make_examples(3),
-        )
-        assert spec.table_names == ["nation", "region"]
-        assert len(spec.create_statements) == 2
-        assert spec.constraint_text.startswith("Whenever possible")
-        assert len(spec.seed_examples) == 3
-        assert render_prompt(spec) == build_prompt(
-            nation_region,
-            tpch_catalog_inferred,
-            PromptSetting(3, "group_by"),
-            make_examples(3),
-        )
-
-    def test_table_name_mismatch_rejected(self):
-        from sqlsynth.llmgen import GenParams, PromptSpec
-
-        with pytest.raises(ValueError):
-            PromptSpec(
-                create_statements=["CREATE TABLE nation (x integer);"],
-                table_names=["region"],
-                constraint_text=None,
-                seed_examples=[],
-                generation_params=GenParams(),
-            )
 
 
 class TestExtractFuzz:

@@ -47,42 +47,46 @@ class TestConfig:
 
 class TestGeneration:
     def test_deterministic(self, four_table_subschema, tpch_catalog_inferred):
-        config = MechConfig(seed=42)
-        first = generate_mechanical(four_table_subschema, tpch_catalog_inferred, config, 25)
-        second = generate_mechanical(four_table_subschema, tpch_catalog_inferred, config, 25)
+        subschema, catalog, config = four_table_subschema, tpch_catalog_inferred, MechConfig()
+        first = generate_mechanical(subschema, catalog, config, 25, seed=42)
+        second = generate_mechanical(subschema, catalog, config, 25, seed=42)
         assert [r.sql for r in first] == [r.sql for r in second]
 
     def test_prefix_property(self, four_table_subschema, tpch_catalog_inferred):
-        config = MechConfig(seed=42)
-        short = generate_mechanical(four_table_subschema, tpch_catalog_inferred, config, 5)
-        long = generate_mechanical(four_table_subschema, tpch_catalog_inferred, config, 15)
+        subschema, catalog, config = four_table_subschema, tpch_catalog_inferred, MechConfig()
+        short = generate_mechanical(subschema, catalog, config, 5, seed=42)
+        long = generate_mechanical(subschema, catalog, config, 15, seed=42)
         assert [r.sql for r in long[:5]] == [r.sql for r in short]
 
     def test_different_seeds_differ(self, four_table_subschema, tpch_catalog_inferred):
         a = generate_mechanical(
-            four_table_subschema, tpch_catalog_inferred, MechConfig(seed=1), 10
+            four_table_subschema, tpch_catalog_inferred, MechConfig(), 10, seed=1
         )
         b = generate_mechanical(
-            four_table_subschema, tpch_catalog_inferred, MechConfig(seed=2), 10
+            four_table_subschema, tpch_catalog_inferred, MechConfig(), 10, seed=2
         )
         assert [r.sql for r in a] != [r.sql for r in b]
 
     def test_zero_probability_means_no_group_by(self, four_table_subschema, tpch_catalog_inferred):
-        config = MechConfig(seed=3, p_group_by=0.0, p_having=0.0)
-        records = generate_mechanical(four_table_subschema, tpch_catalog_inferred, config, 100)
+        config = MechConfig(p_group_by=0.0, p_having=0.0)
+        records = generate_mechanical(
+            four_table_subschema, tpch_catalog_inferred, config, 100, seed=3
+        )
         assert all("GROUP BY" not in r.sql for r in records)
 
     def test_group_by_frequency_tracks_probability(
         self, four_table_subschema, tpch_catalog_inferred
     ):
-        config = MechConfig(seed=4, p_group_by=0.9)
-        records = generate_mechanical(four_table_subschema, tpch_catalog_inferred, config, 10_000)
+        config = MechConfig(p_group_by=0.9)
+        records = generate_mechanical(
+            four_table_subschema, tpch_catalog_inferred, config, 10_000, seed=4
+        )
         share = sum("GROUP BY" in r.sql for r in records) / len(records)
         assert 0.87 <= share <= 0.93
 
     def test_all_tables_joined(self, four_table_subschema, tpch_catalog_inferred):
         records = generate_mechanical(
-            four_table_subschema, tpch_catalog_inferred, MechConfig(seed=5), 10
+            four_table_subschema, tpch_catalog_inferred, MechConfig(), 10, seed=5
         )
         for record in records:
             for table in four_table_subschema.tables:
@@ -92,9 +96,11 @@ class TestGeneration:
     def test_every_query_validates(self, subschemas, tpch_catalog_inferred):
         # Cross-module regression: generation is correct by construction.
         rng = random.Random(0)
-        config = MechConfig(seed=6, p_group_by=0.5, p_having=0.4, p_where=0.8)
+        config = MechConfig(p_group_by=0.5, p_having=0.4, p_where=0.8)
         for subschema in rng.sample(subschemas, 12):
-            for record in generate_mechanical(subschema, tpch_catalog_inferred, config, 10):
+            for record in generate_mechanical(
+                subschema, tpch_catalog_inferred, config, 10, seed=6
+            ):
                 tree = validate_syntax(record.sql)
                 codes = validate_relevance(tree, tpch_catalog_inferred, subschema=subschema)
                 assert codes == [], f"{codes} for {record.sql}"
@@ -111,8 +117,8 @@ class TestGeneration:
 
         catalog = profile_columns(tpch_catalog_inferred, OneColumnSampler())
         lineitem_only = next(s for s in subschemas if s.tables == ("lineitem",))
-        config = MechConfig(seed=7, p_where=1.0, max_predicates=5)
-        records = generate_mechanical(lineitem_only, catalog, config, 200)
+        config = MechConfig(p_where=1.0, max_predicates=5)
+        records = generate_mechanical(lineitem_only, catalog, config, 200, seed=7)
         for record in records:
             codes = validate_relevance(validate_syntax(record.sql), catalog)
             assert codes == []
@@ -129,15 +135,15 @@ class TestGeneration:
         catalog = profile_columns(tpch_catalog_inferred, LabelSampler())
         assert catalog.table("part").column("p_mfgr").metadata.is_label
         part_only = next(s for s in subschemas if s.tables == ("part",))
-        config = MechConfig(seed=8, p_where=1.0, p_group_by=0.5, max_predicates=4)
-        for record in generate_mechanical(part_only, catalog, config, 300):
+        config = MechConfig(p_where=1.0, p_group_by=0.5, max_predicates=4)
+        for record in generate_mechanical(part_only, catalog, config, 300, seed=8):
             codes = validate_relevance(validate_syntax(record.sql), catalog)
             assert codes == [], f"{codes} for {record.sql}"
 
     def test_single_table_subschema(self, subschemas, tpch_catalog_inferred):
         region_only = next(s for s in subschemas if s.tables == ("region",))
         records = generate_mechanical(
-            region_only, tpch_catalog_inferred, MechConfig(seed=9), 5
+            region_only, tpch_catalog_inferred, MechConfig(), 5, seed=9
         )
         assert all("JOIN" not in r.sql for r in records)
 

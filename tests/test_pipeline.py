@@ -289,7 +289,7 @@ class TestResume:
         config = base_config(tmp_path)
         first = run_pipeline(config)
         # Make the DDL unreadable: a resumed run must not re-ingest it.
-        config.ddl_path = str(tmp_path / "gone.sql")
+        config.schema.ddl = str(tmp_path / "gone.sql")
         second = run_pipeline(config, resume=True)
         assert second["counts"]["kept"] == first["counts"]["kept"]
         assert second["counts"]["batches"] == first["counts"]["batches"]
@@ -297,7 +297,7 @@ class TestResume:
     def test_fresh_run_fails_without_ddl(self, tmp_path):
         config = base_config(tmp_path)
         run_pipeline(config)
-        config.ddl_path = str(tmp_path / "gone.sql")
+        config.schema.ddl = str(tmp_path / "gone.sql")
         with pytest.raises(OSError):
             run_pipeline(config, resume=False)
 
@@ -393,7 +393,7 @@ class TestTrainingSelection:
 
     def test_pipeline_writes_training_file(self, tmp_path):
         config = base_config(tmp_path)
-        config.selection_size = 15
+        config.selection.size = 15
         manifest = run_pipeline(config)
         training = load_records(Path(config.out_dir) / "training.jsonl")
         assert len(training) == 15
@@ -490,7 +490,7 @@ def multi_batch_demo_config(out_dir):
     """The demo with its coverage gaps held open, so all four batches run."""
     config = demo_config(out_dir)
     config.loop_limit = 3
-    config.coverage_targets.min_clause_freq = 0.99
+    config.coverage.min_clause_freq = 0.99
     return config
 
 
@@ -520,8 +520,8 @@ def count_calls(monkeypatch, functions: dict) -> Counter:
 
 
 class TestCommittedDemoOutputs:
-    # manifest.json embeds absolute config paths and labeled.jsonl measured
-    # runtimes; every other file of the committed demo run is pinned.
+    # labeled.jsonl holds measured runtimes; every other file of the
+    # committed demo run is pinned, the manifest from any checkout.
     GOLDEN = (
         "catalog.json",
         "subschemas.jsonl",
@@ -530,10 +530,13 @@ class TestCommittedDemoOutputs:
         "coverage.json",
         "coverage_facets.csv",
         "coverage_clauses.csv",
+        "manifest.json",
     )
 
     def test_demo_rerun_matches_committed_bytes(self, tmp_path):
-        run_pipeline(demo_config(tmp_path))
+        config = load_config(DEMO_CONFIG)
+        config.out_dir = str(tmp_path)
+        run_pipeline(config)
         for name in self.GOLDEN:
             assert (tmp_path / name).read_bytes() == (COMMITTED_DEMO_OUT / name).read_bytes(), name
 
@@ -559,10 +562,10 @@ class TestIncrementalAnalysis:
             by_setting.setdefault(label, []).append(profile)
             all_profiles.append(profile)
         reports = [
-            aggregate_coverage(profiles, label, catalog, config.coverage_targets)
+            aggregate_coverage(profiles, label, catalog, config.coverage)
             for label, profiles in sorted(by_setting.items())
         ]
-        reports.append(aggregate_coverage(all_profiles, "all", catalog, config.coverage_targets))
+        reports.append(aggregate_coverage(all_profiles, "all", catalog, config.coverage))
         expected = tmp_path / "expected_coverage.json"
         dump_json(
             {
