@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import __version__, pipeline
 from .config import ConfigError, load_config
-from .coverage import ComplexityProfile, write_csv
+from .coverage import write_csv
 from .errors import DataFileError, SqlsynthError
 from .evaluation import (
     compare_routing,
@@ -194,7 +194,7 @@ def cmd_validate(args) -> int:
     subschema_by_id = {s.id: s for s in load_subschemas(args.subschemas)}
     records = [record for path in args.records for record in load_records(path)]
     accounting = pipeline.BatchAccounting(batch=0)
-    kept, _ = pipeline.validate_batch(
+    kept = pipeline.validate_batch(
         config, load_catalog(args.catalog), subschema_by_id, records, set(), accounting
     )
     save_records(records, args.out)
@@ -216,8 +216,7 @@ def cmd_coverage(args) -> int:
             f"{args.records}: {missing} record(s) carry no profile; "
             "pass the kept records that validate or run wrote"
         )
-    profiles = [ComplexityProfile.from_dict(record.profile) for record in kept]
-    reports = pipeline.coverage_reports(config, load_catalog(args.catalog), kept, profiles)
+    reports = pipeline.coverage_reports(config, load_catalog(args.catalog), kept)
     pipeline.write_coverage(reports, args.out)
     gaps = len(reports[-1].gap_list) if reports else 0
     print(f"coverage over {len(kept)} queries, {gaps} gaps -> {args.out}")
@@ -255,15 +254,15 @@ def cmd_evaluate(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "evaluation",
-        "summary": summary.to_dict(),
-        "routing": routing.to_dict(),
+        "summary": summary,
+        "routing": routing,
     }
     if args.baseline:
         base_matrix = _load_predictions(args.baseline)
         summaries[Path(args.baseline).stem] = summarize(base_matrix)
         base_routing = route(base_matrix)
         improvement = compare_routing(base_routing, routing)
-        payload["baseline_routing"] = base_routing.to_dict()
+        payload["baseline_routing"] = base_routing
         payload["routing_improvement"] = improvement
     print(format_summary_table(summaries))
     print(

@@ -10,7 +10,9 @@ defaults. The ``[pipeline]`` keys are the plain fields of
 so ``[selection] size`` is ``config.selection.size``. The engine tables
 land in ``config.execution.engines``.
 
-:func:`config_from_dict` checks a parsed file against those dataclasses.
+:func:`config_from_dict` reads a parsed file into those dataclasses
+through the typed reader every artifact uses (:func:`sqlsynth.util.decode`),
+which lets a section leave keys out and a prompt setting be its label.
 An unknown section or key, a value that does not match its field's
 annotation, and a value that violates a constraint are each a
 :class:`~sqlsynth.errors.ConfigError` naming ``[section] key``, as is a file
@@ -24,14 +26,14 @@ import os
 import tomllib
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 from .coverage import CoverageTargets
 from .errors import ConfigError
 from .execution import DEFAULT_MIN_EMPTY_RUNTIME_MS, DEFAULT_TIMEOUT_MS, EngineSpec
 from .llmgen import CANONICAL_SETTINGS, GenParams, PromptSetting
 from .mechgen import MechConfig
+from .util import FieldError, decode
 
 #: Field metadata of a path key: a relative value resolves against the
 #: config file's directory, and the snapshot writes it relative to it.
@@ -181,14 +183,16 @@ def config_from_dict(data: dict, base_dir: Path | None = None) -> PipelineConfig
     for key in pipeline:
         if is_dataclass(hints.get(key)):  # a section, not a [pipeline] key
             raise ConfigError(f"[pipeline] {key}: unknown key")
-    values = _load(PipelineConfig, pipeline, "pipeline", base)
+    config = _decode(PipelineConfig, pipeline, "pipeline")
+    _resolve_paths(config, pipeline, base)
     for name, table in data.items():
         if name in ("pipeline", "engines"):
             continue
         if not is_dataclass(hints.get(name)):
             raise ConfigError(f"[{name}]: unknown section")
-        values[name] = hints[name](**_load(hints[name], table, name, base))
-    config = PipelineConfig(**values)
+        section = _decode(hints[name], _table(table, name), name)
+        _resolve_paths(section, table, base)
+        setattr(config, name, section)
     config.execution.engines = tuple(
         _engine(engine_id, table, base)
         for engine_id, table in sorted(_table(data.get("engines", {}), "engines").items())
@@ -211,50 +215,29 @@ def _table(value, section: str) -> dict:
     return value
 
 
-def _load(cls, table, section: str, base: Path) -> dict:
-    """The keyword arguments of ``cls`` from the TOML table ``[section]``:
-    known keys only, each value checked against its field's annotation."""
-    hints = get_type_hints(cls)
-    keys = {f.name: f for f in fields(cls) if f.init}
-    values = {}
-    for key, value in _table(table, section).items():
-        if key not in keys:
-            raise ConfigError(f"[{section}] {key}: unknown key")
-        hint = hints[key]
-        if is_dataclass(hint):
-            value = hint(**_load(hint, value, f"{section}.{key}", base))
-        else:
-            value = _convert(hint, value, f"[{section}] {key}")
-        if keys[key].metadata.get("path") and value:
-            value = str(base / value)
-        values[key] = value
-    return values
+def _decode(hint, value, section: str, *keys: str):
+    """``value``, the TOML value at ``[section]`` (and ``keys`` below it),
+    as ``hint``. A bad key is a ConfigError naming ``[section] key``, with a
+    nested table joined to its section by a dot."""
+    try:
+        return decode(hint, value, partial=True)
+    except FieldError as exc:
+        names = [section, *keys, *(part for part in exc.path if isinstance(part, str))]
+        where = f"[{'.'.join(names[:-1])}] {names[-1]}" if len(names) > 1 else f"[{section}]"
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _convert(hint, value, where: str):
-    """``value`` as the annotated type ``hint``: a TOML array becomes a
-    tuple, a label a PromptSetting and an integer a float where one is due."""
-    if isinstance(hint, UnionType):  # the optional keys: X | None
-        hint = next(arg for arg in get_args(hint) if arg is not type(None))
-    origin = get_origin(hint) or hint
-    args = get_args(hint)
-    if origin is tuple and isinstance(value, list):
-        kinds = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
-        if len(kinds) == len(value):
-            return tuple(_convert(kind, item, where) for kind, item in zip(kinds, value))
-    elif origin is dict and isinstance(value, dict) and args:
-        return {key: _convert(args[1], item, where) for key, item in value.items()}
-    elif hint is PromptSetting and isinstance(value, str):
-        try:
-            return PromptSetting.parse(value)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    elif hint is float and type(value) is int:
-        return float(value)
-    elif isinstance(value, origin) and (type(value) is bool) == (origin is bool):
-        return value
-    expected = hint.__name__ if isinstance(hint, type) else str(hint)
-    raise ConfigError(f"{where}: expected {expected}, got {value!r}")
+def _resolve_paths(section, table: dict, base: Path) -> None:
+    """Resolve the path keys that ``table`` sets in ``section``, and in the
+    sections nested in it, against the config file's directory ``base``."""
+    for f in fields(section):
+        if f.name not in table:
+            continue
+        value = getattr(section, f.name)
+        if f.metadata.get("path") and value:
+            setattr(section, f.name, str(base / value))
+        elif is_dataclass(value):
+            _resolve_paths(value, table[f.name], base)
 
 
 def _engine(engine_id: str, table, base: Path) -> EngineSpec:
@@ -266,7 +249,7 @@ def _engine(engine_id: str, table, base: Path) -> EngineSpec:
     for key, value in options.items():
         if key not in ENGINE_OPTIONS[driver]:
             raise ConfigError(f"[{section}] {key}: unknown key for driver {driver!r}")
-        options[key] = _convert(ENGINE_OPTIONS[driver][key], value, f"[{section}] {key}")
+        options[key] = _decode(ENGINE_OPTIONS[driver][key], value, section, key)
     if driver == "dbapi" and "module" not in options:
         raise ConfigError(f"[{section}] module is required for the dbapi driver")
     if options.get("database", ":memory:") != ":memory:":

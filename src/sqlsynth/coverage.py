@@ -52,12 +52,12 @@ _COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 @dataclass
 class ComplexityProfile:
     join_count: int
-    clause_counts: dict
-    operator_counts: dict
-    function_counts: dict
+    clause_counts: dict[str, int]
+    operator_counts: dict[str, int]
+    function_counts: dict[str, int]
     subselect_count: int
-    referenced_tables: dict
-    referenced_columns: dict
+    referenced_tables: dict[str, int]
+    referenced_columns: dict[str, int]
 
     def facet_totals(self) -> dict:
         return {
@@ -66,21 +66,6 @@ class ComplexityProfile:
             "operators": sum(self.operator_counts.values()),
             "functions": sum(self.function_counts.values()),
         }
-
-    def to_dict(self) -> dict:
-        return {
-            "join_count": self.join_count,
-            "clause_counts": self.clause_counts,
-            "operator_counts": self.operator_counts,
-            "function_counts": self.function_counts,
-            "subselect_count": self.subselect_count,
-            "referenced_tables": self.referenced_tables,
-            "referenced_columns": self.referenced_columns,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ComplexityProfile":
-        return ComplexityProfile(**data)
 
 
 def profile_query(sql: str, catalog: SchemaCatalog) -> ComplexityProfile:
@@ -166,9 +151,6 @@ class FacetStats:
     min: float
     max: float
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std, "min": self.min, "max": self.max}
-
 
 @dataclass
 class CoverageTargets:
@@ -184,39 +166,18 @@ class CoverageGap:
     observed_freq: float
     target_freq: float
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "subject": self.subject,
-            "observed_freq": self.observed_freq,
-            "target_freq": self.target_freq,
-        }
-
 
 @dataclass
 class CoverageReport:
     setting: str
     query_count: int
-    facets: dict  # facet name -> FacetStats
+    facets: dict[str, FacetStats]
     table_reference_freq: dict  # occurrence share over all table references
     column_reference_freq: dict  # occurrence share over all column references
     table_presence_freq: dict  # share of queries referencing the table
     column_presence_freq: dict
     clause_presence_freq: dict  # group_by / order_by / having presence shares
-    gap_list: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "setting": self.setting,
-            "query_count": self.query_count,
-            "facets": {name: stats.to_dict() for name, stats in self.facets.items()},
-            "table_reference_freq": self.table_reference_freq,
-            "column_reference_freq": self.column_reference_freq,
-            "table_presence_freq": self.table_presence_freq,
-            "column_presence_freq": self.column_presence_freq,
-            "clause_presence_freq": self.clause_presence_freq,
-            "gap_list": [gap.to_dict() for gap in self.gap_list],
-        }
+    gap_list: list[CoverageGap] = field(default_factory=list)
 
 
 def aggregate_coverage(
@@ -237,9 +198,10 @@ def aggregate_coverage(
     targets = targets or CoverageTargets()
     n = len(profiles)
 
+    totals = [p.facet_totals() for p in profiles]
     facets = {}
     for facet in FACET_KEYS:
-        values = [p.facet_totals()[facet] for p in profiles]
+        values = [t[facet] for t in totals]
         facets[facet] = FacetStats(
             mean=statistics.fmean(values),
             std=statistics.pstdev(values),
@@ -318,13 +280,6 @@ class RegenDirectives:
 
     def is_empty(self) -> bool:
         return not self.subschema_weights and not self.column_filters and self.bias_override is None
-
-    def to_dict(self) -> dict:
-        return {
-            "subschema_weights": self.subschema_weights,
-            "column_filters": self.column_filters,
-            "bias_override": self.bias_override,
-        }
 
 
 def plan_regeneration(

@@ -54,32 +54,16 @@ class QErrorSummary:
     q_p95: float
     per_engine: dict  # engine_id -> {"median": .., "mean": .., "p95": ..}
 
-    def to_dict(self) -> dict:
-        return {
-            "q_median": self.q_median,
-            "q_mean": self.q_mean,
-            "q_p95": self.q_p95,
-            "per_engine": self.per_engine,
-        }
-
 
 @dataclass
 class RoutingResult:
     assignments: dict  # query_id -> engine_id
     total_routed_time: float
     oracle_time: float
+    regret: float = field(init=False)  # routed minus oracle time
 
-    @property
-    def regret(self) -> float:
-        return self.total_routed_time - self.oracle_time
-
-    def to_dict(self) -> dict:
-        return {
-            "assignments": self.assignments,
-            "total_routed_time": self.total_routed_time,
-            "oracle_time": self.oracle_time,
-            "regret": self.regret,
-        }
+    def __post_init__(self):
+        self.regret = self.total_routed_time - self.oracle_time
 
 
 def q_error(pred: float, true: float) -> float:

@@ -207,14 +207,20 @@ class SqliteSession:
 
 class DbApiSession:
     """Generic PEP 249 session; timeouts enforced by a watchdog thread that
-    cancels/closes the cursor when the deadline passes."""
+    cancels and closes the connection when the deadline passes, then opens
+    a fresh one for the next query."""
 
     def __init__(self, module: str, connect_args: dict, module_obj=None):
-        dbapi = module_obj if module_obj is not None else importlib.import_module(module)
+        self.module = module
+        self.dbapi = module_obj if module_obj is not None else importlib.import_module(module)
+        self.connect_args = connect_args
+        self.conn = self._connect()
+
+    def _connect(self):
         try:
-            self.conn = dbapi.connect(**connect_args)
+            return self.dbapi.connect(**self.connect_args)
         except Exception as exc:
-            raise EngineConnectionError(f"cannot connect via {module}: {exc}")
+            raise EngineConnectionError(f"cannot connect via {self.module}: {exc}")
 
     def run(self, sql: str, timeout_ms: int):
         result: dict = {}
@@ -242,9 +248,12 @@ class DbApiSession:
             for method in ("cancel", "close"):
                 try:
                     getattr(self.conn, method)()
-                    break
                 except Exception:
-                    continue
+                    pass
+            try:
+                self.conn = self._connect()
+            except EngineConnectionError:
+                pass  # the next queries report the dead connection
             return None, True, None, float(timeout_ms)
         if "error" in result:
             return None, False, result["error"], result["elapsed_ms"]

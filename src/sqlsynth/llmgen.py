@@ -21,7 +21,7 @@ import requests
 from .errors import ArityError, BackendError
 from .schema import SchemaCatalog, render_create_statements
 from .subschema import Subschema
-from .util import stable_hash_hex
+from .util import fields_of, stable_hash_hex
 
 if TYPE_CHECKING:  # only for annotations; avoids an import cycle
     from .mechgen import SeedExample
@@ -61,13 +61,6 @@ class PromptSetting:
     def label(self) -> str:
         return f"{self.shots}-shot:{self.bias}"
 
-    def to_dict(self) -> dict:
-        return {"shots": self.shots, "bias": self.bias}
-
-    @staticmethod
-    def from_dict(data: dict) -> "PromptSetting":
-        return PromptSetting(shots=data["shots"], bias=data["bias"])
-
     @staticmethod
     def parse(label: str) -> "PromptSetting":
         """Parse "3-shot:group_by" or "3:group_by" style labels."""
@@ -104,19 +97,6 @@ class GenParams:
             raise ValueError("n_completions must be >= 1")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "top_p": self.top_p,
-            "repetition_penalty": self.repetition_penalty,
-            "n_completions": self.n_completions,
-            "max_tokens": self.max_tokens,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "GenParams":
-        return GenParams(**data)
 
 
 def prompt_hash(prompt: str) -> str:
@@ -218,7 +198,7 @@ class HttpBackend:
         token = os.environ.get(self.auth_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        payload = {"model": self.model, "prompt": prompt, "params": params.to_dict()}
+        payload = {"model": self.model, "prompt": prompt, "params": fields_of(params)}
         try:
             response = self.session.post(
                 self.url, json=payload, headers=headers, timeout=self.timeout

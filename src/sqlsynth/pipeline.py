@@ -37,6 +37,15 @@ set of normalized forms already kept, which it extends with the batch's
 new records only, and stores each newly kept record's profile on it
 (``record.profile``). Coverage then aggregates the kept profiles, so no
 batch re-parses, re-normalizes or re-profiles what an earlier batch kept.
+Only the overall report steers, so each batch builds that one; the
+per-setting reports are built once, for ``coverage.json``.
+
+Every file is written and read through the typed codec of
+:mod:`sqlsynth.util`: a row's keys are its dataclass's fields, in
+declaration order, and a file with a missing, unknown or mistyped field
+fails to load with a DataFileError naming the file, the line and the
+field. The manifest's ``batches`` are plain dicts of the
+:class:`BatchAccounting` fields.
 
 Everything stochastic draws through seeds derived from the global seed plus
 stage/batch labels, so a rerun with the same config is byte-identical up to
@@ -88,7 +97,7 @@ from .schema import (
     save_catalog,
 )
 from .subschema import build_join_graph, enumerate_subschemas, load_subschemas, save_subschemas
-from .util import SCHEMA_VERSION, derive_seed, dump_json, load_json
+from .util import SCHEMA_VERSION, derive_seed, dump_json, fields_of, load_json
 from .validation import (
     REJECT_SYNTAX,
     VERDICT_ACCEPTED,
@@ -126,18 +135,6 @@ class BatchAccounting:
     rejected_by_reason: dict = field(default_factory=dict)
     llm_calls: int = 0
     llm_failures: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "batch": self.batch,
-            "generated": self.generated,
-            "kept": self.kept,
-            "rejected": self.rejected,
-            "dedup_dropped": self.dedup_dropped,
-            "rejected_by_reason": self.rejected_by_reason,
-            "llm_calls": self.llm_calls,
-            "llm_failures": self.llm_failures,
-        }
 
 
 def make_backend(config: PipelineConfig):
@@ -284,7 +281,6 @@ def _generate(config, catalog, subschemas, paths):
     subschema_by_id = {s.id: s for s in subschemas}
     all_records: list[QueryRecord] = []
     kept_records: list[QueryRecord] = []
-    kept_profiles: list[ComplexityProfile] = []
     mech_pools: dict[str, list[QueryRecord]] = {}
     seen_forms: set[str] = set()  # normalized forms of the kept corpus
     batches: list[dict] = []
@@ -302,19 +298,17 @@ def _generate(config, catalog, subschemas, paths):
             )
         all_records.extend(candidates)
 
-        new_kept, new_profiles = validate_batch(
+        kept_records += validate_batch(
             config, catalog, subschema_by_id, candidates, seen_forms, accounting
         )
-        kept_records.extend(new_kept)
-        kept_profiles.extend(new_profiles)
-        batches.append(accounting.to_dict())
+        batches.append(fields_of(accounting))  # plain, as --resume reads it back
 
-        # coverage over the cumulative kept corpus steers the next batch
-        reports = coverage_reports(config, catalog, kept_records, kept_profiles)
+        # the overall coverage of the cumulative kept corpus steers the next batch
         gaps_remaining = 0
-        if reports:
-            gaps_remaining = len(reports[-1].gap_list)
-            directives = plan_regeneration(reports[-1], subschemas, catalog)
+        if kept_records:
+            overall = overall_coverage(config, catalog, kept_records)
+            gaps_remaining = len(overall.gap_list)
+            directives = plan_regeneration(overall, subschemas, catalog)
 
         batch += 1
         if batch > config.loop_limit:
@@ -326,7 +320,7 @@ def _generate(config, catalog, subschemas, paths):
 
     save_records(all_records, paths["records"])
     save_records(kept_records, paths["kept"])
-    write_coverage(reports, paths["coverage"])
+    write_coverage(coverage_reports(config, catalog, kept_records), paths["coverage"])
     return kept_records, batches, gaps_remaining
 
 
@@ -374,18 +368,16 @@ def validate_batch(config, catalog, subschema_by_id, candidates, seen_forms, acc
     against ``seen_forms`` (the kept corpus's normalized forms, extended in
     place). Sets ``record.validation`` on every candidate and
     ``record.profile`` on each newly kept one, and counts the batch into
-    ``accounting``. Returns the newly kept records and their profiles."""
+    ``accounting``. Returns the newly kept records."""
     accounting.generated = len(candidates)
     accepted: list[QueryRecord] = []
-    profiles: dict[int, ComplexityProfile] = {}  # id(record) -> profile
     for record in candidates:
-        record.validation, profile = validate_record(
+        record.validation, record.profile = validate_record(
             record, catalog, subschema_by_id.get(record.subschema_id),
             config.validators.require_exact_tables,
         )
         if record.validation.verdict == VERDICT_ACCEPTED:
             accepted.append(record)
-            profiles[id(record)] = profile
         else:
             accounting.rejected += 1
             for reason in record.validation.rejection_reasons:
@@ -402,10 +394,9 @@ def validate_batch(config, catalog, subschema_by_id, candidates, seen_forms, acc
         accounting.rejected_by_reason["duplicate"] = (
             accounting.rejected_by_reason.get("duplicate", 0) + len(dropped)
         )
-    new_profiles = [profiles[id(record)] for record in new_kept]
-    for record, profile in zip(new_kept, new_profiles):
-        record.profile = profile.to_dict()
-    return new_kept, new_profiles
+    for record in dropped:
+        record.profile = None  # a duplicate is not part of the corpus
+    return new_kept
 
 
 def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, batch, accounting):
@@ -466,10 +457,10 @@ def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, bat
                         ORIGIN_LLM,
                         subschema.id,
                         batch=batch,
-                        prompt_setting=setting.to_dict(),
+                        prompt_setting=setting,
                         prompt_hash=prompt_hash(prompt),
                         model_name=config.llm.model,
-                        generation_params=config.llm.params.to_dict(),
+                        generation_params=config.llm.params,
                     )
                 )
     return candidates
@@ -501,36 +492,33 @@ def _batch_settings(config, directives):
     return settings
 
 
-def coverage_reports(config, catalog, kept_records, profiles) -> list[CoverageReport]:
-    """Coverage of a kept corpus: one report per setting label, in label
-    order, then the overall report ``"all"`` last. ``profiles`` are the kept
-    records' profiles, in the same order. No reports for an empty corpus."""
-    if not profiles:
+def coverage_reports(config, catalog, kept_records) -> list[CoverageReport]:
+    """Coverage of a profiled kept corpus: one report per setting label, in
+    label order, then the overall report ``"all"`` last. No reports for an
+    empty corpus."""
+    if not kept_records:
         return []
     by_setting: dict[str, list[ComplexityProfile]] = {}
-    for record, profile in zip(kept_records, profiles):
-        by_setting.setdefault(record.setting_label, []).append(profile)
-    targets = config.coverage
+    for record in kept_records:
+        by_setting.setdefault(record.setting_label, []).append(record.profile)
     reports = [
-        aggregate_coverage(group, label, catalog, targets)
+        aggregate_coverage(group, label, catalog, config.coverage)
         for label, group in sorted(by_setting.items())
     ]
-    reports.append(aggregate_coverage(profiles, "all", catalog, targets))
-    return reports
+    return reports + [overall_coverage(config, catalog, kept_records)]
+
+
+def overall_coverage(config, catalog, kept_records) -> CoverageReport:
+    """The overall report ``"all"`` of a nonempty profiled kept corpus."""
+    profiles = [record.profile for record in kept_records]
+    return aggregate_coverage(profiles, "all", catalog, config.coverage)
 
 
 def write_coverage(reports, path) -> None:
     """Write ``coverage.json`` to ``path`` and, when there are reports, the
     facet and clause CSVs next to it."""
     path = Path(path)
-    dump_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "coverage",
-            "reports": [report.to_dict() for report in reports],
-        },
-        path,
-    )
+    dump_json({"schema_version": SCHEMA_VERSION, "kind": "coverage", "reports": reports}, path)
     if reports:
         write_csv(facet_stats_rows(reports), path.with_name(FILES["facets_csv"]))
         write_csv(clause_presence_rows(reports), path.with_name(FILES["clauses_csv"]))

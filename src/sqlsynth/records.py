@@ -1,16 +1,20 @@
 """QueryRecord: one query plus provenance, validation, profile, and labels.
 
-This is the dataset row every stage appends to. Serialized as JSONL with a
-stable field order; runtime labels are stored as plain per-engine maps
-(``engine_id -> {runtime_ms, row_count, timed_out, error}``) matching the
-on-disk interchange format.
+This is the dataset row every stage appends to. A JSONL row holds its
+fields in declaration order, nested records (prompt setting, generation
+parameters, validation report, complexity profile) as the objects of
+their own fields, through the codec in :mod:`sqlsynth.util`; loading checks
+every field. Runtime labels are plain per-engine maps
+(``engine_id -> {runtime_ms, row_count, timed_out, error}``), the label
+without its ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .llmgen import PromptSetting
+from .coverage import ComplexityProfile
+from .llmgen import GenParams, PromptSetting
 from .util import read_jsonl, write_jsonl
 from .validation import ValidationReport, query_id
 
@@ -25,13 +29,13 @@ class QueryRecord:
     origin: str
     subschema_id: str
     batch: int = 0
-    prompt_setting: dict | None = None  # {"shots": int, "bias": str}
+    prompt_setting: PromptSetting | None = None
     prompt_hash: str | None = None
     model_name: str | None = None
-    generation_params: dict | None = None
+    generation_params: GenParams | None = None
     validation: ValidationReport | None = None
-    profile: dict | None = None
-    labels: dict[str, dict] = field(default_factory=dict)
+    profile: ComplexityProfile | None = None  # set on kept records
+    labels: dict[str, dict] = field(default_factory=dict)  # engine id -> RuntimeLabel.to_dict()
 
     def __post_init__(self):
         if self.origin == ORIGIN_LLM:
@@ -49,42 +53,7 @@ class QueryRecord:
         under: ``mechanical``, or its prompt setting's label."""
         if self.origin == ORIGIN_MECHANICAL:
             return ORIGIN_MECHANICAL
-        return PromptSetting.from_dict(self.prompt_setting).label
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "sql": self.sql,
-            "origin": self.origin,
-            "subschema_id": self.subschema_id,
-            "batch": self.batch,
-            "prompt_setting": self.prompt_setting,
-            "prompt_hash": self.prompt_hash,
-            "model_name": self.model_name,
-            "generation_params": self.generation_params,
-            "validation": self.validation.to_dict() if self.validation else None,
-            "profile": self.profile,
-            "labels": self.labels,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "QueryRecord":
-        return QueryRecord(
-            id=data["id"],
-            sql=data["sql"],
-            origin=data["origin"],
-            subschema_id=data["subschema_id"],
-            batch=data.get("batch", 0),
-            prompt_setting=data.get("prompt_setting"),
-            prompt_hash=data.get("prompt_hash"),
-            model_name=data.get("model_name"),
-            generation_params=data.get("generation_params"),
-            validation=ValidationReport.from_dict(data["validation"])
-            if data.get("validation")
-            else None,
-            profile=data.get("profile"),
-            labels=data.get("labels", {}),
-        )
+        return self.prompt_setting.label
 
 
 def make_record(sql: str, origin: str, subschema_id: str, batch: int = 0, **kwargs) -> QueryRecord:
@@ -95,8 +64,8 @@ def make_record(sql: str, origin: str, subschema_id: str, batch: int = 0, **kwar
 
 
 def save_records(records, path) -> None:
-    write_jsonl(path, "query_records", (r.to_dict() for r in records))
+    write_jsonl(path, "query_records", records)
 
 
 def load_records(path) -> list[QueryRecord]:
-    return [QueryRecord.from_dict(row) for row in read_jsonl(path, "query_records")]
+    return read_jsonl(path, "query_records", QueryRecord)

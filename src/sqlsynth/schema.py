@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Protocol
 
 from .errors import DdlSyntaxError, DuplicateObjectError, UnknownObjectError
-from .sqltree import RESERVED_WORDS, Token, tokenize
-from .util import SCHEMA_VERSION, dump_json, load_json
+from .sqltree import Token, TokenCursor, tokenize
+from .util import SCHEMA_VERSION, dump_json, fields_of, load_json
 
 logger = logging.getLogger(__name__)
 
@@ -96,8 +96,8 @@ class ForeignKey:
 @dataclass
 class TableDef:
     name: str
-    columns: list[ColumnDef]
     primary_key: list[str] = field(default_factory=list)
+    columns: list[ColumnDef] = field(default_factory=list)
 
     def column(self, name: str) -> ColumnDef | None:
         name = name.lower()
@@ -137,22 +137,12 @@ class SchemaCatalog:
 # ---------------------------------------------------------------------------
 
 
-class _DdlReader:
+class _DdlReader(TokenCursor):
     """Cursor over the token stream of a full DDL script."""
 
     def __init__(self, tokens: list[Token], statement_index: int = 0):
-        self.tokens = tokens
-        self.i = 0
+        super().__init__(tokens)
         self.statement_index = statement_index
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "end":
-            self.i += 1
-        return tok
 
     def done(self) -> bool:
         return self.peek().kind == "end"
@@ -160,41 +150,6 @@ class _DdlReader:
     def error(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
         raise DdlSyntaxError(message, self.statement_index, tok.pos)
-
-    def at_word(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.norm in words
-
-    def take_word(self, *words: str) -> bool:
-        if self.at_word(*words):
-            self.next()
-            return True
-        return False
-
-    def expect_word(self, word: str):
-        if not self.take_word(word):
-            self.error(f"expected {word.upper()}")
-
-    def at_op(self, op: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == op
-
-    def take_op(self, op: str) -> bool:
-        if self.at_op(op):
-            self.next()
-            return True
-        return False
-
-    def expect_op(self, op: str):
-        if not self.take_op(op):
-            self.error(f"expected {op!r}")
-
-    def expect_identifier(self, what: str = "identifier") -> str:
-        tok = self.peek()
-        if tok.kind == "qname" or (tok.kind == "name" and tok.norm not in RESERVED_WORDS):
-            self.next()
-            return tok.norm
-        self.error(f"expected {what}")
 
     def skip_balanced_to_semicolon(self):
         depth = 0
@@ -228,18 +183,18 @@ def ingest_ddl(ddl_text: str, name: str = "schema") -> SchemaCatalog:
             pass
         if reader.done():
             break
-        reader.expect_word("create")
-        if reader.take_word("view"):
-            view_name = reader.expect_identifier("view name")
+        reader.expect_kw("create")
+        if reader.take_kw("view"):
+            view_name = reader.expect_name("view name")
             if catalog.table(view_name) or view_name in catalog.view_names:
                 raise DuplicateObjectError(f"duplicate object name {view_name!r}")
             catalog.view_names.append(view_name)
             reader.skip_balanced_to_semicolon()
         else:
-            reader.expect_word("table")
-            if reader.take_word("if"):
-                reader.expect_word("not")
-                reader.expect_word("exists")
+            reader.expect_kw("table")
+            if reader.take_kw("if"):
+                reader.expect_kw("not")
+                reader.expect_kw("exists")
             table, fks = _parse_table(reader)
             if catalog.table(table.name) or table.name in catalog.view_names:
                 raise DuplicateObjectError(f"duplicate table name {table.name!r}")
@@ -252,24 +207,24 @@ def ingest_ddl(ddl_text: str, name: str = "schema") -> SchemaCatalog:
 
 
 def _parse_table(reader: _DdlReader) -> tuple[TableDef, list[ForeignKey]]:
-    table_name = reader.expect_identifier("table name")
-    table = TableDef(name=table_name, columns=[])
+    table_name = reader.expect_name("table name")
+    table = TableDef(name=table_name)
     fks: list[ForeignKey] = []
     reader.expect_op("(")
     while True:
-        if reader.at_word("primary"):
+        if reader.at_kw("primary"):
             reader.next()
-            reader.expect_word("key")
+            reader.expect_kw("key")
             cols = _parse_name_list(reader)
             if table.primary_key:
                 reader.error(f"table {table_name!r} declares two primary keys")
             table.primary_key = cols
-        elif reader.at_word("foreign"):
+        elif reader.at_kw("foreign"):
             reader.next()
-            reader.expect_word("key")
+            reader.expect_kw("key")
             from_cols = _parse_name_list(reader)
-            reader.expect_word("references")
-            to_table = reader.expect_identifier("referenced table")
+            reader.expect_kw("references")
+            to_table = reader.expect_name("referenced table")
             to_cols = _parse_name_list(reader) if reader.at_op("(") else []
             fks.append(
                 ForeignKey(
@@ -279,12 +234,12 @@ def _parse_table(reader: _DdlReader) -> tuple[TableDef, list[ForeignKey]]:
                     to_columns=tuple(to_cols),
                 )
             )
-        elif reader.take_word("unique"):
+        elif reader.take_kw("unique"):
             _parse_name_list(reader)
-        elif reader.take_word("constraint"):
-            reader.expect_identifier("constraint name")
+        elif reader.take_kw("constraint"):
+            reader.expect_name("constraint name")
             continue  # re-enter the loop to parse the constraint body
-        elif reader.take_word("check"):
+        elif reader.take_kw("check"):
             _skip_parenthesized(reader)
         else:
             column, col_fk = _parse_column(reader, table)
@@ -306,9 +261,9 @@ def _parse_table(reader: _DdlReader) -> tuple[TableDef, list[ForeignKey]]:
 
 
 def _parse_column(reader: _DdlReader, table: TableDef) -> tuple[ColumnDef, ForeignKey | None]:
-    col_name = reader.expect_identifier("column name")
-    type_word = reader.expect_identifier("column type")
-    if type_word in ("double", "character") and reader.at_word("precision", "varying"):
+    col_name = reader.expect_name("column name")
+    type_word = reader.expect_name("column type")
+    if type_word in ("double", "character") and reader.at_kw("precision", "varying"):
         type_word = f"{type_word} {reader.next().norm}"
     family = _TYPE_FAMILIES.get(type_word)
     if family is None:
@@ -325,19 +280,19 @@ def _parse_column(reader: _DdlReader, table: TableDef) -> tuple[ColumnDef, Forei
     nullable = True
     fk = None
     while True:
-        if reader.take_word("not"):
-            reader.expect_word("null")
+        if reader.take_kw("not"):
+            reader.expect_kw("null")
             nullable = False
-        elif reader.take_word("null"):
+        elif reader.take_kw("null"):
             nullable = True
-        elif reader.at_word("primary"):
+        elif reader.at_kw("primary"):
             reader.next()
-            reader.expect_word("key")
+            reader.expect_kw("key")
             if table.primary_key:
                 reader.error(f"table {table.name!r} declares two primary keys")
             table.primary_key = [col_name]
-        elif reader.take_word("references"):
-            to_table = reader.expect_identifier("referenced table")
+        elif reader.take_kw("references"):
+            to_table = reader.expect_name("referenced table")
             to_cols = _parse_name_list(reader) if reader.at_op("(") else []
             fk = ForeignKey(
                 from_table=table.name,
@@ -345,11 +300,11 @@ def _parse_column(reader: _DdlReader, table: TableDef) -> tuple[ColumnDef, Forei
                 to_table=to_table,
                 to_columns=tuple(to_cols),
             )
-        elif reader.take_word("unique"):
+        elif reader.take_kw("unique"):
             pass
-        elif reader.take_word("default"):
+        elif reader.take_kw("default"):
             _skip_default_value(reader)
-        elif reader.take_word("check"):
+        elif reader.take_kw("check"):
             _skip_parenthesized(reader)
         else:
             break
@@ -359,9 +314,9 @@ def _parse_column(reader: _DdlReader, table: TableDef) -> tuple[ColumnDef, Forei
 
 def _parse_name_list(reader: _DdlReader) -> list[str]:
     reader.expect_op("(")
-    names = [reader.expect_identifier("column name")]
+    names = [reader.expect_name("column name")]
     while reader.take_op(","):
-        names.append(reader.expect_identifier("column name"))
+        names.append(reader.expect_name("column name"))
     reader.expect_op(")")
     return names
 
@@ -709,93 +664,9 @@ def render_create_statements(
 # ---------------------------------------------------------------------------
 
 
-def catalog_to_dict(catalog: SchemaCatalog) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "catalog",
-        "name": catalog.name,
-        "tables": [
-            {
-                "name": t.name,
-                "primary_key": t.primary_key,
-                "columns": [
-                    {
-                        "name": c.name,
-                        "sql_type": c.sql_type,
-                        "type_text": c.type_text,
-                        "nullable": c.nullable,
-                        "metadata": {
-                            "distinct_value_count": c.metadata.distinct_value_count,
-                            "enumerated_values": c.metadata.enumerated_values,
-                            "is_label": c.metadata.is_label,
-                            "value_range": list(c.metadata.value_range)
-                            if c.metadata.value_range
-                            else None,
-                        },
-                    }
-                    for c in t.columns
-                ],
-            }
-            for t in catalog.tables
-        ],
-        "fk_edges": [
-            {
-                "from_table": fk.from_table,
-                "from_columns": list(fk.from_columns),
-                "to_table": fk.to_table,
-                "to_columns": list(fk.to_columns),
-                "provenance": fk.provenance,
-            }
-            for fk in catalog.fk_edges
-        ],
-        "view_names": catalog.view_names,
-        "advisories": catalog.advisories,
-    }
-
-
-def catalog_from_dict(data: dict) -> SchemaCatalog:
-    tables = []
-    for t in data["tables"]:
-        columns = []
-        for c in t["columns"]:
-            m = c.get("metadata", {})
-            columns.append(
-                ColumnDef(
-                    name=c["name"],
-                    sql_type=c["sql_type"],
-                    type_text=c["type_text"],
-                    nullable=c["nullable"],
-                    metadata=ColumnMetadata(
-                        distinct_value_count=m.get("distinct_value_count"),
-                        enumerated_values=m.get("enumerated_values"),
-                        is_label=bool(m.get("is_label")),
-                        value_range=tuple(m["value_range"]) if m.get("value_range") else None,
-                    ),
-                )
-            )
-        tables.append(TableDef(name=t["name"], columns=columns, primary_key=t["primary_key"]))
-    fk_edges = [
-        ForeignKey(
-            from_table=e["from_table"],
-            from_columns=tuple(e["from_columns"]),
-            to_table=e["to_table"],
-            to_columns=tuple(e["to_columns"]),
-            provenance=e["provenance"],
-        )
-        for e in data["fk_edges"]
-    ]
-    return SchemaCatalog(
-        name=data["name"],
-        tables=tables,
-        fk_edges=fk_edges,
-        view_names=data.get("view_names", []),
-        advisories=data.get("advisories", []),
-    )
-
-
 def save_catalog(catalog: SchemaCatalog, path: str | Path) -> None:
-    dump_json(catalog_to_dict(catalog), path)
+    dump_json({"schema_version": SCHEMA_VERSION, "kind": "catalog", **fields_of(catalog)}, path)
 
 
 def load_catalog(path: str | Path) -> SchemaCatalog:
-    return catalog_from_dict(load_json(path))
+    return load_json(path, "catalog", SchemaCatalog)

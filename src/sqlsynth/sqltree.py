@@ -325,12 +325,13 @@ _COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 _JOIN_INTRO = frozenset({"join", "inner", "left", "right", "full", "cross"})
 
 
-class _Parser:
+class TokenCursor:
+    """Cursor over a token list, shared by the SELECT parser and the DDL
+    reader; ``error`` raises the reader's own syntax error."""
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
-
-    # -- token helpers ------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -381,6 +382,8 @@ class _Parser:
             return tok.norm
         self.error(f"expected {what}")
 
+
+class _Parser(TokenCursor):
     # -- entry points -------------------------------------------------------
 
     def parse_statement(self) -> Query:

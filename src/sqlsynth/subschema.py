@@ -158,47 +158,9 @@ def choose_spanning_joins(graph: JoinGraph, tables: set[str]) -> list[ForeignKey
 # ---------------------------------------------------------------------------
 
 
-def _fk_to_dict(fk: ForeignKey) -> dict:
-    return {
-        "from_table": fk.from_table,
-        "from_columns": list(fk.from_columns),
-        "to_table": fk.to_table,
-        "to_columns": list(fk.to_columns),
-        "provenance": fk.provenance,
-    }
-
-
-def _fk_from_dict(data: dict) -> ForeignKey:
-    return ForeignKey(
-        from_table=data["from_table"],
-        from_columns=tuple(data["from_columns"]),
-        to_table=data["to_table"],
-        to_columns=tuple(data["to_columns"]),
-        provenance=data["provenance"],
-    )
-
-
 def save_subschemas(subschemas: list[Subschema], path) -> None:
-    write_jsonl(
-        path,
-        "subschemas",
-        (
-            {
-                "id": s.id,
-                "tables": list(s.tables),
-                "spanning_joins": [_fk_to_dict(fk) for fk in s.spanning_joins],
-            }
-            for s in subschemas
-        ),
-    )
+    write_jsonl(path, "subschemas", subschemas)
 
 
 def load_subschemas(path) -> list[Subschema]:
-    return [
-        Subschema(
-            id=row["id"],
-            tables=tuple(row["tables"]),
-            spanning_joins=[_fk_from_dict(d) for d in row["spanning_joins"]],
-        )
-        for row in read_jsonl(path, "subschemas")
-    ]
+    return read_jsonl(path, "subschemas", Subschema)

@@ -66,23 +66,6 @@ class ValidationReport:
     rejection_reasons: list[str] = field(default_factory=list)
     normalized_form: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "verdict": self.verdict,
-            "rejection_reasons": self.rejection_reasons,
-            "normalized_form": self.normalized_form,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ValidationReport":
-        return ValidationReport(
-            query_id=data["query_id"],
-            verdict=data["verdict"],
-            rejection_reasons=list(data["rejection_reasons"]),
-            normalized_form=data.get("normalized_form", ""),
-        )
-
 
 def query_id(sql: str) -> str:
     """Stable id: hash of the literal-preserving normalized form."""

@@ -35,6 +35,7 @@ from sqlsynth.mechgen import MechConfig, generate_mechanical
 from sqlsynth.pipeline import run_pipeline
 from sqlsynth.schema import infer_foreign_keys
 from sqlsynth.subschema import JoinGraph, build_join_graph, enumerate_subschemas
+from sqlsynth.util import fields_of
 from sqlsynth.validation import validate_relevance, validate_syntax
 
 from tests.test_subschema import brute_force_connected_subsets, graph_of
@@ -342,7 +343,7 @@ def test_criterion_6_coverage_fixture(tpch_catalog_inferred):
         assert len(entries) == 20
         for entry in entries:
             profile = profile_query(entry["sql"], tpch_catalog_inferred)
-            assert profile.to_dict() == entry["profile"], entry["sql"]
+            assert fields_of(profile) == entry["profile"], entry["sql"]
 
 
 # -- 7. bucketing and retention -----------------------------------------------------

@@ -400,6 +400,56 @@ class TestWrongInputs:
         assert error["kind"] == "DataFileError"
         assert "line 1" in error["message"]
 
+    def _one_json_error(self, capsys, argv) -> dict:
+        capsys.readouterr()
+        code = main(["--json-errors", *argv])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(lines) == 1, lines
+        error = json.loads(lines[0])["error"]
+        assert error["kind"] == "DataFileError"
+        return error
+
+    def test_catalog_not_json_is_a_json_error(self, tmp_path, config_path, capsys):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text('{"schema_version": 1,\n  "kind": catalog}\n', encoding="utf-8")
+        error = self._one_json_error(capsys, [
+            "subschemas", "--config", str(config_path), "--catalog", str(catalog),
+            "--out", str(tmp_path / "subs.jsonl"),
+        ])
+        assert f"{catalog}, line 2: not JSON" in error["message"]
+
+    def test_catalog_without_tables_is_a_json_error(
+        self, tmp_path, config_path, catalog_path, capsys
+    ):
+        data = json.loads(catalog_path.read_text(encoding="utf-8"))
+        del data["tables"]
+        catalog = tmp_path / "no_tables.json"
+        catalog.write_text(json.dumps(data), encoding="utf-8")
+        error = self._one_json_error(capsys, [
+            "subschemas", "--config", str(config_path), "--catalog", str(catalog),
+            "--out", str(tmp_path / "subs.jsonl"),
+        ])
+        assert error["message"] == f"{catalog}: tables: missing"
+
+    def test_record_without_sql_is_a_json_error(
+        self, tmp_path, config_path, catalog_path, subschemas_path, capsys
+    ):
+        records = tmp_path / "mech.jsonl"
+        assert main(["gen-mech", "--config", str(config_path), "--catalog", str(catalog_path),
+                     "--subschemas", str(subschemas_path), "--out", str(records)]) == 0
+        lines = records.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[2])
+        del row["sql"]
+        lines[2] = json.dumps(row)
+        records.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        error = self._one_json_error(capsys, [
+            "validate", "--config", str(config_path), "--catalog", str(catalog_path),
+            "--subschemas", str(subschemas_path), "--records", str(records),
+            "--out", str(tmp_path / "v.jsonl"),
+        ])
+        assert error["message"] == f"{records}, line 3: sql: missing"
+        assert not (tmp_path / "v.jsonl").exists()
+
     def test_coverage_needs_profiled_records(
         self, tmp_path, config_path, catalog_path, subschemas_path, capsys
     ):

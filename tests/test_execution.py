@@ -342,7 +342,66 @@ class _FakeDbApi:
         return _FakeConn(self.rows, self.fail)
 
 
+class _HangingDbApi:
+    """A DB-API module whose connections hang on ``HANG`` until closed and
+    refuse every statement once closed, as a server-side session does."""
+
+    HANG = "SELECT 'hang'"
+
+    def __init__(self):
+        self.connect_calls = []
+
+    def connect(self, **kwargs):
+        self.connect_calls.append(kwargs)
+        return _HangingConn()
+
+
+class _HangingConn:
+    def __init__(self):
+        self.closed = threading.Event()
+
+    def cursor(self):
+        if self.closed.is_set():
+            raise RuntimeError("connection closed")
+        return _HangingCursor(self)
+
+    def close(self):
+        self.closed.set()
+
+
+class _HangingCursor:
+    def __init__(self, conn):
+        self.conn = conn
+        self.rows = []
+
+    def execute(self, sql):
+        if sql == _HangingDbApi.HANG:
+            self.conn.closed.wait(10)
+            raise RuntimeError("connection closed")
+        self.rows = [(1,)] * 3
+
+    def fetchmany(self, n):
+        chunk, self.rows = self.rows[:n], self.rows[n:]
+        return chunk
+
+
 class TestDbApiDriver:
+    def test_timeout_reconnects_for_the_next_queries(self):
+        module = _HangingDbApi()
+        engine = EngineSpec(
+            engine_id="presto-w1",
+            driver="dbapi",
+            options={"module": "fake", "module_obj": module, "connect_args": {"host": "h"}},
+        )
+        sqls = ["SELECT 1", _HangingDbApi.HANG, "SELECT 2", "SELECT 3"]
+        records = [make_record(sql, "mechanical", "s") for sql in sqls]
+        labels = execute_batch(records, engine, timeout_ms=200)
+        assert labels[1].timed_out and labels[1].runtime_ms == 200
+        assert labels[1].row_count is None and labels[1].error is None
+        for label in labels[:1] + labels[2:]:
+            assert (label.row_count, label.timed_out, label.error) == (3, False, None)
+        assert module.connect_calls == [{"host": "h"}, {"host": "h"}]
+
     def test_row_counting(self):
         engine = EngineSpec(
             engine_id="presto-w1",

@@ -21,6 +21,7 @@ from sqlsynth.llmgen import (
 )
 from sqlsynth.mechgen import SeedExample
 from sqlsynth.subschema import build_join_graph, enumerate_subschemas
+from sqlsynth.util import decode, fields_of
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ class TestGenParams:
 
     def test_round_trip(self):
         params = GenParams(temperature=0.5, n_completions=2)
-        assert GenParams.from_dict(params.to_dict()) == params
+        assert decode(GenParams, fields_of(params)) == params
 
 
 class TestBuildPrompt:

@@ -409,7 +409,7 @@ def make_fake_record(origin, index):
             sql,
             "llm",
             "s1",
-            prompt_setting={"shots": 0, "bias": "none"},
+            prompt_setting=PromptSetting(0, "none"),
             prompt_hash="x",
             model_name="m",
         )
@@ -554,10 +554,9 @@ class TestIncrementalAnalysis:
         all_profiles = []
         for record in kept:
             profile = profile_query(record.sql, catalog)
-            assert record.profile == profile.to_dict(), record.sql
+            assert record.profile == profile, record.sql
             label = (
-                "mechanical" if record.origin == "mechanical"
-                else PromptSetting.from_dict(record.prompt_setting).label
+                "mechanical" if record.origin == "mechanical" else record.prompt_setting.label
             )
             by_setting.setdefault(label, []).append(profile)
             all_profiles.append(profile)
@@ -567,14 +566,8 @@ class TestIncrementalAnalysis:
         ]
         reports.append(aggregate_coverage(all_profiles, "all", catalog, config.coverage))
         expected = tmp_path / "expected_coverage.json"
-        dump_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "coverage",
-                "reports": [report.to_dict() for report in reports],
-            },
-            expected,
-        )
+        header = {"schema_version": SCHEMA_VERSION, "kind": "coverage"}
+        dump_json({**header, "reports": reports}, expected)
         assert (out / "coverage.json").read_bytes() == expected.read_bytes()
 
         records = load_records(out / "records.jsonl")
@@ -584,7 +577,7 @@ class TestIncrementalAnalysis:
         assert len(records) - len(dropped) == len(kept)
         for record in records:
             if record.validation.verdict == "accepted":
-                assert record.profile == profile_query(record.sql, catalog).to_dict()
+                assert record.profile == profile_query(record.sql, catalog)
             else:
                 assert record.profile is None, record.sql
 

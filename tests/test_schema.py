@@ -5,13 +5,13 @@ import pytest
 from sqlsynth.errors import DdlSyntaxError, DuplicateObjectError, UnknownObjectError
 from sqlsynth.schema import (
     CsvDirSampler,
-    catalog_from_dict,
-    catalog_to_dict,
     derive_column_prefixes,
     infer_foreign_keys,
     ingest_ddl,
+    load_catalog,
     profile_columns,
     render_create_statements,
+    save_catalog,
 )
 
 # Table/column/key counts from the published TPC-H benchmark definition;
@@ -310,14 +310,15 @@ class TestRender:
 
 
 class TestSerialization:
-    def test_round_trip(self, tpch_catalog_inferred):
-        data = catalog_to_dict(tpch_catalog_inferred)
-        assert catalog_from_dict(data) == tpch_catalog_inferred
+    def test_round_trip(self, tpch_catalog_inferred, tmp_path):
+        save_catalog(tpch_catalog_inferred, tmp_path / "catalog.json")
+        assert load_catalog(tmp_path / "catalog.json") == tpch_catalog_inferred
 
-    def test_round_trip_with_metadata(self):
+    def test_round_trip_with_metadata(self, tmp_path):
         catalog = ingest_ddl("CREATE TABLE t (sex CHAR(1), amount INT)")
         sampler = TestProfiling.ListSampler(
             {("t", "sex"): ["M", "F"], ("t", "amount"): ["3", "1", "2"]}
         )
         profiled = profile_columns(catalog, sampler)
-        assert catalog_from_dict(catalog_to_dict(profiled)) == profiled
+        save_catalog(profiled, tmp_path / "catalog.json")
+        assert load_catalog(tmp_path / "catalog.json") == profiled
