@@ -9,7 +9,7 @@ expectation, which is what makes the generator steerable.
 
 from pathlib import Path
 
-from sqlsynth.mechgen import MechConfig, generate_mechanical, select_seed_examples
+from sqlsynth.mechgen import MechConfig, SeedExample, generate_mechanical, select_seed_examples
 from sqlsynth.schema import CsvDirSampler, infer_foreign_keys, ingest_ddl, profile_columns
 from sqlsynth.subschema import build_join_graph, enumerate_subschemas
 from sqlsynth.validation import validate_relevance, validate_syntax
@@ -49,7 +49,8 @@ share = sum(
 print(f"with p_group_by = 0.9, observed GROUP BY share over 2000 queries: {share:.3f}")
 
 # Seed examples for few-shot prompting, biased toward a clause.
-pool = generate_mechanical(subschema, catalog, config, 30, seed=7)
+records = generate_mechanical(subschema, catalog, config, 30, seed=7)
+pool = [SeedExample.from_record(record) for record in records]
 examples = select_seed_examples(pool, 3, bias="group_by", bias_weight=0.9, rng_seed=1)
 print("\nthree seed examples biased toward GROUP BY:")
 for example in examples:

@@ -10,7 +10,7 @@ violations, and structural deduplication.
 from pathlib import Path
 
 from sqlsynth.llmgen import CANONICAL_SETTINGS, PromptSetting, build_prompt, extract_sql
-from sqlsynth.mechgen import MechConfig, generate_mechanical, select_seed_examples
+from sqlsynth.mechgen import MechConfig, SeedExample, generate_mechanical, select_seed_examples
 from sqlsynth.records import make_record
 from sqlsynth.schema import CsvDirSampler, infer_foreign_keys, ingest_ddl, profile_columns
 from sqlsynth.subschema import build_join_graph, enumerate_subschemas
@@ -24,7 +24,10 @@ subschema = next(s for s in enumerate_subschemas(graph) if s.tables == ("nation"
 
 print("the six canonical prompt settings:", ", ".join(s.label for s in CANONICAL_SETTINGS))
 
-pool = generate_mechanical(subschema, catalog, MechConfig(p_group_by=0.6), 12, seed=3)
+pool = [
+    SeedExample.from_record(r)
+    for r in generate_mechanical(subschema, catalog, MechConfig(p_group_by=0.6), 12, seed=3)
+]
 examples = select_seed_examples(pool, 3, bias="group_by", rng_seed=5)
 prompt = build_prompt(subschema, catalog, PromptSetting(3, "group_by"), examples)
 print("\n----- 3-shot, group-by-biased prompt -----")

@@ -44,6 +44,7 @@ from .evaluation import (
     summarize,
 )
 from .execution import runtime_bucket_rows
+from .mechgen import SeedExample
 from .records import load_records, save_records
 from .schema import load_catalog, save_catalog
 from .subschema import load_subschemas, save_subschemas
@@ -157,7 +158,7 @@ def cmd_subschemas(args) -> int:
 def cmd_gen_mech(args) -> int:
     config = load_config(args.config)
     subs = load_subschemas(args.subschemas)
-    records = pipeline.mechanical_batch(config, load_catalog(args.catalog), subs, batch=0)
+    records = list(pipeline.mechanical_batch(config, load_catalog(args.catalog), subs, batch=0))
     save_records(records, args.out)
     print(f"{len(records)} mechanical queries over {len(subs)} subschemas -> {args.out}")
     return 0
@@ -167,11 +168,11 @@ def cmd_gen_llm(args) -> int:
     config = load_config(args.config)
     if not config.llm.enabled:
         raise ConfigError("gen-llm needs llm.enabled = true in the config")
-    pools: dict[str, list] = {}
+    pools: dict[str, list[SeedExample]] = {}
     for record in load_records(args.pool):
-        pools.setdefault(record.subschema_id, []).append(record)
+        pools.setdefault(record.subschema_id, []).append(SeedExample.from_record(record))
     accounting = pipeline.BatchAccounting(batch=0)
-    records = pipeline._llm_batch(
+    records = list(pipeline._llm_batch(
         config,
         load_catalog(args.catalog),
         load_subschemas(args.subschemas),
@@ -180,7 +181,7 @@ def cmd_gen_llm(args) -> int:
         pipeline.make_backend(config),
         batch=0,
         accounting=accounting,
-    )
+    ))
     save_records(records, args.out)
     print(
         f"{len(records)} candidates from {accounting.llm_calls} backend calls "

@@ -59,6 +59,17 @@ class EngineSpec:
 
 
 @dataclass
+class EngineLabel:
+    """A runtime label as a record holds it, under its engine id: the
+    :class:`RuntimeLabel` without its ids."""
+
+    runtime_ms: float
+    row_count: int | None
+    timed_out: bool = False
+    error: str | None = None
+
+
+@dataclass
 class RuntimeLabel:
     query_id: str
     engine_id: str
@@ -67,16 +78,11 @@ class RuntimeLabel:
     timed_out: bool = False
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "runtime_ms": self.runtime_ms,
-            "row_count": self.row_count,
-            "timed_out": self.timed_out,
-            "error": self.error,
-        }
+    def engine_label(self) -> EngineLabel:
+        return EngineLabel(self.runtime_ms, self.row_count, self.timed_out, self.error)
 
 
-def bucket_runtime(label: RuntimeLabel) -> str:
+def bucket_runtime(label: RuntimeLabel | EngineLabel) -> str:
     """Bucket per the partition [0,1s) [1s,1m) [1m,5m) [5m,inf)."""
     for edge, name in _BUCKET_EDGES:
         if label.runtime_ms < edge:
@@ -356,17 +362,7 @@ def runtime_bucket_rows(records) -> list[dict]:
     for record in records:
         setting = record.setting_label
         for engine_id, label in sorted(record.labels.items()):
-            bucket = bucket_runtime(
-                RuntimeLabel(
-                    query_id=record.id,
-                    engine_id=engine_id,
-                    runtime_ms=label["runtime_ms"],
-                    row_count=label.get("row_count"),
-                    timed_out=label.get("timed_out", False),
-                    error=label.get("error"),
-                )
-            )
-            key = (setting, engine_id, bucket)
+            key = (setting, engine_id, bucket_runtime(label))
             counts[key] = counts.get(key, 0) + 1
     bucket_order = {BUCKET_LT_1S: 0, BUCKET_1S_1M: 1, BUCKET_1M_5M: 2, BUCKET_GT_5M: 3}
     rows = [

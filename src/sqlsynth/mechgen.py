@@ -10,13 +10,19 @@ appear in arithmetic.
 Determinism: the generator draws from a Mersenne-Twister ``random.Random``
 seeded with a stable hash of (seed, subschema id), so output depends only
 on (seed, subschema, config, n) and is reproducible across platforms.
+
+The generator knows which clauses it built, so each record it returns
+carries them as ``tags`` (group_by / order_by / having / where / aggregate /
+join), the tags :func:`clause_tags` would read from the parsed query. Seed
+pools hold :class:`SeedExample` values built from those tags, so seed-example
+selection never parses; :func:`clause_tags` remains for text of unknown
+origin, such as records read from a file, and as the test oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .errors import InsufficientPoolError
 from .records import ORIGIN_MECHANICAL, QueryRecord, make_record
@@ -66,14 +72,22 @@ class SeedExample:
     sql: str
     features: frozenset = field(default_factory=frozenset)
 
+    @classmethod
+    def from_record(cls, record: QueryRecord) -> SeedExample:
+        """A record as a seed example: its SQL and clause tags, the tags of
+        its construction when it carries them (``record.tags``), parsed from
+        the SQL otherwise."""
+        tags = record.tags if record.tags is not None else clause_tags(record.sql)
+        return cls(sql=record.sql, features=tags)
+
 
 _AGG_NAMES = frozenset(f.lower() for f in DEFAULT_AGGREGATES)
 
 
-@lru_cache(maxsize=8192)
 def clause_tags(sql: str) -> frozenset:
     """Clause tags present in a query: group_by / order_by / having /
-    where / aggregate / join. Used for biased seed-example selection."""
+    where / aggregate / join, read from its parse tree. Used for biased
+    seed-example selection."""
     query = parse_select(sql)
     tags = set()
     for node in walk(query):
@@ -98,7 +112,8 @@ def generate_mechanical(
 ) -> list[QueryRecord]:
     """Generate ``n`` valid queries over ``subschema``; deterministic for
     (seed, subschema, config, n), with records for a smaller ``n`` forming
-    a prefix of a larger one."""
+    a prefix of a larger one. Each record carries its clause tags as
+    ``tags`` and its token list as ``tokens``."""
     config.validate()
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -106,8 +121,10 @@ def generate_mechanical(
     rng = random.Random(derive_seed(seed, "mechanical", subschema.id))
     records = []
     for _ in range(n):
-        sql = _build_query(rng, subschema, tables, config)
-        records.append(make_record(sql, ORIGIN_MECHANICAL, subschema.id))
+        sql, tags = _build_query(rng, subschema, tables, config)
+        record = make_record(sql, ORIGIN_MECHANICAL, subschema.id)
+        record.tags = tags
+        records.append(record)
     return records
 
 
@@ -118,7 +135,8 @@ def generate_mechanical(
 
 def _build_query(
     rng: random.Random, subschema: Subschema, tables: list[TableDef], config: MechConfig
-) -> str:
+) -> tuple[str, frozenset]:
+    """One query and its clause tags, as :func:`clause_tags` reads them."""
     columns = [
         (table.name, column)
         for table in sorted(tables, key=lambda t: t.name)
@@ -153,7 +171,11 @@ def _build_query(
         projections = [f"{t}.{c.name}" for t, c in chosen]
         order_candidates = list(projections)
 
-    sql = f"SELECT {', '.join(projections)} FROM {_from_clause(rng, subschema)}"
+    tags = {"aggregate"} if aggregated else set()
+    from_clause = _from_clause(rng, subschema)
+    if " JOIN " in from_clause:
+        tags.add("join")
+    sql = f"SELECT {', '.join(projections)} FROM {from_clause}"
 
     if rng.random() < config.p_where:
         predicate_count = rng.randint(1, config.max_predicates)
@@ -164,18 +186,22 @@ def _build_query(
             connector = "OR" if rng.random() < 0.25 else "AND"
             clause = f"{clause} {connector} {predicate}"
         sql += f" WHERE {clause}"
+        tags.add("where")
 
     if group_exprs:
         sql += f" GROUP BY {', '.join(group_exprs)}"
+        tags.add("group_by")
     if having_expr:
         sql += f" HAVING {having_expr}"
+        tags.add("having")
 
     if rng.random() < config.p_order_by and order_candidates:
         count = min(rng.randint(1, 2), len(order_candidates))
         items = rng.sample(order_candidates, count)
         rendered = [f"{item} DESC" if rng.random() < 0.5 else item for item in items]
         sql += f" ORDER BY {', '.join(rendered)}"
-    return sql
+        tags.add("order_by")
+    return sql, frozenset(tags)
 
 
 def _from_clause(rng: random.Random, subschema: Subschema) -> str:
@@ -316,7 +342,7 @@ def _literal(column: ColumnDef, value: str) -> str:
 
 
 def select_seed_examples(
-    pool: list[QueryRecord],
+    pool: list[SeedExample],
     k: int,
     bias: str | None = None,
     bias_weight: float = 0.9,
@@ -334,12 +360,12 @@ def select_seed_examples(
     if k > len(pool):
         raise InsufficientPoolError(f"need {k} examples, pool has {len(pool)}")
     rng = random.Random(rng_seed)
-    remaining = [(record, clause_tags(record.sql)) for record in pool]
+    remaining = list(pool)
     out: list[SeedExample] = []
     for _ in range(k):
         if bias is not None:
-            tagged = [entry for entry in remaining if bias in entry[1]]
-            untagged = [entry for entry in remaining if bias not in entry[1]]
+            tagged = [example for example in remaining if bias in example.features]
+            untagged = [example for example in remaining if bias not in example.features]
             if rng.random() < bias_weight:
                 candidates = tagged or remaining
             else:
@@ -348,5 +374,5 @@ def select_seed_examples(
             candidates = remaining
         picked = rng.choice(candidates)
         remaining.remove(picked)
-        out.append(SeedExample(sql=picked[0].sql, features=picked[1]))
+        out.append(picked)
     return out

@@ -29,23 +29,30 @@ from the same config:
 So ``run`` with ``loop_limit = 0`` and that chain of commands write the same
 bytes, runtimes apart.
 
-Each candidate is analysed once. :func:`validate_record` parses it and
-resolves its references a single time, derives the relevance codes from
-those references, and profiles an accepted candidate from the same tree;
-the tree is dropped there. :func:`validate_batch` deduplicates against the
-set of normalized forms already kept, which it extends with the batch's
-new records only, and stores each newly kept record's profile on it
-(``record.profile``). Coverage then aggregates the kept profiles, so no
+Each candidate is tokenized once, parsed once and analysed as it arrives.
+:func:`~sqlsynth.records.make_record` tokenizes it and derives its id from
+that token list, which the record holds. :func:`mechanical_batch` and
+:func:`_llm_batch` yield candidates one subschema or one prompt at a time,
+and :func:`validate_record` analyses each at once: it parses the record's
+token list, resolves the references a single time, derives the relevance
+codes from them, profiles an accepted candidate from the same tree and
+takes its dedup key from the same tokens; the token list and the tree are
+dropped there. At batch end :func:`settle_batch` counts the batch and
+deduplicates its accepted candidates against the set of normalized forms
+already kept, which it extends with the batch's new records only, so no
 batch re-parses, re-normalizes or re-profiles what an earlier batch kept.
-Only the overall report steers, so each batch builds that one; the
-per-setting reports are built once, for ``coverage.json``.
+Mechanical candidates carry the clause tags of their construction into the
+seed pools (:class:`~sqlsynth.mechgen.SeedExample`), so seed selection
+parses nothing. Coverage aggregates the kept profiles. Only the overall
+report steers, so each batch builds that one; the per-setting reports are
+built once, for ``coverage.json``.
 
 Every file is written and read through the typed codec of
 :mod:`sqlsynth.util`: a row's keys are its dataclass's fields, in
 declaration order, and a file with a missing, unknown or mistyped field
 fails to load with a DataFileError naming the file, the line and the
-field. The manifest's ``batches`` are plain dicts of the
-:class:`BatchAccounting` fields.
+field. The manifest's ``batches`` are the :class:`BatchAccounting` rows,
+which ``--resume`` reads back through the same codec.
 
 Everything stochastic draws through seeds derived from the global seed plus
 stage/batch labels, so a rerun with the same config is byte-identical up to
@@ -74,7 +81,7 @@ from .coverage import (
     profile_tree,
     write_csv,
 )
-from .errors import BackendError, SqlsynthError
+from .errors import BackendError, SqlSyntaxError, SqlsynthError
 from .execution import apply_retention, connect, execute_batch, restrict_dataset
 from .llmgen import (
     HttpBackend,
@@ -85,7 +92,7 @@ from .llmgen import (
     generate_llm,
     prompt_hash,
 )
-from .mechgen import generate_mechanical, select_seed_examples
+from .mechgen import SeedExample, generate_mechanical, select_seed_examples
 from .records import ORIGIN_LLM, QueryRecord, load_records, make_record, save_records
 from .schema import (
     CsvDirSampler,
@@ -97,7 +104,8 @@ from .schema import (
     save_catalog,
 )
 from .subschema import build_join_graph, enumerate_subschemas, load_subschemas, save_subschemas
-from .util import SCHEMA_VERSION, derive_seed, dump_json, fields_of, load_json
+from .sqltree import normalize_tokens, tokenize_or_error
+from .util import SCHEMA_VERSION, decode_in, derive_seed, dump_json, fields_of, load_json
 from .validation import (
     REJECT_SYNTAX,
     VERDICT_ACCEPTED,
@@ -176,7 +184,10 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
     if generation_done:
         kept_records = load_records(paths["kept"])
         manifest_prev = load_json(paths["manifest"]) if paths["manifest"].exists() else {}
-        batches = manifest_prev.get("batches", [])
+        batches = decode_in(
+            list[BatchAccounting], manifest_prev.get("batches", []), paths["manifest"],
+            path=("batches",),
+        )
         gaps_remaining = manifest_prev.get("counts", {}).get("gaps_remaining", 0)
     else:
         kept_records, batches, gaps_remaining = _generate(config, catalog, subschemas, paths)
@@ -193,18 +204,18 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
                         "coverage", "facets_csv", "clauses_csv")
             if paths[key].exists()
         },
-        "batches": batches,
+        "batches": [fields_of(b) for b in batches],
         "counts": {
             "tables": len(catalog.tables),
             "fk_edges": len(catalog.fk_edges),
             "subschemas": len(subschemas),
             "batches": len(batches),
-            "generated": sum(b["generated"] for b in batches),
+            "generated": sum(b.generated for b in batches),
             "kept": len(kept_records),
-            "rejected": sum(b["rejected"] for b in batches),
-            "dedup_dropped": sum(b["dedup_dropped"] for b in batches),
-            "llm_calls": sum(b["llm_calls"] for b in batches),
-            "llm_failures": sum(b["llm_failures"] for b in batches),
+            "rejected": sum(b.rejected for b in batches),
+            "dedup_dropped": sum(b.dedup_dropped for b in batches),
+            "llm_calls": sum(b.llm_calls for b in batches),
+            "llm_failures": sum(b.llm_failures for b in batches),
             "gaps_remaining": gaps_remaining,
         },
         "rejected_by_reason": _merge_reason_counts(batches),
@@ -237,7 +248,7 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
 def _merge_reason_counts(batches) -> dict:
     merged: dict = {}
     for batch in batches:
-        for reason, count in batch["rejected_by_reason"].items():
+        for reason, count in batch.rejected_by_reason.items():
             merged[reason] = merged.get(reason, 0) + count
     return dict(sorted(merged.items()))
 
@@ -281,27 +292,29 @@ def _generate(config, catalog, subschemas, paths):
     subschema_by_id = {s.id: s for s in subschemas}
     all_records: list[QueryRecord] = []
     kept_records: list[QueryRecord] = []
-    mech_pools: dict[str, list[QueryRecord]] = {}
+    mech_pools: dict[str, list[SeedExample]] = {}
     seen_forms: set[str] = set()  # normalized forms of the kept corpus
-    batches: list[dict] = []
+    batches: list[BatchAccounting] = []
     directives = RegenDirectives()
 
     batch = 0
     while True:
         accounting = BatchAccounting(batch=batch)
-        candidates = mechanical_batch(config, catalog, subschemas, batch)
-        for record in candidates:
-            mech_pools.setdefault(record.subschema_id, []).append(record)
+        candidates: list[QueryRecord] = []
+        for record in mechanical_batch(config, catalog, subschemas, batch):
+            mech_pools.setdefault(record.subschema_id, []).append(SeedExample.from_record(record))
+            validate_record(record, catalog, subschema_by_id, config.validators)
+            candidates.append(record)
         if backend is not None:
-            candidates += _llm_batch(
+            for record in _llm_batch(
                 config, catalog, subschemas, mech_pools, directives, backend, batch, accounting
-            )
+            ):
+                validate_record(record, catalog, subschema_by_id, config.validators)
+                candidates.append(record)
         all_records.extend(candidates)
 
-        kept_records += validate_batch(
-            config, catalog, subschema_by_id, candidates, seen_forms, accounting
-        )
-        batches.append(fields_of(accounting))  # plain, as --resume reads it back
+        kept_records += settle_batch(config, candidates, seen_forms, accounting)
+        batches.append(accounting)
 
         # the overall coverage of the cumulative kept corpus steers the next batch
         gaps_remaining = 0
@@ -324,58 +337,69 @@ def _generate(config, catalog, subschemas, paths):
     return kept_records, batches, gaps_remaining
 
 
-def mechanical_batch(config, catalog, subschemas, batch: int) -> list[QueryRecord]:
-    """One batch of mechanical queries, ``mech_per_subschema`` per subschema."""
+def mechanical_batch(config, catalog, subschemas, batch: int):
+    """One batch of mechanical queries, ``mech_per_subschema`` per subschema,
+    yielded as each subschema's queries are made."""
     if config.mech_per_subschema == 0:
-        return []
+        return
     seed = derive_seed(config.seed, "mechanical-batch", batch)
-    records = []
     for subschema in subschemas:
-        records += generate_mechanical(
+        for record in generate_mechanical(
             subschema, catalog, config.mechanical, config.mech_per_subschema, seed=seed
-        )
-    for record in records:
-        record.batch = batch
-    return records
+        ):
+            record.batch = batch
+            yield record
 
 
-def validate_record(record, catalog, subschema, require_exact_tables: bool):
-    """Validate one candidate from a single parse and resolution.
+def validate_record(record, catalog, subschema_by_id, validators) -> None:
+    """Validate one candidate from a single tokenization, parse and
+    resolution, against its subschema in ``subschema_by_id``.
 
-    Returns ``(report, profile)``. An accepted candidate's profile is built
-    from the same tree and references; a rejected one's is None. The tree is
-    dropped on return.
+    Parses the token list the record holds (``record.tokens``, from
+    :func:`~sqlsynth.records.make_record`), or tokenizes ``record.sql`` once
+    for a record read from a file, and drops it. Sets ``record.validation``
+    and ``record.profile``: an accepted candidate's profile is built from
+    the same tree and references, and its report holds its dedup key (the
+    normalized form under ``validators.literal_placeholder_dedup``) from the
+    same tokens; a rejected one's profile is None. The tree is dropped on
+    return.
     """
+    tokens = record.tokens if record.tokens is not None else tokenize_or_error(record.sql)
+    record.tokens = None
+    record.profile = None
     try:
-        tree = validate_syntax(record.sql)
+        if isinstance(tokens, SqlSyntaxError):
+            raise tokens
+        tree = validate_syntax(record.sql, tokens)
     except SqlsynthError:
-        report = ValidationReport(
+        record.validation = ValidationReport(
             query_id=record.id, verdict=VERDICT_REJECTED, rejection_reasons=[REJECT_SYNTAX]
         )
-        return report, None
+        return
     refs = resolve_references(tree, catalog)
-    codes = relevance_codes(refs, subschema, require_exact_tables)
+    subschema = subschema_by_id.get(record.subschema_id)
+    codes = relevance_codes(refs, subschema, validators.require_exact_tables)
     if codes:
-        report = ValidationReport(
+        record.validation = ValidationReport(
             query_id=record.id, verdict=VERDICT_REJECTED, rejection_reasons=codes
         )
-        return report, None
-    return ValidationReport(query_id=record.id, verdict=VERDICT_ACCEPTED), profile_tree(tree, refs)
+        return
+    record.validation = ValidationReport(
+        query_id=record.id,
+        verdict=VERDICT_ACCEPTED,
+        normalized_form=normalize_tokens(tokens, validators.literal_placeholder_dedup),
+    )
+    record.profile = profile_tree(tree, refs)
 
 
-def validate_batch(config, catalog, subschema_by_id, candidates, seen_forms, accounting):
-    """Validate one batch of candidates, then deduplicate the accepted ones
-    against ``seen_forms`` (the kept corpus's normalized forms, extended in
-    place). Sets ``record.validation`` on every candidate and
-    ``record.profile`` on each newly kept one, and counts the batch into
-    ``accounting``. Returns the newly kept records."""
+def settle_batch(config, candidates, seen_forms, accounting):
+    """Count one batch of validated candidates into ``accounting`` and
+    deduplicate the accepted ones against ``seen_forms`` (the kept corpus's
+    normalized forms, extended in place). A duplicate loses its profile.
+    Returns the newly kept records."""
     accounting.generated = len(candidates)
     accepted: list[QueryRecord] = []
     for record in candidates:
-        record.validation, record.profile = validate_record(
-            record, catalog, subschema_by_id.get(record.subschema_id),
-            config.validators.require_exact_tables,
-        )
         if record.validation.verdict == VERDICT_ACCEPTED:
             accepted.append(record)
         else:
@@ -397,6 +421,16 @@ def validate_batch(config, catalog, subschema_by_id, candidates, seen_forms, acc
     for record in dropped:
         record.profile = None  # a duplicate is not part of the corpus
     return new_kept
+
+
+def validate_batch(config, catalog, subschema_by_id, candidates, seen_forms, accounting):
+    """Validate one batch of candidates (:func:`validate_record`), then
+    settle it (:func:`settle_batch`). Sets ``record.validation`` on every
+    candidate and ``record.profile`` on each newly kept one. Returns the
+    newly kept records."""
+    for record in candidates:
+        validate_record(record, catalog, subschema_by_id, config.validators)
+    return settle_batch(config, candidates, seen_forms, accounting)
 
 
 def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, batch, accounting):
@@ -439,20 +473,20 @@ def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, bat
                     return exc
         return BackendError("unreachable")  # pragma: no cover
 
+    # results arrive in task order, each prompt's candidates yielded as its
+    # completions are in, while later prompts are still with the backend
     with ThreadPoolExecutor(max_workers=max(1, config.llm.concurrency)) as pool:
-        results = list(pool.map(call, tasks))
-
-    candidates = []
-    for (subschema, setting, prompt), result in zip(tasks, results):
-        accounting.llm_calls += 1
-        if isinstance(result, BackendError):
-            accounting.llm_failures += 1
-            logger.warning("backend failure for %s on %s: %s", setting.label, subschema.id, result)
-            continue
-        for completion in result:
-            for sql in extract_sql(completion):
-                candidates.append(
-                    make_record(
+        for (subschema, setting, prompt), result in zip(tasks, pool.map(call, tasks)):
+            accounting.llm_calls += 1
+            if isinstance(result, BackendError):
+                accounting.llm_failures += 1
+                logger.warning(
+                    "backend failure for %s on %s: %s", setting.label, subschema.id, result
+                )
+                continue
+            for completion in result:
+                for sql in extract_sql(completion):
+                    yield make_record(
                         sql,
                         ORIGIN_LLM,
                         subschema.id,
@@ -462,8 +496,6 @@ def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, bat
                         model_name=config.llm.model,
                         generation_params=config.llm.params,
                     )
-                )
-    return candidates
 
 
 def _choose_subschemas(config, subschemas, directives, batch):
@@ -565,7 +597,7 @@ def _execute(config, catalog, kept_records):
         for record in kept_records:
             label = by_query.get(record.id)
             if label is not None:
-                record.labels[engine.engine_id] = label.to_dict()
+                record.labels[engine.engine_id] = label.engine_label()
                 labeled_ids.add(record.id)
     labeled = [record for record in kept_records if record.id in labeled_ids]
     return labeled, {

@@ -4,9 +4,17 @@ This is the dataset row every stage appends to. A JSONL row holds its
 fields in declaration order, nested records (prompt setting, generation
 parameters, validation report, complexity profile) as the objects of
 their own fields, through the codec in :mod:`sqlsynth.util`; loading checks
-every field. Runtime labels are plain per-engine maps
-(``engine_id -> {runtime_ms, row_count, timed_out, error}``), the label
-without its ids.
+every field. Runtime labels map each engine id to an
+:class:`~sqlsynth.execution.EngineLabel` (``runtime_ms``, ``row_count``,
+``timed_out``, ``error``: the runtime label without its ids), so a label
+with a missing or mistyped field fails to load.
+
+:func:`make_record` tokenizes the query once. The record id comes from that
+token list, which the record holds as ``tokens`` until the pipeline's
+validator parses it and drops it. A mechanical record also carries the
+clauses its generator used as ``tags``, which go with it into a seed pool.
+Both are plain attributes, not fields: the codec neither writes nor reads
+them.
 """
 
 from __future__ import annotations
@@ -14,7 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coverage import ComplexityProfile
+from .execution import EngineLabel
 from .llmgen import GenParams, PromptSetting
+from .sqltree import tokenize_or_error
 from .util import read_jsonl, write_jsonl
 from .validation import ValidationReport, query_id
 
@@ -35,7 +45,11 @@ class QueryRecord:
     generation_params: GenParams | None = None
     validation: ValidationReport | None = None
     profile: ComplexityProfile | None = None  # set on kept records
-    labels: dict[str, dict] = field(default_factory=dict)  # engine id -> RuntimeLabel.to_dict()
+    labels: dict[str, EngineLabel] = field(default_factory=dict)  # engine id -> label
+
+    # Transient, never written (see the module docstring).
+    tokens = None  # list[Token] | SqlSyntaxError | None
+    tags = None  # frozenset | None
 
     def __post_init__(self):
         if self.origin == ORIGIN_LLM:
@@ -57,10 +71,15 @@ class QueryRecord:
 
 
 def make_record(sql: str, origin: str, subschema_id: str, batch: int = 0, **kwargs) -> QueryRecord:
-    """Build a record with its id derived from the normalized SQL."""
-    return QueryRecord(
-        id=query_id(sql), sql=sql, origin=origin, subschema_id=subschema_id, batch=batch, **kwargs
+    """Build a record with its id derived from the normalized SQL, from the
+    one token list the record then holds as ``tokens``."""
+    tokens = tokenize_or_error(sql)
+    record = QueryRecord(
+        id=query_id(sql, tokens), sql=sql, origin=origin, subschema_id=subschema_id,
+        batch=batch, **kwargs,
     )
+    record.tokens = tokens
+    return record
 
 
 def save_records(records, path) -> None:

@@ -10,6 +10,15 @@ literals (DATE '...', INTERVAL '...'), and quoted identifiers.
 It is deliberately a validating parser: malformed statements raise
 :class:`~sqlsynth.errors.SqlSyntaxError` with the offending position, which is
 what the downstream syntax filter reports.
+
+A candidate query is tokenized once. :func:`~sqlsynth.records.make_record`
+makes its token list (:func:`tokenize_or_error`), derives the record id from
+it (:func:`normalize_tokens`, literals kept), and holds it on the record;
+:func:`~sqlsynth.pipeline.validate_record` parses that same list
+(``parse_select(sql, tokens)``), takes the dedup key from it (literals as
+placeholders), and drops it. The parser reads a token list and never changes
+it. :func:`normalize_sql` and ``parse_select(sql)`` tokenize for themselves,
+for callers holding only text.
 """
 
 from __future__ import annotations
@@ -102,6 +111,16 @@ def tokenize(sql: str) -> list[Token]:
         pos = m.end()
     tokens.append(Token("end", "", pos, line, pos - line_start + 1))
     return tokens
+
+
+def tokenize_or_error(sql: str) -> list[Token] | SqlSyntaxError:
+    """:func:`tokenize`, with the SqlSyntaxError of text that cannot be
+    tokenized returned rather than raised: the one outcome a candidate keeps
+    for every later step."""
+    try:
+        return tokenize(sql)
+    except SqlSyntaxError as exc:
+        return exc
 
 
 # ---------------------------------------------------------------------------
@@ -870,13 +889,16 @@ class _Parser(TokenCursor):
         return Cast(expr=expr, type_name=type_name)
 
 
-def parse_select(sql: str) -> Query:
+def parse_select(sql: str, tokens: list[Token] | None = None) -> Query:
     """Parse one SELECT (or WITH ... SELECT) statement into a syntax tree.
 
-    Raises :class:`~sqlsynth.errors.SqlSyntaxError` on malformed input,
-    including trailing garbage after the statement.
+    ``tokens``, when given, is ``sql``'s own token list, which is parsed
+    instead of tokenizing ``sql`` again; it is read, never changed. Raises
+    :class:`~sqlsynth.errors.SqlSyntaxError` on malformed input, including
+    trailing garbage after the statement.
     """
-    tokens = tokenize(sql)
+    if tokens is None:
+        tokens = tokenize(sql)
     parser = _Parser(tokens)
     first = parser.peek()
     if not (first.kind == "name" and first.norm in ("select", "with")):
@@ -892,20 +914,27 @@ _PLACEHOLDERS = {"number": ":num", "string": ":str"}
 
 
 def normalize_sql(sql: str, literal_placeholders: bool = True) -> str:
-    """Canonical single-line form of ``sql`` used for deduplication and ids.
+    """Canonical single-line form of ``sql`` used for deduplication and ids:
+    :func:`normalize_tokens` of its tokens.
+
+    Falls back to :func:`normalize_text` if the text cannot be tokenized at
+    all (still usable as a dedup key for rejected candidates).
+    """
+    try:
+        tokens = tokenize(sql)
+    except SqlSyntaxError:
+        return normalize_text(sql)
+    return normalize_tokens(tokens, literal_placeholders)
+
+
+def normalize_tokens(tokens: list[Token], literal_placeholders: bool) -> str:
+    """Canonical single-line form of a token list.
 
     Keywords and identifiers are lower-cased (quoted identifiers unwrapped),
     whitespace and comments collapse to single spaces, and, when
     ``literal_placeholders`` is on, number/string literals are replaced by
     typed placeholders so queries differing only in constants coincide.
-
-    Falls back to lower-cased whitespace collapsing if the text cannot be
-    tokenized at all (still usable as a dedup key for rejected candidates).
     """
-    try:
-        tokens = tokenize(sql)
-    except SqlSyntaxError:
-        return " ".join(sql.lower().split())
     parts: list[str] = []
     for tok in tokens:
         if tok.kind == "end":
@@ -921,3 +950,9 @@ def normalize_sql(sql: str, literal_placeholders: bool = True) -> str:
         else:
             parts.append(tok.norm)
     return " ".join(parts)
+
+
+def normalize_text(sql: str) -> str:
+    """The normalized form of text that cannot be tokenized: lower-cased,
+    whitespace collapsed."""
+    return " ".join(sql.lower().split())

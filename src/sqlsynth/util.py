@@ -97,7 +97,7 @@ def load_json(path: str | Path, kind: str | None = None, cls=None):
     if kind is not None:
         _check_kind(path, data, kind)
         data = {k: v for k, v in data.items() if k not in ("schema_version", "kind")}
-    return data if cls is None else _decode_in(cls, data, path)
+    return data if cls is None else decode_in(cls, data, path)
 
 
 def read_jsonl(path: str | Path, kind: str | None = None, cls=None) -> list:
@@ -119,7 +119,7 @@ def read_jsonl(path: str | Path, kind: str | None = None, cls=None) -> list:
         ]
     if cls is None:
         return [row for _, row in rows]
-    return [_decode_in(cls, row, f"{path}, line {lineno}") for lineno, row in rows]
+    return [decode_in(cls, row, f"{path}, line {lineno}") for lineno, row in rows]
 
 
 def _json_line(path, lineno: int, line: str):
@@ -135,13 +135,14 @@ def _check_kind(path, header, kind: str) -> None:
         raise DataFileError(f"{path}: expected kind {kind!r}, found {found!r}")
 
 
-def _decode_in(cls, data, where: str):
-    """``data`` decoded as ``cls``; a bad field is a DataFileError that
-    names ``where`` (the file and line) and the field."""
+def decode_in(hint, data, where, path: tuple = ()):
+    """``data`` decoded as ``hint``; a bad field is a DataFileError that
+    names ``where`` (the file and line) and the field, found at ``path``
+    when ``data`` is one entry of the file's object."""
     try:
-        return decode(cls, data)
+        return decode(hint, data, path=path)
     except FieldError as exc:
-        raise DataFileError(f"{where}: {exc.where or cls.__name__}: {exc}") from exc
+        raise DataFileError(f"{where}: {exc.where or hint.__name__}: {exc}") from exc
 
 
 class FieldError(ValueError):

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .errors import SqlSyntaxError
 from .schema import ColumnDef, SchemaCatalog, TableDef
 from .sqltree import (
     Between,
@@ -39,9 +40,13 @@ from .sqltree import (
     SetOp,
     Star,
     TableName,
+    Token,
     Unary,
     normalize_sql,
+    normalize_text,
+    normalize_tokens,
     parse_select,
+    tokenize_or_error,
 )
 from .util import stable_hash_hex
 
@@ -67,14 +72,25 @@ class ValidationReport:
     normalized_form: str = ""
 
 
-def query_id(sql: str) -> str:
-    """Stable id: hash of the literal-preserving normalized form."""
-    return stable_hash_hex(normalize_sql(sql, literal_placeholders=False), length=16)
+def query_id(sql: str, tokens: list[Token] | SqlSyntaxError | None = None) -> str:
+    """Stable id: hash of the literal-preserving normalized form.
+
+    ``tokens`` is what :func:`~sqlsynth.sqltree.tokenize_or_error` gave for
+    ``sql``, when the caller holds it; ``sql`` is then not tokenized again.
+    """
+    if tokens is None:
+        tokens = tokenize_or_error(sql)
+    if isinstance(tokens, SqlSyntaxError):
+        form = normalize_text(sql)
+    else:
+        form = normalize_tokens(tokens, literal_placeholders=False)
+    return stable_hash_hex(form, length=16)
 
 
-def validate_syntax(sql: str) -> Query:
-    """Parse ``sql`` into a syntax tree; raises SqlSyntaxError with position."""
-    return parse_select(sql)
+def validate_syntax(sql: str, tokens: list[Token] | None = None) -> Query:
+    """Parse ``sql``, or its token list ``tokens`` when given, into a syntax
+    tree; raises SqlSyntaxError with position."""
+    return parse_select(sql, tokens)
 
 
 @dataclass
@@ -531,7 +547,10 @@ def deduplicate(records, literal_placeholders: bool = True, seen: set[str] | Non
     The first occurrence of each normalized form is kept; later ones are
     rejected with reason ``duplicate``. Literal placeholders are on by
     default so queries differing only in constants collapse. Order is
-    preserved; every record's report gains its normalized form.
+    preserved; every record's report gains its normalized form. A report
+    that already holds one, made with the same ``literal_placeholders`` (as
+    the pipeline's validator stores it from the candidate's token list), is
+    not normalized again.
 
     ``seen`` holds the forms already kept, such as those of earlier
     batches, and gains the forms kept here. A caller folding batches passes
@@ -541,9 +560,12 @@ def deduplicate(records, literal_placeholders: bool = True, seen: set[str] | Non
         seen = set()
     kept, dropped = [], []
     for record in records:
-        form = normalize_sql(record.sql, literal_placeholders=literal_placeholders)
-        if record.validation is not None:
-            record.validation.normalized_form = form
+        if record.validation is not None and record.validation.normalized_form:
+            form = record.validation.normalized_form
+        else:
+            form = normalize_sql(record.sql, literal_placeholders=literal_placeholders)
+            if record.validation is not None:
+                record.validation.normalized_form = form
         if form in seen:
             if record.validation is not None:
                 record.validation.verdict = VERDICT_REJECTED

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from tests.conftest import TPCH_DDL_PATH
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SAMPLE_DATA_DIR = REPO_ROOT / "data" / "tpch_sample"
 DEMO_DIR = REPO_ROOT / "data" / "demo"
+DEMO_OUT = REPO_ROOT / "out" / "demo"
 
 
 def write_stage_config(tmp_path, ddl=TPCH_DDL_PATH, seed=0, per_subschema=2):
@@ -449,6 +451,30 @@ class TestWrongInputs:
         ])
         assert error["message"] == f"{records}, line 3: sql: missing"
         assert not (tmp_path / "v.jsonl").exists()
+
+    def test_label_without_runtime_is_a_json_error(self, tmp_path, capsys):
+        lines = (DEMO_OUT / "labeled.jsonl").read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[1])
+        for label in row["labels"].values():
+            del label["runtime_ms"]
+        labeled = tmp_path / "labeled.jsonl"
+        labeled.write_text(f"{lines[0]}\n{json.dumps(row)}\n", encoding="utf-8")
+        error = self._one_json_error(capsys, [
+            "report", "--labeled", str(labeled), "--out-dir", str(tmp_path / "report"),
+        ])
+        assert error["message"] == f"{labeled}, line 2: labels.runtime_ms: missing"
+        assert not (tmp_path / "report" / "runtime_buckets.csv").exists()
+
+    def test_resume_with_malformed_batches_is_a_json_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(DEMO_OUT, out)
+        manifest = load_json(out / "manifest.json")
+        manifest["batches"] = [{"batch": 0}]
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        error = self._one_json_error(capsys, [
+            "run", "--config", str(DEMO_DIR / "demo.toml"), "--out", str(out), "--resume",
+        ])
+        assert error["message"] == f"{out / 'manifest.json'}: batches[0].generated: missing"
 
     def test_coverage_needs_profiled_records(
         self, tmp_path, config_path, catalog_path, subschemas_path, capsys

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sqlsynth.coverage import ComplexityProfile
 from sqlsynth.errors import DataFileError
+from sqlsynth.execution import EngineLabel
 from sqlsynth.llmgen import BIAS_GROUP_BY, BIAS_NONE, BIAS_ORDER_BY, GenParams, PromptSetting
 from sqlsynth.records import QueryRecord, load_records, save_records
 from sqlsynth.schema import load_catalog, save_catalog
@@ -62,13 +63,12 @@ profiles = st.builds(
 )
 labels = st.dictionaries(
     names,
-    st.fixed_dictionaries(
-        {
-            "runtime_ms": st.floats(0, 1e6),
-            "row_count": st.none() | st.integers(0, 10**6),
-            "timed_out": st.booleans(),
-            "error": st.none() | st.text(max_size=20),
-        }
+    st.builds(
+        EngineLabel,
+        runtime_ms=st.floats(0, 1e6),
+        row_count=st.none() | st.integers(0, 10**6),
+        timed_out=st.booleans(),
+        error=st.none() | st.text(max_size=20),
     ),
     max_size=3,
 )
@@ -143,6 +143,11 @@ ROW = {
         ({**ROW, "validation": {"query_id": "q1", "verdict": "accepted"}},
          "validation.rejection_reasons: missing"),
         ({**ROW, "profile": {"join_count": 0}}, "profile.clause_counts: missing"),
+        ({**ROW, "labels": {"e": {"row_count": 1, "timed_out": False, "error": None}}},
+         "labels.runtime_ms: missing"),
+        ({**ROW, "labels": {"e": {"runtime_ms": "1", "row_count": 1, "timed_out": False,
+                                  "error": None}}},
+         "labels.runtime_ms: expected float, got '1'"),
     ],
 )
 def test_bad_field_names_file_line_and_field(tmp_path, row, named):

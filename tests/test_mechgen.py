@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlsynth.errors import InsufficientPoolError
 from sqlsynth.mechgen import (
@@ -12,9 +14,13 @@ from sqlsynth.mechgen import (
     generate_mechanical,
     select_seed_examples,
 )
-from sqlsynth.records import make_record
-from sqlsynth.subschema import build_join_graph, enumerate_subschemas
+from sqlsynth.schema import load_catalog
+from sqlsynth.subschema import build_join_graph, enumerate_subschemas, load_subschemas
 from sqlsynth.validation import validate_relevance, validate_syntax
+
+from tests.conftest import REPO_ROOT
+
+DEMO_OUT = REPO_ROOT / "out" / "demo"
 
 
 @pytest.fixture(scope="module")
@@ -168,16 +174,56 @@ class TestClauseTags:
         assert clause_tags("SELECT a FROM t") == frozenset()
 
 
+probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@pytest.fixture(scope="module")
+def demo_inputs():
+    """The demo's profiled catalog (enumerated, label, date and numeric
+    columns) and its subschemas."""
+    return load_catalog(DEMO_OUT / "catalog.json"), load_subschemas(DEMO_OUT / "subschemas.jsonl")
+
+
+class TestConstructionTags:
+    @given(
+        seed=st.integers(0, 2**31),
+        index=st.integers(0, 10_000),
+        p_where=probability,
+        p_group_by=probability,
+        p_having=probability,
+        p_order_by=probability,
+        p_aggregate=probability,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_generator_tags_are_the_parsed_clause_tags(
+        self, demo_inputs, seed, index, p_where, p_group_by, p_having, p_order_by, p_aggregate
+    ):
+        catalog, subschemas = demo_inputs
+        config = MechConfig(
+            p_where=p_where,
+            p_group_by=p_group_by,
+            p_having=p_having if p_group_by > 0 else 0.0,
+            p_order_by=p_order_by,
+            p_aggregate=p_aggregate,
+        )
+        subschema = subschemas[index % len(subschemas)]
+        for record in generate_mechanical(subschema, catalog, config, 8, seed=seed):
+            assert record.tags == clause_tags(record.sql), record.sql
+
+    def test_seed_example_from_record(self, demo_inputs):
+        catalog, subschemas = demo_inputs
+        config = MechConfig(p_group_by=0.5, p_order_by=0.5)
+        for record in generate_mechanical(subschemas[-1], catalog, config, 20, seed=3):
+            example = SeedExample.from_record(record)
+            record.tags = None  # as read from a file: the tags come from a parse
+            assert SeedExample.from_record(record) == example
+
+
 class TestSeedExamples:
     def _pool(self, with_group_by: int, without: int):
-        pool = []
-        for i in range(with_group_by):
-            pool.append(
-                make_record(f"SELECT a, COUNT(*) FROM t{i} GROUP BY a", "mechanical", "s")
-            )
-        for i in range(without):
-            pool.append(make_record(f"SELECT a FROM u{i}", "mechanical", "s"))
-        return pool
+        sqls = [f"SELECT a, COUNT(*) FROM t{i} GROUP BY a" for i in range(with_group_by)]
+        sqls += [f"SELECT a FROM u{i}" for i in range(without)]
+        return [SeedExample(sql=sql, features=clause_tags(sql)) for sql in sqls]
 
     def test_zero_shot(self):
         assert select_seed_examples(self._pool(2, 2), 0) == []

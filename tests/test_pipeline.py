@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 
 from sqlsynth import coverage as coverage_mod
+from sqlsynth import mechgen as mechgen_mod
 from sqlsynth import pipeline as pipeline_mod
 from sqlsynth import sqltree as sqltree_mod
 from sqlsynth import validation as validation_mod
 from sqlsynth.config import config_from_dict, load_config
 from sqlsynth.coverage import aggregate_coverage, profile_query
+from sqlsynth.errors import SqlSyntaxError
 from sqlsynth.llmgen import PromptSetting, StubBackend
 from sqlsynth.pipeline import run_pipeline
 from sqlsynth.records import load_records
@@ -322,8 +324,8 @@ class TestExecutionStage:
         assert labeled
         for record in labeled:
             label = record.labels["sqlite-mem"]
-            assert label["error"] is None
-            assert label["row_count"] is not None
+            assert label.error is None
+            assert label.row_count is not None
 
 
 class TestManifestShape:
@@ -582,28 +584,40 @@ class TestIncrementalAnalysis:
                 assert record.profile is None, record.sql
 
     def test_each_candidate_parsed_once_and_never_reprofiled(self, tmp_path, monkeypatch):
-        # LLM off: seed-example selection would add its own clause-tag parses.
+        # The stub LLM on: its candidates, and the seed examples its prompts
+        # draw from the mechanical pools, are counted too.
         config = multi_batch_demo_config(tmp_path / "out")
-        config.llm.enabled = False
         calls = count_calls(
             monkeypatch,
             {
+                "tokenize": sqltree_mod.tokenize,
                 "parse": sqltree_mod.parse_select,
                 "resolve": validation_mod.resolve_references,
                 "normalize": sqltree_mod.normalize_sql,
+                "clause_tags": mechgen_mod.clause_tags,
                 "profile": coverage_mod.profile_query,
             },
         )
         counts = run_pipeline(config)["counts"]
         monkeypatch.undo()
         assert counts["batches"] == 4
+        assert counts["llm_calls"] > counts["llm_failures"]
         generated = counts["generated"]
-        accepted = counts["kept"] + counts["dedup_dropped"]
         assert generated > 0
-        assert calls["parse"] == generated
+        records = load_records(Path(config.out_dir) / "records.jsonl")
+        untokenizable = sum(
+            isinstance(sqltree_mod.tokenize_or_error(record.sql), SqlSyntaxError)
+            for record in records
+        )
+        assert untokenizable > 0  # rejected from their one failed tokenization
+        # one token list per candidate, plus the DDL's own
+        assert calls["tokenize"] == generated + 1
+        assert calls["parse"] == generated - untokenizable
         assert calls["resolve"] <= generated
-        # one for each record's query id, one for each accepted record's dedup key
-        assert calls["normalize"] <= generated + accepted
+        # ids and dedup keys come from each candidate's token list
+        assert calls["normalize"] == 0
+        # seed pools hold the mechanical generator's own clause tags
+        assert calls["clause_tags"] == 0
         assert calls["profile"] == 0
 
 
@@ -627,9 +641,9 @@ class TestDemoLabelsScore:
             writer.writerow(["query_id", "engine_id", "predicted_ms", "true_ms"])
             for record in labeled:
                 for engine_id, label in record.labels.items():
-                    assert label["runtime_ms"] > 0, record.id
+                    assert label.runtime_ms > 0, record.id
                     writer.writerow(
-                        [record.id, engine_id, 2 * label["runtime_ms"], label["runtime_ms"]]
+                        [record.id, engine_id, 2 * label.runtime_ms, label.runtime_ms]
                     )
         summary_path = tmp_path / "evaluation.json"
         assert main(["evaluate", "--predictions", str(predictions), "--out", str(summary_path)]) == 0

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,9 +28,16 @@ from sqlsynth.sqltree import (
     Star,
     TableName,
     normalize_sql,
+    normalize_text,
+    normalize_tokens,
     parse_select,
+    tokenize,
+    tokenize_or_error,
     walk,
 )
+from sqlsynth.validation import query_id
+
+from tests.conftest import REPO_ROOT
 
 
 def core(sql: str) -> SelectCore:
@@ -372,6 +382,63 @@ class TestNormalize:
 
     def test_untokenizable_fallback(self):
         assert normalize_sql("SELECT 'oops") == "select 'oops"
+
+
+#: Every candidate of the committed demo run: mechanical queries and
+#: extracted LLM completions, three of which cannot be tokenized.
+DEMO_SQL = [
+    json.loads(line)["sql"]
+    for line in (REPO_ROOT / "out" / "demo" / "records.jsonl").read_text(
+        encoding="utf-8").splitlines()[1:]
+]
+
+
+@st.composite
+def messy_sql(draw):
+    """A demo query re-spaced, re-cased and commented at random word breaks."""
+    words = draw(st.sampled_from(DEMO_SQL)).split(" ")
+    gaps = st.sampled_from([" ", "  ", "\n", "\t", " /* note */ ", " -- note\n"])
+    text = words[0]
+    for word in words[1:]:
+        text += draw(gaps) + (word.upper() if draw(st.booleans()) else word)
+    return text + draw(st.sampled_from(["", ";", " ; ", "\n"]))
+
+
+sql_texts = st.sampled_from(DEMO_SQL) | messy_sql() | st.text(max_size=120)
+
+
+class TestOneTokenList:
+    @given(sql_texts, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_normalize_tokens_is_normalize_sql(self, sql, placeholders):
+        tokens = tokenize_or_error(sql)
+        if isinstance(tokens, SqlSyntaxError):
+            assert normalize_sql(sql, placeholders) == normalize_text(sql)
+        else:
+            assert normalize_tokens(tokens, placeholders) == normalize_sql(sql, placeholders)
+        assert query_id(sql, tokens) == query_id(sql)
+
+    @given(sql_texts)
+    @settings(max_examples=300, deadline=None)
+    def test_parser_reads_a_token_list_without_changing_it(self, sql):
+        tokens = tokenize_or_error(sql)
+        if isinstance(tokens, SqlSyntaxError):
+            return
+        before = copy.deepcopy(tokens)
+        try:
+            tree = parse_select(sql, tokens)
+        except SqlSyntaxError as exc:
+            with pytest.raises(SqlSyntaxError) as again:
+                parse_select(sql)
+            assert str(again.value) == str(exc)
+        else:
+            assert tree == parse_select(sql)
+        assert tokens == before
+
+    def test_demo_holds_untokenizable_candidates(self):
+        assert any(isinstance(tokenize_or_error(sql), SqlSyntaxError) for sql in DEMO_SQL)
+        with pytest.raises(SqlSyntaxError):
+            tokenize("SELECT 'oops")
 
 
 class TestRobustness:
