@@ -32,16 +32,18 @@ bytes, runtimes apart.
 Each candidate is tokenized once, parsed once and analysed as it arrives.
 :func:`~sqlsynth.records.make_record` tokenizes it and derives its id from
 that token list, which the record holds. :func:`mechanical_batch` and
-:func:`_llm_batch` yield candidates one subschema or one prompt at a time,
-and :func:`validate_record` analyses each at once: it parses the record's
-token list, resolves the references a single time, derives the relevance
-codes from them, profiles an accepted candidate from the same tree and
-takes its dedup key from the same tokens; the token list and the tree are
-dropped there. At batch end :func:`settle_batch` counts the batch and
-deduplicates its accepted candidates against the set of normalized forms
-already kept, which it extends with the batch's new records only, so no
-batch re-parses, re-normalizes or re-profiles what an earlier batch kept.
-Mechanical candidates carry the clause tags of their construction into the
+:func:`_llm_batch` yield candidates one subschema or one prompt at a time
+(:func:`_llm_batch` once every prompt's completions are in, so the analysis
+never competes with the backend's threads), and :func:`validate_record`
+analyses each at once: it parses the record's token list, resolves the
+references a single time, derives the relevance codes from them, profiles
+an accepted candidate from the same tree and takes its dedup key from the
+same tokens; the token list and the tree are dropped there. At batch end
+:func:`settle_batch` counts the batch and deduplicates its accepted
+candidates against the set of normalized forms already kept, which it
+extends with the batch's new records only, so no batch re-parses,
+re-normalizes or re-profiles what an earlier batch kept. Mechanical
+candidates carry the clause tags of their construction into the
 seed pools (:class:`~sqlsynth.mechgen.SeedExample`), so seed selection
 parses nothing. Coverage aggregates the kept profiles. Only the overall
 report steers, so each batch builds that one; the per-setting reports are
@@ -473,29 +475,31 @@ def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, bat
                     return exc
         return BackendError("unreachable")  # pragma: no cover
 
-    # results arrive in task order, each prompt's candidates yielded as its
-    # completions are in, while later prompts are still with the backend
+    # every prompt's completions are in before the first candidate is
+    # yielded: analysing candidates while the backend's threads still run
+    # makes them contend for the interpreter, and the batch's time then
+    # varies with thread scheduling
     with ThreadPoolExecutor(max_workers=max(1, config.llm.concurrency)) as pool:
-        for (subschema, setting, prompt), result in zip(tasks, pool.map(call, tasks)):
-            accounting.llm_calls += 1
-            if isinstance(result, BackendError):
-                accounting.llm_failures += 1
-                logger.warning(
-                    "backend failure for %s on %s: %s", setting.label, subschema.id, result
+        results = list(pool.map(call, tasks))
+
+    for (subschema, setting, prompt), result in zip(tasks, results):
+        accounting.llm_calls += 1
+        if isinstance(result, BackendError):
+            accounting.llm_failures += 1
+            logger.warning("backend failure for %s on %s: %s", setting.label, subschema.id, result)
+            continue
+        for completion in result:
+            for sql in extract_sql(completion):
+                yield make_record(
+                    sql,
+                    ORIGIN_LLM,
+                    subschema.id,
+                    batch=batch,
+                    prompt_setting=setting,
+                    prompt_hash=prompt_hash(prompt),
+                    model_name=config.llm.model,
+                    generation_params=config.llm.params,
                 )
-                continue
-            for completion in result:
-                for sql in extract_sql(completion):
-                    yield make_record(
-                        sql,
-                        ORIGIN_LLM,
-                        subschema.id,
-                        batch=batch,
-                        prompt_setting=setting,
-                        prompt_hash=prompt_hash(prompt),
-                        model_name=config.llm.model,
-                        generation_params=config.llm.params,
-                    )
 
 
 def _choose_subschemas(config, subschemas, directives, batch):
