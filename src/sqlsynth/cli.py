@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from . import __version__, pipeline
@@ -172,16 +173,17 @@ def cmd_gen_llm(args) -> int:
     for record in load_records(args.pool):
         pools.setdefault(record.subschema_id, []).append(SeedExample.from_record(record))
     accounting = pipeline.BatchAccounting(batch=0)
-    records = list(pipeline._llm_batch(
-        config,
-        load_catalog(args.catalog),
-        load_subschemas(args.subschemas),
-        pools,
-        pipeline.RegenDirectives(),
-        pipeline.make_backend(config),
-        batch=0,
-        accounting=accounting,
-    ))
+    with closing(pipeline.make_backend(config)) as backend:
+        records = list(pipeline._llm_batch(
+            config,
+            load_catalog(args.catalog),
+            load_subschemas(args.subschemas),
+            pools,
+            pipeline.RegenDirectives(),
+            backend,
+            batch=0,
+            accounting=accounting,
+        ))
     save_records(records, args.out)
     print(
         f"{len(records)} candidates from {accounting.llm_calls} backend calls "

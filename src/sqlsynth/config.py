@@ -31,7 +31,7 @@ from typing import get_type_hints
 from .coverage import CoverageTargets
 from .errors import ConfigError
 from .execution import DEFAULT_MIN_EMPTY_RUNTIME_MS, DEFAULT_TIMEOUT_MS, EngineSpec
-from .llmgen import CANONICAL_SETTINGS, GenParams, PromptSetting
+from .llmgen import CANONICAL_SETTINGS, GenParams, PromptSetting, split_url
 from .mechgen import MechConfig
 from .util import FieldError, decode
 
@@ -154,10 +154,17 @@ class PipelineConfig:
                 checked.validate()
             except ValueError as exc:
                 raise ConfigError(f"[{section}] {exc}") from exc
+        if self.llm.backend not in ("stub", "http"):
+            raise ConfigError("[llm] backend must be 'stub' or 'http'")
         if self.llm.enabled and self.llm.backend == "stub" and not self.llm.stub_dir:
             raise ConfigError("[llm] stub_dir is required for the stub backend")
-        if self.llm.enabled and self.llm.backend == "http" and not self.llm.url:
-            raise ConfigError("[llm] url is required for the http backend")
+        if self.llm.enabled and self.llm.backend == "http":
+            if not self.llm.url:
+                raise ConfigError("[llm] url is required for the http backend")
+            try:
+                split_url(self.llm.url)
+            except ValueError as exc:
+                raise ConfigError(f"[llm] url: {exc}") from exc
         if self.execution.enabled and not self.execution.engines:
             raise ConfigError("[execution] enabled requires at least one [engines.*] section")
         if self.execution.enabled and not self.execution.data_dir:

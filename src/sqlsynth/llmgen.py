@@ -6,17 +6,26 @@ tables, an optional clause-bias constraint sentence, and, for few-shot
 settings, an enumerated list of seed example statements. Every prompt is a
 pure function of its inputs, so a persisted (subschema, setting, example)
 tuple reconstructs it byte for byte.
+
+Two backends answer a prompt with completions: :class:`StubBackend` replays
+canned files and :class:`HttpBackend` POSTs to a completion endpoint over
+the standard library's ``http.client``, reusing keep-alive connections.
+Both read their payload through :func:`parse_completions`, so a malformed
+one is a non-retryable :class:`~sqlsynth.errors.BackendError` either way.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
 import re
+import select
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import requests
+from urllib.parse import urlsplit
 
 from .errors import ArityError, BackendError
 from .schema import SchemaCatalog, render_create_statements
@@ -136,11 +145,28 @@ def build_prompt(
 # ---------------------------------------------------------------------------
 
 
+def parse_completions(payload: bytes | str, source: str) -> list[str]:
+    """The completions of a backend payload: a JSON object whose
+    ``completions`` is a list. Anything else is a non-retryable
+    BackendError naming ``source``."""
+    try:
+        data = json.loads(payload)
+    except ValueError as exc:
+        raise BackendError(f"{source}: malformed completion payload: {exc}") from exc
+    completions = data.get("completions") if isinstance(data, dict) else None
+    if not isinstance(completions, list):
+        raise BackendError(
+            f"{source}: malformed completion payload: expected an object with a list 'completions'"
+        )
+    return [str(c) for c in completions]
+
+
 class StubBackend:
     """Deterministic test backend replaying canned completions.
 
     Reads ``<prompt-hash>.json`` files ({"completions": [...]}) from a
-    directory; a missing file is a (non-retryable) backend error.
+    directory; a missing or malformed file is a (non-retryable) backend
+    error.
     """
 
     def __init__(self, directory: str | Path):
@@ -150,11 +176,10 @@ class StubBackend:
         path = self.directory / f"{prompt_hash(prompt)}.json"
         if not path.exists():
             raise BackendError(f"no canned completions for prompt hash {prompt_hash(prompt)}")
-        data = json.loads(path.read_text(encoding="utf-8"))
-        completions = data.get("completions")
-        if not isinstance(completions, list):
-            raise BackendError(f"{path.name}: malformed stub file")
-        return [str(c) for c in completions][: params.n_completions]
+        return parse_completions(path.read_bytes(), path.name)[: params.n_completions]
+
+    def close(self) -> None:
+        """Nothing to release."""
 
     @staticmethod
     def store(directory: str | Path, prompt: str, completions: list[str]) -> Path:
@@ -168,13 +193,36 @@ class StubBackend:
         return path
 
 
+def split_url(url: str) -> tuple[str, str, int | None, str]:
+    """``url`` as (scheme, host, port, request target); a ValueError unless
+    it is an http or https URL with a host."""
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https"):
+        raise ValueError(f"{url!r}: scheme must be http or https")
+    if not parts.hostname:
+        raise ValueError(f"{url!r}: no host")
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    return parts.scheme, parts.hostname, parts.port, target
+
+
 class HttpBackend:
-    """Minimal JSON-over-HTTP completion backend.
+    """Minimal JSON-over-HTTP completion backend on ``http.client``.
 
     POSTs ``{"model": ..., "prompt": ..., "params": {...}}`` with optional
     bearer-token auth (token read from an environment variable) and expects
     ``{"completions": ["...", ...]}`` back. Network failures and 5xx
-    responses raise retryable backend errors; the caller owns retry policy.
+    responses raise retryable backend errors; other non-200 statuses and
+    malformed payloads raise non-retryable ones. The caller owns retry
+    policy.
+
+    Safe to share between threads. Keep-alive connections are reused across
+    calls: a call takes an idle one from a stack, or opens one, and puts it
+    back once its response is read in full. So the stack never holds more
+    connections than there were calls in flight at once. An idle connection
+    whose socket has turned readable was closed by the peer (say, by its
+    idle timeout) and is dropped rather than reused. https verifies the
+    server against the system CA store (``ssl`` defaults); proxy
+    environment variables are not consulted.
     """
 
     def __init__(
@@ -183,40 +231,69 @@ class HttpBackend:
         model: str,
         auth_env: str = "SQLSYNTH_API_TOKEN",
         timeout: float = 60.0,
-        session=None,
     ):
         self.url = url
         self.model = model
         self.auth_env = auth_env
         self.timeout = timeout
-        self.session = session or requests.Session()
+        scheme, self._host, self._port, self._target = split_url(url)
+        self._connection_class = (
+            http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        )
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
 
     def complete(self, prompt: str, params: GenParams) -> list[str]:
-        import os
-
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.auth_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
-        payload = {"model": self.model, "prompt": prompt, "params": fields_of(params)}
+        body = json.dumps({"model": self.model, "prompt": prompt, "params": fields_of(params)})
+        connection = self._connection()
         try:
-            response = self.session.post(
-                self.url, json=payload, headers=headers, timeout=self.timeout
-            )
-        except requests.RequestException as exc:
+            connection.request("POST", self._target, body=body.encode("utf-8"), headers=headers)
+            response = connection.getresponse()
+            payload = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
             raise BackendError(f"backend unreachable: {exc}", retryable=True) from exc
-        if response.status_code >= 500:
-            raise BackendError(f"backend error {response.status_code}", retryable=True)
-        if response.status_code != 200:
-            raise BackendError(f"backend rejected request: {response.status_code}")
-        try:
-            data = response.json()
-            completions = data["completions"]
-        except (ValueError, KeyError) as exc:
-            raise BackendError(f"malformed backend response: {exc}") from exc
-        if not isinstance(completions, list):
-            raise BackendError("malformed backend response: completions is not a list")
-        return [str(c) for c in completions]
+        if not response.will_close:
+            with self._lock:
+                self._idle.append(connection)
+        if response.status >= 500:
+            raise BackendError(f"backend error {response.status}", retryable=True)
+        if response.status != 200:
+            raise BackendError(f"backend rejected request: {response.status}")
+        return parse_completions(payload, "backend response")
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle connection the peer has not closed, or a new one."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    break
+                connection = self._idle.pop()
+            if not _readable(connection.sock):
+                return connection
+            connection.close()
+        return self._connection_class(self._host, self._port, timeout=self.timeout)
+
+
+def _readable(sock) -> bool:
+    """Whether ``sock`` has bytes or an end of stream waiting. On an idle
+    keep-alive connection either means it cannot carry another request."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
 
 
 def generate_llm(prompt: str, backend, params: GenParams) -> list[str]:

@@ -182,17 +182,27 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
         save_subschemas(subschemas, paths["subschemas"])
 
     # -- generation loop -----------------------------------------------------
-    generation_done = resume and paths["kept"].exists() and paths["records"].exists()
+    # the batch accounting lives in the manifest: without it, generate again
+    generation_done = resume and all(
+        paths[key].exists() for key in ("kept", "records", "manifest")
+    )
     if generation_done:
         kept_records = load_records(paths["kept"])
-        manifest_prev = load_json(paths["manifest"]) if paths["manifest"].exists() else {}
+        manifest_prev = load_json(paths["manifest"])
         batches = decode_in(
             list[BatchAccounting], manifest_prev.get("batches", []), paths["manifest"],
             path=("batches",),
         )
         gaps_remaining = manifest_prev.get("counts", {}).get("gaps_remaining", 0)
     else:
-        kept_records, batches, gaps_remaining = _generate(config, catalog, subschemas, paths)
+        backend = make_backend(config) if config.llm.enabled else None
+        try:
+            kept_records, batches, gaps_remaining = _generate(
+                config, catalog, subschemas, backend, paths
+            )
+        finally:
+            if backend is not None:
+                backend.close()
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -289,8 +299,10 @@ def build_subschemas(config: PipelineConfig, catalog):
 # ---------------------------------------------------------------------------
 
 
-def _generate(config, catalog, subschemas, paths):
-    backend = make_backend(config) if config.llm.enabled else None
+def _generate(config, catalog, subschemas, backend, paths):
+    """Generate, validate and steer batch by batch, prompting ``backend``
+    (None when the LLM is off); writes the records, kept corpus and
+    coverage."""
     subschema_by_id = {s.id: s for s in subschemas}
     all_records: list[QueryRecord] = []
     kept_records: list[QueryRecord] = []

@@ -76,6 +76,21 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError):
             config_from_dict(data, base_dir=tmp_path)
 
+    @pytest.mark.parametrize(
+        "url", ["localhost:8000/v1", "ftp://localhost/v1", "http:///v1", "http://h:port/v1"]
+    )
+    def test_http_url_needs_scheme_and_host(self, tmp_path, url):
+        data = dict(MINIMAL)
+        data["llm"] = {"enabled": True, "backend": "http", "url": url}
+        with pytest.raises(ConfigError, match=r"\[llm\] url"):
+            config_from_dict(data, base_dir=tmp_path)
+
+    def test_unknown_backend_rejected(self, tmp_path):
+        data = dict(MINIMAL)
+        data["llm"] = {"enabled": True, "backend": "htpp", "url": "localhost:8000/v1"}
+        with pytest.raises(ConfigError, match=r"\[llm\] backend"):
+            config_from_dict(data, base_dir=tmp_path)
+
     def test_engines_parsed(self, tmp_path):
         data = dict(MINIMAL)
         data["execution"] = {"enabled": True, "data_dir": "data"}

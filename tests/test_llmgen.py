@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+from sqlsynth.config import load_config
 from sqlsynth.errors import ArityError, BackendError
 from sqlsynth.llmgen import (
     BIAS_SENTENCES,
@@ -20,8 +25,11 @@ from sqlsynth.llmgen import (
     prompt_hash,
 )
 from sqlsynth.mechgen import SeedExample
+from sqlsynth.pipeline import run_pipeline
 from sqlsynth.subschema import build_join_graph, enumerate_subschemas
 from sqlsynth.util import decode, fields_of
+
+from tests.conftest import REPO_ROOT
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +159,13 @@ class TestStubBackend:
         with pytest.raises(BackendError):
             generate_llm("unknown", StubBackend(tmp_path), GenParams())
 
+    @pytest.mark.parametrize("text", ["[]", "not json", '{"completions": "SELECT 1"}'])
+    def test_malformed_file_is_a_backend_error(self, tmp_path, text):
+        (tmp_path / f"{prompt_hash('p')}.json").write_text(text, encoding="utf-8")
+        with pytest.raises(BackendError, match="malformed completion payload") as err:
+            StubBackend(tmp_path).complete("p", GenParams())
+        assert not err.value.retryable
+
 
 class _Handler(BaseHTTPRequestHandler):
     behavior = "ok"
@@ -173,6 +188,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(200)
             self.end_headers()
             self.wfile.write(b"not json")
+        elif _Handler.behavior.startswith("body:"):
+            self.send_response(200)
+            self.end_headers()
+            self.wfile.write(_Handler.behavior[len("body:"):].encode())
         else:
             self.send_response(400)
             self.end_headers()
@@ -190,6 +209,7 @@ def http_server():
     _Handler.behavior = "ok"
     yield f"http://127.0.0.1:{server.server_port}/complete"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
@@ -232,6 +252,143 @@ class TestHttpBackend:
         with pytest.raises(BackendError) as err:
             backend.complete("x", GenParams())
         assert err.value.retryable
+
+    @pytest.mark.parametrize("body", ["[]", "null", '"x"', '{"completions": {}}'])
+    def test_json_that_is_not_a_payload(self, http_server, body):
+        _Handler.behavior = f"body:{body}"
+        with pytest.raises(BackendError, match="malformed completion payload") as err:
+            HttpBackend(http_server, model="m").complete("x", GenParams())
+        assert not err.value.retryable
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 completion endpoint that records each request's client
+    address and, in the ``close`` modes, closes the connection after its
+    response, announced by a ``Connection: close`` header or not."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        server = self.server
+        with server.lock:
+            server.clients.append(self.client_address)
+            server.paths.append(self.path)
+        data = json.dumps({"completions": [f"SELECT {body['prompt']}"]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        if server.mode == "close_announced":
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
+        self.close_connection = server.mode != "keep_alive"
+
+    def log_message(self, *args):
+        pass
+
+
+class _KeepAliveServer(ThreadingHTTPServer):
+    daemon_threads = True
+
+    def __init__(self, mode):
+        super().__init__(("127.0.0.1", 0), _KeepAliveHandler)
+        self.mode = mode
+        self.lock = threading.Lock()
+        self.clients = []
+        self.paths = []
+        self.closed = threading.Semaphore(0)  # one release per connection closed
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.release()
+
+
+@pytest.fixture()
+def keep_alive_server(request):
+    server = _KeepAliveServer(getattr(request, "param", "keep_alive"))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture()
+def backend(keep_alive_server):
+    url = f"http://127.0.0.1:{keep_alive_server.server_port}/v1/completions?stream=0"
+    backend = HttpBackend(url, model="m")
+    yield backend
+    backend.close()
+
+
+class TestHttpBackendConnections:
+    def test_sequential_calls_share_one_connection(self, keep_alive_server, backend):
+        for i in range(5):
+            assert backend.complete(str(i), GenParams()) == [f"SELECT {i}"]
+        assert len(keep_alive_server.clients) == 5
+        assert len(set(keep_alive_server.clients)) == 1
+
+    def test_threads_reuse_at_most_one_connection_each(self, keep_alive_server, backend):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often inside the stack's critical sections
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda i: backend.complete(str(i), GenParams()), range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [[f"SELECT {i}"] for i in range(8)]
+        assert len(keep_alive_server.clients) == 8
+        assert len(set(keep_alive_server.clients)) <= 4
+
+    @pytest.mark.parametrize(
+        "keep_alive_server", ["close_announced", "close_silently"], indirect=True
+    )
+    def test_closed_connections_cost_no_attempt(self, keep_alive_server, backend):
+        # complete() does not retry: every call succeeds on its one attempt,
+        # each over a connection of its own
+        for i in range(5):
+            assert backend.complete(str(i), GenParams()) == [f"SELECT {i}"]
+            assert keep_alive_server.closed.acquire(timeout=5)
+        assert len(keep_alive_server.clients) == 5
+        assert len(set(keep_alive_server.clients)) == 5
+
+    def test_query_string_is_part_of_the_target(self, keep_alive_server, backend):
+        backend.complete("1", GenParams())
+        assert keep_alive_server.paths == ["/v1/completions?stream=0"]
+
+
+def _completion_server_module(monkeypatch):
+    path = REPO_ROOT / "perfbench" / "completion_server.py"
+    spec = importlib.util.spec_from_file_location("completion_server", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestHttpPipeline:
+    def test_concurrent_http_runs_are_byte_identical(self, tmp_path, monkeypatch):
+        server_module = _completion_server_module(monkeypatch)
+        config = load_config(REPO_ROOT / "data" / "demo" / "demo.toml")
+        config.loop_limit = 0
+        config.execution.enabled = False
+        config.llm.backend = "http"
+        config.llm.concurrency = 4
+        outputs = []
+        with server_module.CompletionServer(seed=1) as server:
+            config.llm.url = server.url
+            for run in ("a", "b"):
+                config.out_dir = str(tmp_path / run)
+                manifest = run_pipeline(config)
+                stats = server.reset()
+                counts = manifest["counts"]
+                assert counts["llm_calls"] > 0 and counts["llm_failures"] == 0
+                # one request per prompt plus one per refused first attempt
+                assert stats["requests"] == counts["llm_calls"] + stats["http_503"]
+                outputs.append(Path(config.out_dir))
+        for name in ("records.jsonl", "kept.jsonl"):
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
 
 
 class TestExtractSql:

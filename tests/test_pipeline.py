@@ -15,7 +15,7 @@ from sqlsynth import validation as validation_mod
 from sqlsynth.config import config_from_dict, load_config
 from sqlsynth.coverage import aggregate_coverage, profile_query
 from sqlsynth.errors import SqlSyntaxError
-from sqlsynth.llmgen import PromptSetting, StubBackend
+from sqlsynth.llmgen import PromptSetting, StubBackend, prompt_hash
 from sqlsynth.pipeline import run_pipeline
 from sqlsynth.records import load_records
 from sqlsynth.schema import load_catalog
@@ -181,8 +181,6 @@ class TestStubLlmPipeline:
         config = self._config(tmp_path, stub_dir)
         prompts = capture_prompts(config, monkeypatch, tmp_path)
         hash_by_prompt = {}
-        from sqlsynth.llmgen import prompt_hash
-
         for prompt in prompts:
             StubBackend.store(stub_dir, prompt, ["SELECT r_name FROM region"])
             hash_by_prompt[prompt_hash(prompt)] = prompt
@@ -199,6 +197,18 @@ class TestStubLlmPipeline:
         manifest = run_pipeline(config)
         assert manifest["counts"]["llm_failures"] == manifest["counts"]["llm_calls"] > 0
         assert manifest["counts"]["kept"] > 0  # mechanical corpus still flows
+
+    def test_malformed_stub_files_counted_as_failures(self, tmp_path, monkeypatch):
+        stub_dir = tmp_path / "stub"
+        config = self._config(tmp_path, stub_dir)
+        prompts = capture_prompts(config, monkeypatch, tmp_path)
+        for prompt in prompts:
+            StubBackend.store(stub_dir, prompt, ["SELECT r_name FROM region"])
+        for prompt, text in zip(prompts, ["[]", "not json"]):
+            (stub_dir / f"{prompt_hash(prompt)}.json").write_text(text, encoding="utf-8")
+        manifest = run_pipeline(config)
+        assert manifest["counts"]["llm_calls"] == len(prompts)
+        assert manifest["counts"]["llm_failures"] == 2
 
     def test_accounting_with_rejects_and_duplicates(self, tmp_path, monkeypatch):
         # LLM-only run: 10 completions = 8 distinct valid + 1 syntax error
@@ -295,6 +305,17 @@ class TestResume:
         second = run_pipeline(config, resume=True)
         assert second["counts"]["kept"] == first["counts"]["kept"]
         assert second["counts"]["batches"] == first["counts"]["batches"]
+
+    def test_resume_without_manifest_generates_again(self, tmp_path):
+        config = base_config(tmp_path)
+        run_pipeline(config)
+        out = Path(config.out_dir)
+        finished = {name: (out / name).read_bytes()
+                    for name in ("manifest.json", "kept.jsonl", "records.jsonl")}
+        (out / "manifest.json").unlink()
+        run_pipeline(config, resume=True)
+        for name, data in finished.items():
+            assert (out / name).read_bytes() == data, name
 
     def test_fresh_run_fails_without_ddl(self, tmp_path):
         config = base_config(tmp_path)
