@@ -19,9 +19,10 @@ Counting contract (fixed here, used by every metric):
 from __future__ import annotations
 
 import csv
-import statistics
+import math
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import EmptyInputError, UnknownObjectError
 from .schema import SchemaCatalog
@@ -180,91 +181,145 @@ class CoverageReport:
     gap_list: list[CoverageGap] = field(default_factory=list)
 
 
+class CoverageFold:
+    """Running totals over a growing corpus of profiles.
+
+    :meth:`add` folds in new profiles; :meth:`report` reads the corpus
+    report off the totals, so a corpus that grows batch by batch is never
+    re-scanned. Facet values are summed, and summed squared, as exact
+    integers: the report's mean and standard deviation equal
+    ``statistics.fmean`` and ``statistics.pstdev`` over the facet values,
+    bit for bit (the mean while each facet value stays below 2**53).
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.facet_sums = dict.fromkeys(FACET_KEYS, 0)
+        self.facet_squares = dict.fromkeys(FACET_KEYS, 0)
+        self.facet_mins: dict[str, int] = {}
+        self.facet_maxes: dict[str, int] = {}
+        self.clause_hits = dict.fromkeys(PRESENCE_CLAUSES, 0)
+        self.table_occurrences: Counter = Counter()
+        self.column_occurrences: Counter = Counter()
+        self.table_hits: Counter = Counter()
+        self.column_hits: Counter = Counter()
+
+    def add(self, profiles) -> None:
+        for profile in profiles:
+            first = self.n == 0
+            self.n += 1
+            for facet, value in profile.facet_totals().items():
+                self.facet_sums[facet] += value
+                self.facet_squares[facet] += value * value
+                if first or value < self.facet_mins[facet]:
+                    self.facet_mins[facet] = value
+                if first or value > self.facet_maxes[facet]:
+                    self.facet_maxes[facet] = value
+            for clause in PRESENCE_CLAUSES:
+                if profile.clause_counts.get(clause, 0) > 0:
+                    self.clause_hits[clause] += 1
+            self.table_occurrences.update(profile.referenced_tables)
+            self.column_occurrences.update(profile.referenced_columns)
+            self.table_hits.update(profile.referenced_tables.keys())
+            self.column_hits.update(profile.referenced_columns.keys())
+
+    def report(
+        self, setting: str, catalog: SchemaCatalog, targets: CoverageTargets | None = None
+    ) -> CoverageReport:
+        """The corpus report with gap detection.
+
+        Frequency maps are zero-filled over the catalog so untouched tables
+        and columns are visible; reference frequencies are occurrence shares
+        (their numerators sum to the total reference count), while presence
+        frequencies are per-query shares used against the targets.
+        """
+        if not self.n:
+            raise EmptyInputError("cannot aggregate coverage over zero profiles")
+        targets = targets or CoverageTargets()
+        n = self.n
+
+        facets = {}
+        for facet in FACET_KEYS:
+            total, squares = self.facet_sums[facet], self.facet_squares[facet]
+            variance = Fraction(n * squares - total * total, n * n)
+            facets[facet] = FacetStats(
+                mean=float(total) / n,
+                std=_sqrt_of_fraction(variance.numerator, variance.denominator),
+                min=self.facet_mins[facet],
+                max=self.facet_maxes[facet],
+            )
+
+        clause_presence = {clause: self.clause_hits[clause] / n for clause in PRESENCE_CLAUSES}
+
+        all_tables = [t.name for t in catalog.tables]
+        all_columns = [f"{t.name}.{c.name}" for t in catalog.tables for c in t.columns]
+        total_table_refs = sum(self.table_occurrences.values())
+        total_column_refs = sum(self.column_occurrences.values())
+        table_reference_freq = {
+            t: (self.table_occurrences.get(t, 0) / total_table_refs if total_table_refs else 0.0)
+            for t in all_tables
+        }
+        column_reference_freq = {
+            c: (self.column_occurrences.get(c, 0) / total_column_refs if total_column_refs else 0.0)
+            for c in all_columns
+        }
+        table_presence_freq = {t: self.table_hits.get(t, 0) / n for t in all_tables}
+        column_presence_freq = {c: self.column_hits.get(c, 0) / n for c in all_columns}
+
+        gaps: list[CoverageGap] = []
+        for table in all_tables:
+            observed = table_presence_freq[table]
+            if observed < targets.min_table_freq:
+                gaps.append(CoverageGap("table_underused", table, observed, targets.min_table_freq))
+        for column in all_columns:
+            if column_presence_freq[column] == 0.0 and targets.min_column_freq > 0:
+                gaps.append(CoverageGap("column_unused", column, 0.0, targets.min_column_freq))
+        for clause in PRESENCE_CLAUSES:
+            observed = clause_presence[clause]
+            if observed < targets.min_clause_freq:
+                gaps.append(
+                    CoverageGap("operation_underused", clause, observed, targets.min_clause_freq)
+                )
+
+        return CoverageReport(
+            setting=setting,
+            query_count=n,
+            facets=facets,
+            table_reference_freq=table_reference_freq,
+            column_reference_freq=column_reference_freq,
+            table_presence_freq=table_presence_freq,
+            column_presence_freq=column_presence_freq,
+            clause_presence_freq=clause_presence,
+            gap_list=gaps,
+        )
+
+
+def _sqrt_of_fraction(numerator: int, denominator: int) -> float:
+    """The square root of ``numerator / denominator``, correctly rounded, by
+    the method ``statistics.pstdev`` uses for exact data: an integer square
+    root carried to 109 bits, rounded to odd, then rounded once to a float."""
+    shift = (numerator.bit_length() - denominator.bit_length() - 109) // 2
+    if shift >= 0:
+        return float(_isqrt_round_to_odd(numerator, denominator << 2 * shift) << shift)
+    return _isqrt_round_to_odd(numerator << -2 * shift, denominator) / (1 << -shift)
+
+
+def _isqrt_round_to_odd(numerator: int, denominator: int) -> int:
+    root = math.isqrt(numerator // denominator)
+    return root | (root * root * denominator != numerator)
+
+
 def aggregate_coverage(
     profiles: list[ComplexityProfile],
     setting: str,
     catalog: SchemaCatalog,
     targets: CoverageTargets | None = None,
 ) -> CoverageReport:
-    """Fold per-query profiles into a corpus report with gap detection.
-
-    Frequency maps are zero-filled over the catalog so untouched tables and
-    columns are visible; reference frequencies are occurrence shares (their
-    numerators sum to the total reference count), while presence
-    frequencies are per-query shares used against the targets.
-    """
-    if not profiles:
-        raise EmptyInputError("cannot aggregate coverage over zero profiles")
-    targets = targets or CoverageTargets()
-    n = len(profiles)
-
-    totals = [p.facet_totals() for p in profiles]
-    facets = {}
-    for facet in FACET_KEYS:
-        values = [t[facet] for t in totals]
-        facets[facet] = FacetStats(
-            mean=statistics.fmean(values),
-            std=statistics.pstdev(values),
-            min=min(values),
-            max=max(values),
-        )
-
-    clause_presence = {
-        clause: sum(1 for p in profiles if p.clause_counts.get(clause, 0) > 0) / n
-        for clause in PRESENCE_CLAUSES
-    }
-
-    table_occurrences: Counter = Counter()
-    column_occurrences: Counter = Counter()
-    table_hits: Counter = Counter()
-    column_hits: Counter = Counter()
-    for profile in profiles:
-        table_occurrences.update(profile.referenced_tables)
-        column_occurrences.update(profile.referenced_columns)
-        table_hits.update(set(profile.referenced_tables))
-        column_hits.update(set(profile.referenced_columns))
-
-    all_tables = [t.name for t in catalog.tables]
-    all_columns = [f"{t.name}.{c.name}" for t in catalog.tables for c in t.columns]
-    total_table_refs = sum(table_occurrences.values())
-    total_column_refs = sum(column_occurrences.values())
-    table_reference_freq = {
-        t: (table_occurrences.get(t, 0) / total_table_refs if total_table_refs else 0.0)
-        for t in all_tables
-    }
-    column_reference_freq = {
-        c: (column_occurrences.get(c, 0) / total_column_refs if total_column_refs else 0.0)
-        for c in all_columns
-    }
-    table_presence_freq = {t: table_hits.get(t, 0) / n for t in all_tables}
-    column_presence_freq = {c: column_hits.get(c, 0) / n for c in all_columns}
-
-    gaps: list[CoverageGap] = []
-    for table in all_tables:
-        observed = table_presence_freq[table]
-        if observed < targets.min_table_freq:
-            gaps.append(CoverageGap("table_underused", table, observed, targets.min_table_freq))
-    for column in all_columns:
-        if column_presence_freq[column] == 0.0 and targets.min_column_freq > 0:
-            gaps.append(CoverageGap("column_unused", column, 0.0, targets.min_column_freq))
-    for clause in PRESENCE_CLAUSES:
-        observed = clause_presence[clause]
-        if observed < targets.min_clause_freq:
-            gaps.append(
-                CoverageGap("operation_underused", clause, observed, targets.min_clause_freq)
-            )
-
-    return CoverageReport(
-        setting=setting,
-        query_count=n,
-        facets=facets,
-        table_reference_freq=table_reference_freq,
-        column_reference_freq=column_reference_freq,
-        table_presence_freq=table_presence_freq,
-        column_presence_freq=column_presence_freq,
-        clause_presence_freq=clause_presence,
-        gap_list=gaps,
-    )
+    """Fold per-query profiles into a corpus report with gap detection: one
+    :class:`CoverageFold` over ``profiles``."""
+    fold = CoverageFold()
+    fold.add(profiles)
+    return fold.report(setting, catalog, targets)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import os
 import re
 import select
@@ -96,6 +97,10 @@ class GenParams:
     max_tokens: int = 512
 
     def validate(self):
+        # NaN fails no comparison, and neither NaN nor infinity is JSON
+        for name in ("temperature", "top_p", "repetition_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if not 0 < self.top_p <= 1:

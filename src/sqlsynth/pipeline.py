@@ -29,25 +29,28 @@ from the same config:
 So ``run`` with ``loop_limit = 0`` and that chain of commands write the same
 bytes, runtimes apart.
 
-Each candidate is tokenized once, parsed once and analysed as it arrives.
-:func:`~sqlsynth.records.make_record` tokenizes it and derives its id from
-that token list, which the record holds. :func:`mechanical_batch` and
-:func:`_llm_batch` yield candidates one subschema or one prompt at a time
-(:func:`_llm_batch` once every prompt's completions are in, so the analysis
-never competes with the backend's threads), and :func:`validate_record`
-analyses each at once: it parses the record's token list, resolves the
-references a single time, derives the relevance codes from them, profiles
-an accepted candidate from the same tree and takes its dedup key from the
-same tokens; the token list and the tree are dropped there. At batch end
-:func:`settle_batch` counts the batch and deduplicates its accepted
-candidates against the set of normalized forms already kept, which it
-extends with the batch's new records only, so no batch re-parses,
-re-normalizes or re-profiles what an earlier batch kept. Mechanical
-candidates carry the clause tags of their construction into the
-seed pools (:class:`~sqlsynth.mechgen.SeedExample`), so seed selection
-parses nothing. Coverage aggregates the kept profiles. Only the overall
-report steers, so each batch builds that one; the per-setting reports are
-built once, for ``coverage.json``.
+Each candidate is tokenized once, parsed at most once and analysed as it
+arrives. :func:`~sqlsynth.records.make_record` tokenizes it and derives its
+id from that token list, which the record holds. A mechanical candidate
+also holds the syntax tree its generator built alongside the text, so it is
+never parsed; an LLM candidate, or a record read from a file, is.
+:func:`mechanical_batch` and :func:`_llm_batch` yield candidates one
+subschema or one prompt at a time (:func:`_llm_batch` once every prompt's
+completions are in, so the analysis never competes with the backend's
+threads), and :func:`validate_record` analyses each at once: it takes the
+record's tree or parses its token list, resolves the references a single
+time, derives the relevance codes from them, profiles an accepted candidate
+from the same tree and takes its dedup key from the same tokens; the token
+list and the tree are dropped there. At batch end :func:`settle_batch`
+counts the batch and deduplicates its accepted candidates against the set
+of normalized forms already kept, which it extends with the batch's new
+records only, so no batch re-parses, re-normalizes or re-profiles what an
+earlier batch kept. Mechanical candidates carry the clause tags of their
+construction into the seed pools (:class:`~sqlsynth.mechgen.SeedExample`),
+so seed selection parses nothing. Only the overall coverage report steers:
+one :class:`~sqlsynth.coverage.CoverageFold` adds each batch's newly kept
+profiles, and each batch reads its report off the running totals. The
+per-setting reports are built once, for ``coverage.json``.
 
 Every file is written and read through the typed codec of
 :mod:`sqlsynth.util`: a row's keys are its dataclass's fields, in
@@ -74,6 +77,7 @@ from pathlib import Path
 from .config import PipelineConfig, config_snapshot
 from .coverage import (
     ComplexityProfile,
+    CoverageFold,
     CoverageReport,
     RegenDirectives,
     aggregate_coverage,
@@ -308,6 +312,7 @@ def _generate(config, catalog, subschemas, backend, paths):
     kept_records: list[QueryRecord] = []
     mech_pools: dict[str, list[SeedExample]] = {}
     seen_forms: set[str] = set()  # normalized forms of the kept corpus
+    coverage = CoverageFold()  # the kept corpus's totals, extended batch by batch
     batches: list[BatchAccounting] = []
     directives = RegenDirectives()
 
@@ -327,13 +332,16 @@ def _generate(config, catalog, subschemas, backend, paths):
                 candidates.append(record)
         all_records.extend(candidates)
 
-        kept_records += settle_batch(config, candidates, seen_forms, accounting)
+        new_kept = settle_batch(config, candidates, seen_forms, accounting)
+        kept_records += new_kept
+        coverage.add(record.profile for record in new_kept)
         batches.append(accounting)
 
         # the overall coverage of the cumulative kept corpus steers the next batch
         gaps_remaining = 0
+        overall = None
         if kept_records:
-            overall = overall_coverage(config, catalog, kept_records)
+            overall = coverage.report("all", catalog, config.coverage)
             gaps_remaining = len(overall.gap_list)
             directives = plan_regeneration(overall, subschemas, catalog)
 
@@ -347,7 +355,7 @@ def _generate(config, catalog, subschemas, backend, paths):
 
     save_records(all_records, paths["records"])
     save_records(kept_records, paths["kept"])
-    write_coverage(coverage_reports(config, catalog, kept_records), paths["coverage"])
+    write_coverage(coverage_reports(config, catalog, kept_records, overall), paths["coverage"])
     return kept_records, batches, gaps_remaining
 
 
@@ -366,25 +374,28 @@ def mechanical_batch(config, catalog, subschemas, batch: int):
 
 
 def validate_record(record, catalog, subschema_by_id, validators) -> None:
-    """Validate one candidate from a single tokenization, parse and
+    """Validate one candidate from a single tokenization, tree and
     resolution, against its subschema in ``subschema_by_id``.
 
-    Parses the token list the record holds (``record.tokens``, from
+    Takes the token list the record holds (``record.tokens``, from
     :func:`~sqlsynth.records.make_record`), or tokenizes ``record.sql`` once
-    for a record read from a file, and drops it. Sets ``record.validation``
-    and ``record.profile``: an accepted candidate's profile is built from
-    the same tree and references, and its report holds its dedup key (the
-    normalized form under ``validators.literal_placeholder_dedup``) from the
-    same tokens; a rejected one's profile is None. The tree is dropped on
-    return.
+    for a record read from a file, and the tree the mechanical generator
+    built (``record.tree``), or parses that token list when there is none;
+    both are dropped. Sets ``record.validation`` and ``record.profile``: an
+    accepted candidate's profile is built from the same tree and references,
+    and its report holds its dedup key (the normalized form under
+    ``validators.literal_placeholder_dedup``) from the same tokens; a
+    rejected one's profile is None.
     """
     tokens = record.tokens if record.tokens is not None else tokenize_or_error(record.sql)
-    record.tokens = None
+    tree = record.tree
+    record.tokens = record.tree = None
     record.profile = None
     try:
         if isinstance(tokens, SqlSyntaxError):
             raise tokens
-        tree = validate_syntax(record.sql, tokens)
+        if tree is None:
+            tree = validate_syntax(record.sql, tokens)
     except SqlsynthError:
         record.validation = ValidationReport(
             query_id=record.id, verdict=VERDICT_REJECTED, rejection_reasons=[REJECT_SYNTAX]
@@ -540,10 +551,10 @@ def _batch_settings(config, directives):
     return settings
 
 
-def coverage_reports(config, catalog, kept_records) -> list[CoverageReport]:
+def coverage_reports(config, catalog, kept_records, overall=None) -> list[CoverageReport]:
     """Coverage of a profiled kept corpus: one report per setting label, in
-    label order, then the overall report ``"all"`` last. No reports for an
-    empty corpus."""
+    label order, then the overall report ``"all"`` last (``overall``, when
+    the caller already holds it). No reports for an empty corpus."""
     if not kept_records:
         return []
     by_setting: dict[str, list[ComplexityProfile]] = {}
@@ -553,13 +564,10 @@ def coverage_reports(config, catalog, kept_records) -> list[CoverageReport]:
         aggregate_coverage(group, label, catalog, config.coverage)
         for label, group in sorted(by_setting.items())
     ]
-    return reports + [overall_coverage(config, catalog, kept_records)]
-
-
-def overall_coverage(config, catalog, kept_records) -> CoverageReport:
-    """The overall report ``"all"`` of a nonempty profiled kept corpus."""
-    profiles = [record.profile for record in kept_records]
-    return aggregate_coverage(profiles, "all", catalog, config.coverage)
+    if overall is None:
+        profiles = [record.profile for record in kept_records]
+        overall = aggregate_coverage(profiles, "all", catalog, config.coverage)
+    return reports + [overall]
 
 
 def write_coverage(reports, path) -> None:

@@ -11,10 +11,12 @@ with a missing or mistyped field fails to load.
 
 :func:`make_record` tokenizes the query once. The record id comes from that
 token list, which the record holds as ``tokens`` until the pipeline's
-validator parses it and drops it. A mechanical record also carries the
-clauses its generator used as ``tags``, which go with it into a seed pool.
-Both are plain attributes, not fields: the codec neither writes nor reads
-them.
+validator has taken the dedup key from it (and parsed it, when the record
+has no tree) and dropped it. A mechanical record also carries the clauses
+its generator used as ``tags``, which go with it into a seed pool, and the
+syntax tree its generator built as ``tree``, which the validator uses in
+place of a parse and drops. All three are plain attributes, not fields: the
+codec neither writes nor reads them.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ class QueryRecord:
     # Transient, never written (see the module docstring).
     tokens = None  # list[Token] | SqlSyntaxError | None
     tags = None  # frozenset | None
+    tree = None  # sqltree.Query | None
 
     def __post_init__(self):
         if self.origin == ORIGIN_LLM:

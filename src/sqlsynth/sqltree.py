@@ -14,11 +14,13 @@ what the downstream syntax filter reports.
 A candidate query is tokenized once. :func:`~sqlsynth.records.make_record`
 makes its token list (:func:`tokenize_or_error`), derives the record id from
 it (:func:`normalize_tokens`, literals kept), and holds it on the record;
-:func:`~sqlsynth.pipeline.validate_record` parses that same list
-(``parse_select(sql, tokens)``), takes the dedup key from it (literals as
-placeholders), and drops it. The parser reads a token list and never changes
-it. :func:`normalize_sql` and ``parse_select(sql)`` tokenize for themselves,
-for callers holding only text.
+:func:`~sqlsynth.pipeline.validate_record` takes the dedup key from it
+(literals as placeholders) and drops it. A candidate is parsed at most once:
+a mechanical one carries the tree its generator built alongside the text
+(from the nodes below, with :func:`bare_name` and :func:`literal_node`), and
+only the others' token lists are parsed (``parse_select(sql, tokens)``). The
+parser reads a token list and never changes it. :func:`normalize_sql` and
+``parse_select(sql)`` tokenize for themselves, for callers holding only text.
 """
 
 from __future__ import annotations
@@ -311,10 +313,14 @@ class Query(Node):
     offset: Node | None = None
 
 
+#: Each node class's field names, read once rather than on every visit.
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in Node.__subclasses__()}
+
+
 def children(node: Node):
     """Yield the direct child nodes of ``node``."""
-    for f in fields(node):
-        value = getattr(node, f.name)
+    for name in _FIELD_NAMES[type(node)]:
+        value = getattr(node, name)
         if isinstance(value, Node):
             yield value
         elif isinstance(value, (list, tuple)):
@@ -904,6 +910,45 @@ def parse_select(sql: str, tokens: list[Token] | None = None) -> Query:
     if not (first.kind == "name" and first.norm in ("select", "with")):
         parser.error("expected SELECT or WITH")
     return parser.parse_statement()
+
+
+# ---------------------------------------------------------------------------
+# Nodes for text written by a generator
+# ---------------------------------------------------------------------------
+
+#: Words the parser reads as something other than a name before "." or in FROM.
+_NOT_BARE = RESERVED_WORDS | _CURRENT_FUNCS | {"true", "false"}
+
+
+def _one_token(text: str) -> str | None:
+    """The kind of the one token ``text`` is, or None if it is not one token."""
+    m = _TOKEN_RE.match(text)
+    return m.lastgroup if m is not None and m.end() == len(text) else None
+
+
+def bare_name(name: str) -> bool:
+    """Whether ``name``, written unquoted, parses back as ``name.lower()``
+    both as a table name in FROM and as either part of ``table.column``."""
+    return _one_token(name) == "name" and name.lower() not in _NOT_BARE
+
+
+def literal_node(text: str) -> Node | None:
+    """The node the parser makes of ``text`` as an operand, when ``text`` is
+    a number (optionally after a minus sign), a string, TRUE or FALSE; None
+    for any other text."""
+    negative = text.startswith("-")
+    body = text[1:] if negative else text
+    kind = _one_token(body)
+    if kind == "number":
+        node = Literal(kind="number", text=body)
+        return Unary(op="-", operand=node) if negative else node
+    if negative:
+        return None
+    if kind == "string":
+        return Literal(kind="string", text=text)
+    if kind == "name" and text.lower() in ("true", "false"):
+        return Literal(kind="boolean", text=text)
+    return None
 
 
 # ---------------------------------------------------------------------------

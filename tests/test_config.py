@@ -241,6 +241,28 @@ class TestStrictLoader:
         assert reported["kind"] == "config" and named in reported["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "named, text",
+        [
+            ("[llm.params] temperature", "[llm.params]\ntemperature = nan"),
+            ("[llm.params] temperature", "[llm.params]\ntemperature = inf"),
+            ("[llm.params] top_p", "[llm.params]\ntop_p = nan"),
+            ("[llm.params] repetition_penalty", "[llm.params]\nrepetition_penalty = nan"),
+            ("[llm.params] repetition_penalty", "[llm.params]\nrepetition_penalty = +inf"),
+        ],
+    )
+    def test_non_finite_params_rejected_and_run_exits_2(self, tmp_path, capsys, named, text):
+        with pytest.raises(ConfigError) as error:
+            config_from_dict(tomllib.loads(with_ddl(text)), base_dir=tmp_path)
+        assert named in str(error.value) and "finite" in str(error.value)
+
+        path = tmp_path / "run.toml"
+        path.write_text(with_ddl(text), encoding="utf-8")
+        assert main(["--json-errors", "run", "--config", str(path)]) == 2
+        reported = json.loads(capsys.readouterr().err)["error"]
+        assert reported["kind"] == "config" and named in reported["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_integer_is_accepted_where_a_float_is_due(self):
         data = {"schema": {"ddl": str(TPCH_DDL_PATH)}, "llm": {"timeout": 30}}
         timeout = config_from_dict(data).llm.timeout

@@ -1,12 +1,26 @@
 from __future__ import annotations
 
 import json
+import statistics
+import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlsynth.coverage import (
+    CLAUSE_KEYS,
+    FACET_KEYS,
+    OPERATOR_KEYS,
+    PRESENCE_CLAUSES,
+    ComplexityProfile,
+    CoverageFold,
+    CoverageGap,
+    CoverageReport,
     CoverageTargets,
+    FacetStats,
     aggregate_coverage,
     clause_presence_rows,
     facet_stats_rows,
@@ -17,7 +31,7 @@ from sqlsynth.coverage import (
 from sqlsynth.errors import EmptyInputError, UnknownObjectError
 from sqlsynth.mechgen import MechConfig, generate_mechanical
 from sqlsynth.subschema import build_join_graph, enumerate_subschemas
-from sqlsynth.util import fields_of
+from sqlsynth.util import dump_json, fields_of
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -164,6 +178,138 @@ class TestAggregate:
         profiles = [profile_query(r.sql, tpch_catalog_inferred) for r in records]
         report = aggregate_coverage(profiles, "mechanical", tpch_catalog_inferred)
         assert 0.87 <= report.clause_presence_freq["group_by"] <= 0.93
+
+
+def list_aggregate_coverage(profiles, setting, catalog, targets=None) -> CoverageReport:
+    """The list-scanning aggregation that CoverageFold replaced, kept as the
+    oracle: statistics.fmean / pstdev over each facet's values."""
+    targets = targets or CoverageTargets()
+    n = len(profiles)
+    totals = [p.facet_totals() for p in profiles]
+    facets = {}
+    for facet in FACET_KEYS:
+        values = [t[facet] for t in totals]
+        facets[facet] = FacetStats(
+            mean=statistics.fmean(values),
+            std=statistics.pstdev(values),
+            min=min(values),
+            max=max(values),
+        )
+    clause_presence = {
+        clause: sum(1 for p in profiles if p.clause_counts.get(clause, 0) > 0) / n
+        for clause in PRESENCE_CLAUSES
+    }
+    table_occurrences, column_occurrences = Counter(), Counter()
+    table_hits, column_hits = Counter(), Counter()
+    for profile in profiles:
+        table_occurrences.update(profile.referenced_tables)
+        column_occurrences.update(profile.referenced_columns)
+        table_hits.update(set(profile.referenced_tables))
+        column_hits.update(set(profile.referenced_columns))
+    all_tables = [t.name for t in catalog.tables]
+    all_columns = [f"{t.name}.{c.name}" for t in catalog.tables for c in t.columns]
+    total_tables = sum(table_occurrences.values())
+    total_columns = sum(column_occurrences.values())
+    table_presence = {t: table_hits.get(t, 0) / n for t in all_tables}
+    column_presence = {c: column_hits.get(c, 0) / n for c in all_columns}
+    gaps = [
+        CoverageGap("table_underused", t, table_presence[t], targets.min_table_freq)
+        for t in all_tables
+        if table_presence[t] < targets.min_table_freq
+    ]
+    gaps += [
+        CoverageGap("column_unused", c, 0.0, targets.min_column_freq)
+        for c in all_columns
+        if column_presence[c] == 0.0 and targets.min_column_freq > 0
+    ]
+    gaps += [
+        CoverageGap("operation_underused", c, clause_presence[c], targets.min_clause_freq)
+        for c in PRESENCE_CLAUSES
+        if clause_presence[c] < targets.min_clause_freq
+    ]
+    return CoverageReport(
+        setting=setting,
+        query_count=n,
+        facets=facets,
+        table_reference_freq={
+            t: table_occurrences.get(t, 0) / total_tables if total_tables else 0.0
+            for t in all_tables
+        },
+        column_reference_freq={
+            c: column_occurrences.get(c, 0) / total_columns if total_columns else 0.0
+            for c in all_columns
+        },
+        table_presence_freq=table_presence,
+        column_presence_freq=column_presence,
+        clause_presence_freq=clause_presence,
+        gap_list=gaps,
+    )
+
+
+TPCH_TABLES = ("region", "nation", "supplier", "customer", "part", "partsupp", "orders")
+TPCH_COLUMNS = ("region.r_name", "nation.n_name", "customer.c_acctbal", "orders.o_orderdate")
+
+
+def counts(keys, values):
+    return st.dictionaries(st.sampled_from(keys), values, max_size=len(keys))
+
+
+def profile_lists(values):
+    """Lists of profiles whose counts are drawn from ``values``."""
+    profile = st.builds(
+        ComplexityProfile,
+        join_count=values,
+        clause_counts=st.fixed_dictionaries({key: values for key in CLAUSE_KEYS}),
+        operator_counts=st.fixed_dictionaries({key: values for key in OPERATOR_KEYS}),
+        function_counts=counts(("count", "sum", "avg", "min", "max"), values),
+        subselect_count=values,
+        referenced_tables=counts(TPCH_TABLES, values.filter(bool)),
+        referenced_columns=counts(TPCH_COLUMNS, values.filter(bool)),
+    )
+    one_profile_repeated = st.tuples(profile, st.integers(1, 20)).map(lambda pn: [pn[0]] * pn[1])
+    return st.lists(profile, min_size=1, max_size=30) | one_profile_repeated
+
+
+def written(report) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "coverage.json"
+        dump_json({"reports": [report]}, path)
+        return path.read_bytes()
+
+
+class TestCoverageFold:
+    """CoverageFold (and aggregate_coverage, a fold over a list) writes the
+    same bytes as the list-scanning oracle above."""
+
+    small = st.integers(0, 6)
+    large = st.integers(0, 10**12)
+
+    @given(profiles=profile_lists(small | large), split=st.integers(0, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_fold_matches_list_aggregation(self, tpch_catalog_inferred, profiles, split):
+        catalog = tpch_catalog_inferred
+        targets = CoverageTargets(min_clause_freq=0.5, min_table_freq=0.3)
+        expected = written(list_aggregate_coverage(profiles, "all", catalog, targets))
+        assert written(aggregate_coverage(profiles, "all", catalog, targets)) == expected
+        # folded in two batches, as the pipeline folds a growing kept corpus
+        fold = CoverageFold()
+        fold.add(profiles[:split])
+        fold.add(iter(profiles[split:]))
+        assert written(fold.report("all", catalog, targets)) == expected
+
+    @pytest.mark.parametrize("values", [[7], [3, 3, 3, 3], [0, 10**12, 5, 10**12 - 1], [1, 2]])
+    def test_mean_and_std_bit_identical(self, tpch_catalog_inferred, values):
+        profiles = [
+            ComplexityProfile(v, {}, {}, {}, 0, {}, {}) for v in values
+        ]
+        joins = aggregate_coverage(profiles, "x", tpch_catalog_inferred).facets["joins"]
+        assert joins.mean == statistics.fmean(values)
+        assert joins.std == statistics.pstdev(values)
+        assert (joins.min, joins.max) == (min(values), max(values))
+
+    def test_empty_fold_rejected(self, tpch_catalog_inferred):
+        with pytest.raises(EmptyInputError):
+            CoverageFold().report("x", tpch_catalog_inferred)
 
 
 class TestPlanRegeneration:

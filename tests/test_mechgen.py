@@ -14,7 +14,20 @@ from sqlsynth.mechgen import (
     generate_mechanical,
     select_seed_examples,
 )
-from sqlsynth.schema import load_catalog
+from sqlsynth.schema import ingest_ddl, load_catalog, profile_columns
+from sqlsynth.sqltree import (
+    Binary,
+    ColumnRef,
+    InList,
+    Join,
+    Literal,
+    Query,
+    SelectCore,
+    SelectItem,
+    TableName,
+    Unary,
+    parse_select,
+)
 from sqlsynth.subschema import build_join_graph, enumerate_subschemas, load_subschemas
 from sqlsynth.validation import validate_relevance, validate_syntax
 
@@ -217,6 +230,130 @@ class TestConstructionTags:
             example = SeedExample.from_record(record)
             record.tags = None  # as read from a file: the tags come from a parse
             assert SeedExample.from_record(record) == example
+
+
+class TestConstructionTrees:
+    """Each mechanical record carries the tree the parser makes of its SQL."""
+
+    @given(
+        seed=st.integers(0, 2**31),
+        index=st.integers(0, 10_000),
+        p_where=probability,
+        p_group_by=probability,
+        p_having=probability,
+        p_order_by=probability,
+        p_aggregate=probability,
+        max_predicates=st.integers(1, 3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tree_is_the_parse_of_the_sql(
+        self, demo_inputs, seed, index, p_where, p_group_by, p_having, p_order_by,
+        p_aggregate, max_predicates,
+    ):
+        catalog, subschemas = demo_inputs
+        config = MechConfig(
+            p_where=p_where,
+            p_group_by=p_group_by,
+            p_having=p_having if p_group_by > 0 else 0.0,
+            p_order_by=p_order_by,
+            p_aggregate=p_aggregate,
+            max_predicates=max_predicates,
+        )
+        subschema = subschemas[index % len(subschemas)]
+        for record in generate_mechanical(subschema, catalog, config, 8, seed=seed):
+            assert record.tree is not None, record.sql
+            assert parse_select(record.sql) == record.tree, record.sql
+
+    def test_negative_literal_in_list_and_joins(self, demo_inputs):
+        catalog, subschemas = demo_inputs
+        subschema = next(s for s in subschemas if s.tables == ("customer", "nation", "orders"))
+        config = MechConfig(p_where=1.0, max_predicates=3)
+        record = generate_mechanical(subschema, catalog, config, 10, seed=41)[6]
+        assert record.sql == (
+            "SELECT orders.o_orderdate, nation.n_regionkey, orders.o_shippriority, "
+            "orders.o_totalprice FROM customer "
+            "INNER JOIN nation ON customer.c_nationkey = nation.n_nationkey "
+            "INNER JOIN orders ON orders.o_custkey = customer.c_custkey "
+            "WHERE customer.c_acctbal >= -95.63 "
+            "OR customer.c_mktsegment IN ('FURNITURE', 'AUTOMOBILE')"
+        )
+
+        def ref(table, column):
+            return ColumnRef(table, column)
+
+        joins = Join(
+            left=Join(
+                left=TableName("customer"),
+                right=TableName("nation"),
+                kind="inner",
+                condition=Binary("=", ref("customer", "c_nationkey"), ref("nation", "n_nationkey")),
+            ),
+            right=TableName("orders"),
+            kind="inner",
+            condition=Binary("=", ref("orders", "o_custkey"), ref("customer", "c_custkey")),
+        )
+        where = Binary(
+            "or",
+            Binary(">=", ref("customer", "c_acctbal"), Unary("-", Literal("number", "95.63"))),
+            InList(
+                expr=ref("customer", "c_mktsegment"),
+                items=[Literal("string", "'FURNITURE'"), Literal("string", "'AUTOMOBILE'")],
+            ),
+        )
+        expected = Query(
+            ctes=[],
+            body=SelectCore(
+                distinct=False,
+                items=[
+                    SelectItem(ref("orders", "o_orderdate")),
+                    SelectItem(ref("nation", "n_regionkey")),
+                    SelectItem(ref("orders", "o_shippriority")),
+                    SelectItem(ref("orders", "o_totalprice")),
+                ],
+                from_refs=[joins],
+                where=where,
+                group_by=[],
+                having=None,
+            ),
+            order_by=[],
+        )
+        assert record.tree == expected
+        assert parse_select(record.sql) == expected
+
+    def test_quoted_reserved_name_gives_no_tree(self):
+        # A quoted reserved word as a column name is written bare, so the
+        # text does not parse; the record then carries no tree.
+        catalog = ingest_ddl('CREATE TABLE t (id integer, "order" integer)')
+        subschema = enumerate_subschemas(build_join_graph(catalog))[0]
+        records = generate_mechanical(subschema, catalog, MechConfig(), 20, seed=1)
+        assert all(record.tree is None for record in records)
+
+    def test_boolean_date_and_unmirrored_literals(self):
+        # Sampled enumerations of a numeric column may hold text the
+        # generator writes as is; a query holding one is left to the parser.
+        catalog = ingest_ddl("CREATE TABLE t (id integer, flag boolean, d date, score decimal)")
+
+        class Sampler:
+            def sample(self, table, column, limit):
+                return {
+                    "id": ["1", "-2", "1e3"],
+                    "d": ["1995-01-01", "1996-06-30", "1997-03-15", "1998-12-31"],
+                    "score": ["-1.5", "2.25", "nan"],
+                }.get(column, [])
+
+        catalog = profile_columns(catalog, Sampler(), enum_threshold=3)
+        subschema = enumerate_subschemas(build_join_graph(catalog))[0]
+        config = MechConfig(p_where=1.0, max_predicates=3)
+        records = generate_mechanical(subschema, catalog, config, 300, seed=2)
+        with_tree = [record for record in records if record.tree is not None]
+        assert any("TRUE" in r.sql or "FALSE" in r.sql for r in with_tree)
+        assert any("t.d BETWEEN" in r.sql for r in with_tree)
+        assert any("t.id = -2" in r.sql for r in with_tree)
+        assert any("1e3" in r.sql for r in with_tree)
+        for record in with_tree:
+            assert parse_select(record.sql) == record.tree, record.sql
+        assert all("nan" in record.sql for record in records if record.tree is None)
+        assert any(record.tree is None for record in records)
 
 
 class TestSeedExamples:

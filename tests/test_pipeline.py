@@ -626,14 +626,18 @@ class TestIncrementalAnalysis:
         generated = counts["generated"]
         assert generated > 0
         records = load_records(Path(config.out_dir) / "records.jsonl")
-        untokenizable = sum(
-            isinstance(sqltree_mod.tokenize_or_error(record.sql), SqlSyntaxError)
+        tokenizable = Counter(
+            record.origin
             for record in records
+            if not isinstance(sqltree_mod.tokenize_or_error(record.sql), SqlSyntaxError)
         )
-        assert untokenizable > 0  # rejected from their one failed tokenization
+        assert tokenizable["llm"] < sum(r.origin == "llm" for r in records)  # some fail to
+        assert tokenizable["mechanical"] > 0
         # one token list per candidate, plus the DDL's own
         assert calls["tokenize"] == generated + 1
-        assert calls["parse"] == generated - untokenizable
+        # every tokenizable LLM candidate is parsed once; a mechanical one
+        # carries the tree of its construction and is parsed 0 times
+        assert calls["parse"] == tokenizable["llm"]
         assert calls["resolve"] <= generated
         # ids and dedup keys come from each candidate's token list
         assert calls["normalize"] == 0

@@ -27,6 +27,8 @@ from sqlsynth.sqltree import (
     SetOp,
     Star,
     TableName,
+    bare_name,
+    literal_node,
     normalize_sql,
     normalize_text,
     normalize_tokens,
@@ -352,6 +354,37 @@ class TestWalk:
         )
         names = sorted(n.name for n in walk(query) if isinstance(n, ColumnRef))
         assert names == ["a", "a", "b", "b", "c", "d"]
+
+
+class TestNodesForGeneratedText:
+    @pytest.mark.parametrize(
+        "text", ["1", "-1.50", "-0.00", "1e3", ".5", "7.", "'x'", "'it''s'", "''", "TRUE", "false"]
+    )
+    def test_literal_node_is_the_parsed_operand(self, text):
+        assert literal_node(text) is not None
+        assert literal_node(text) == core(f"SELECT a FROM t WHERE a = {text}").where.right
+
+    @pytest.mark.parametrize(
+        "text", ["", "-", "nan", "-inf", "+1", "--1", "- 1", "1 2", "'a' 'b'", "'it's'", "NULL",
+                 "-'x'", "-TRUE", "DATE '1995-01-01'"],
+    )
+    def test_literal_node_declines_other_text(self, text):
+        assert literal_node(text) is None
+
+    @pytest.mark.parametrize("name", ["lineitem", "L_OrderKey", "date", "x$1", "_t"])
+    def test_bare_name_parses_back(self, name):
+        assert bare_name(name)
+        low = name.lower()
+        parsed = core(f"SELECT {name}.{name} FROM {name} WHERE {name}.{name} = 1")
+        assert parsed.items[0].expr == ColumnRef(low, low)
+        assert parsed.from_refs == [TableName(low)]
+        assert parsed.where.left == ColumnRef(low, low)
+
+    @pytest.mark.parametrize(
+        "name", ["order", "select", "true", "null", "current_date", "a b", "1x", "", '"q"', "t.c"]
+    )
+    def test_bare_name_declines(self, name):
+        assert not bare_name(name)
 
 
 class TestNormalize:
