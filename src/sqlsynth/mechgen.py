@@ -18,12 +18,14 @@ pools hold :class:`SeedExample` values built from those tags, so seed-example
 selection never parses; :func:`clause_tags` remains for text of unknown
 origin, such as records read from a file, and as the test oracle.
 
-It also builds each query's syntax tree alongside its text: every record
-carries as ``tree`` the tree :func:`~sqlsynth.sqltree.parse_select` makes of
-its SQL, so the validator parses no mechanical candidate. A record has no
-tree when a catalog name would not read back as itself unquoted
-(:func:`~sqlsynth.sqltree.bare_name`) or a sampled literal is not one
-:func:`~sqlsynth.sqltree.literal_node` mirrors; it is then parsed.
+Each query is built as a syntax tree only, and its SQL is the text
+:func:`~sqlsynth.sqltree.to_sql` writes of that tree, so the spelling,
+spacing and quoting of mechanical SQL live in :mod:`sqlsynth.sqltree`. Every
+record carries the tree as ``tree``, which is what
+:func:`~sqlsynth.sqltree.parse_select` makes of its SQL, so the validator
+parses no mechanical candidate. A sampled value becomes a literal through
+:func:`~sqlsynth.sqltree.literal_node`; one that is no literal of its
+column's type is never written.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .errors import InsufficientPoolError
 from .records import ORIGIN_MECHANICAL, QueryRecord, make_record
-from .schema import ColumnDef, SchemaCatalog, TableDef
+from .schema import ColumnDef, SchemaCatalog
 from .sqltree import (
     Between,
     Binary,
@@ -50,9 +52,9 @@ from .sqltree import (
     SelectCore,
     SelectItem,
     TableName,
-    bare_name,
     literal_node,
     parse_select,
+    to_sql,
     walk,
 )
 from .subschema import Subschema
@@ -64,6 +66,8 @@ DEFAULT_AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 _DEFAULT_INT_RANGE = (1, 100)
 _DEFAULT_DATE = "1995-06-17"
 _LIKE_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+# shared by the trees that hold it, as nothing changes a tree once built
+_COUNT_STAR = FuncCall(name="count", star=True)
 
 
 @dataclass
@@ -140,15 +144,14 @@ def generate_mechanical(
     """Generate ``n`` valid queries over ``subschema``; deterministic for
     (seed, subschema, config, n), with records for a smaller ``n`` forming
     a prefix of a larger one. Each record carries its clause tags as
-    ``tags``, its token list as ``tokens`` and its syntax tree as ``tree``
-    (None when a name or literal it writes has no tree built here)."""
+    ``tags``, its token list as ``tokens`` and its syntax tree as ``tree``."""
     config.validate()
     if n < 1:
         raise ValueError("n must be >= 1")
     tables = [catalog.require_table(name) for name in subschema.tables]
-    bare = _bare_names(subschema, tables)
+    # (table name, column, the literals of its sampled values that have a node)
     columns = [
-        (table.name, column)
+        (table.name, column, _enumerated_literals(column))
         for table in sorted(tables, key=lambda t: t.name)
         for column in table.columns
     ]
@@ -158,155 +161,107 @@ def generate_mechanical(
     rng = random.Random(derive_seed(seed, "mechanical", subschema.id))
     records = []
     for _ in range(n):
-        sql, tags, tree = _build_query(rng, columns, from_clause, config)
-        record = make_record(sql, ORIGIN_MECHANICAL, subschema.id)
+        tree, tags = _build_query(rng, columns, from_clause, config)
+        record = make_record(to_sql(tree), ORIGIN_MECHANICAL, subschema.id)
         record.tags = tags
-        record.tree = tree if bare else None
+        record.tree = tree
         records.append(record)
     return records
-
-
-def _bare_names(subschema: Subschema, tables: list[TableDef]) -> bool:
-    """Whether every table and column name a query over ``subschema`` may
-    write parses back as itself (:func:`~sqlsynth.sqltree.bare_name`)."""
-    names = {*subschema.tables, *(t.name for t in tables)}
-    names.update(c.name for t in tables for c in t.columns)
-    for fk in subschema.spanning_joins:
-        names.update((fk.from_table, fk.to_table, *fk.from_columns, *fk.to_columns))
-    return all(map(bare_name, names))
 
 
 # ---------------------------------------------------------------------------
 # Query assembly
 # ---------------------------------------------------------------------------
-#
-# Each piece of a query is built as (text, node): the SQL text and the node
-# parse_select makes of that text. A node is None where the text holds a
-# literal that literal_node does not mirror; the query then has no tree.
 
 
 def _build_query(
-    rng: random.Random, columns: list, from_clause: tuple[str, Node], config: MechConfig
-) -> tuple[str, frozenset, Query | None]:
-    """One query over ``columns``, (table name, column) pairs, and
-    ``from_clause``, its clause tags as :func:`clause_tags` reads them, and
-    the tree :func:`~sqlsynth.sqltree.parse_select` makes of it, or None."""
+    rng: random.Random, columns: list, from_clause: Node, config: MechConfig
+) -> tuple[Query, frozenset]:
+    """One query's tree over ``columns``, (table name, column, literals)
+    triples, and ``from_clause``, with its clause tags as :func:`clause_tags`
+    reads them."""
     grouped = rng.random() < config.p_group_by
     aggregated = grouped or rng.random() < config.p_aggregate
     k = rng.randint(*config.projection_count_range)
 
-    projections: list[tuple[str, Node]] = []
-    group_exprs: list[tuple[str, Node]] = []
-    order_candidates: list[tuple[str, Node]] = []
+    group_exprs: list[Node] = []
     having = None
+    tags = {"aggregate"} if aggregated else set()
+    if isinstance(from_clause, Join):
+        tags.add("join")
 
     if grouped:
         group_count = min(len(columns), max(1, k - 1))
         group_cols = rng.sample(columns, group_count)
-        group_exprs = [_column_ref(t, c.name) for t, c in group_cols]
-        projections.extend(group_exprs)
-        agg_count = max(1, k - group_count)
-        aggregates = _pick_aggregates(rng, columns, config, agg_count)
-        projections.extend(aggregates)
-        order_candidates = group_exprs + aggregates
+        group_exprs = [_column_ref(t, c.name) for t, c, _ in group_cols]
+        aggregates = _pick_aggregates(rng, columns, config, max(1, k - group_count))
+        projections = group_exprs + aggregates
+        tags.add("group_by")
         if rng.random() < config.p_having:
             having = _having_condition(rng, aggregates[0])
+            tags.add("having")
     elif aggregated:
-        aggregates = _pick_aggregates(rng, columns, config, k)
-        projections.extend(aggregates)
-        order_candidates = list(aggregates)
+        projections = _pick_aggregates(rng, columns, config, k)
     else:
         chosen = rng.sample(columns, min(k, len(columns)))
-        projections = [_column_ref(t, c.name) for t, c in chosen]
-        order_candidates = list(projections)
-
-    tags = {"aggregate"} if aggregated else set()
-    from_text, from_node = from_clause
-    if " JOIN " in from_text:
-        tags.add("join")
-    sql = f"SELECT {', '.join(text for text, _ in projections)} FROM {from_text}"
+        projections = [_column_ref(t, c.name) for t, c, _ in chosen]
 
     where = None
-    treeable = True  # False when the WHERE clause holds a literal without a node
     if rng.random() < config.p_where:
         predicate_count = rng.randint(1, config.max_predicates)
         chosen = rng.sample(columns, min(predicate_count, len(columns)))
-        predicates = [_predicate(rng, t, c) for t, c in chosen]
-        clause, node = predicates[0]
+        predicates = [_predicate(rng, *column) for column in chosen]
         # AND binds tighter than OR: OR joins runs of AND-joined predicates
-        runs = [[node]]
-        for text, node in predicates[1:]:
-            connector = "OR" if rng.random() < 0.25 else "AND"
-            clause = f"{clause} {connector} {text}"
-            if connector == "OR":
+        runs = [[predicates[0]]]
+        for node in predicates[1:]:
+            if rng.random() < 0.25:
                 runs.append([node])
             else:
                 runs[-1].append(node)
-        sql += f" WHERE {clause}"
         tags.add("where")
         where = _chain("or", [_chain("and", run) for run in runs])
-        treeable = where is not None
-
-    if group_exprs:
-        sql += f" GROUP BY {', '.join(text for text, _ in group_exprs)}"
-        tags.add("group_by")
-    if having:
-        sql += f" HAVING {having[0]}"
-        tags.add("having")
 
     order_by: list[OrderItem] = []
-    if rng.random() < config.p_order_by and order_candidates:
-        count = min(rng.randint(1, 2), len(order_candidates))
-        rendered = []
-        for text, node in rng.sample(order_candidates, count):
-            descending = rng.random() < 0.5
-            rendered.append(f"{text} DESC" if descending else text)
-            order_by.append(OrderItem(expr=node, direction="desc" if descending else None))
-        sql += f" ORDER BY {', '.join(rendered)}"
+    if rng.random() < config.p_order_by:
+        # any projected expression may order the result
+        count = min(rng.randint(1, 2), len(projections))
+        for node in rng.sample(projections, count):
+            order_by.append(OrderItem(expr=node, direction="desc" if rng.random() < 0.5 else None))
         tags.add("order_by")
 
-    tree = None
-    if treeable:
-        core = SelectCore(
-            distinct=False,
-            items=[SelectItem(expr=node) for _, node in projections],
-            from_refs=[from_node],
-            where=where,
-            group_by=[node for _, node in group_exprs],
-            having=having[1] if having else None,
-        )
-        tree = Query(ctes=[], body=core, order_by=order_by)
-    return sql, frozenset(tags), tree
+    core = SelectCore(
+        distinct=False,
+        items=[SelectItem(expr=node) for node in projections],
+        from_refs=[from_clause],
+        where=where,
+        group_by=group_exprs,
+        having=having,
+    )
+    return Query(ctes=[], body=core, order_by=order_by), frozenset(tags)
 
 
-def _column_ref(table: str, column: str) -> tuple[str, ColumnRef]:
-    return f"{table}.{column}", ColumnRef(table.lower(), column.lower())
+def _column_ref(table: str, column: str) -> ColumnRef:
+    return ColumnRef(table.lower(), column.lower())
 
 
-def _chain(op: str, nodes: list) -> Node | None:
-    """``nodes`` joined left to right by ``op``, nested as the parser nests
-    them; None if one of them is None."""
-    if any(node is None for node in nodes):
-        return None
+def _chain(op: str, nodes: list) -> Node:
+    """``nodes`` joined left to right by ``op``, nested as the parser does."""
     tree = nodes[0]
     for node in nodes[1:]:
         tree = Binary(op=op, left=tree, right=node)
     return tree
 
 
-def _from_clause(subschema: Subschema) -> tuple[str, Node]:
+def _from_clause(subschema: Subschema) -> Node:
     """Anchor at the lexicographically first table and join the rest along
     the spanning tree, each new table attached to an already-joined one."""
     anchor = min(subschema.tables)
     ref: Node = TableName(name=anchor.lower())
-    if len(subschema.tables) == 1:
-        return anchor, ref
     adjacency: dict[str, list] = {t: [] for t in subschema.tables}
     for fk in subschema.spanning_joins:
         adjacency[fk.from_table].append(fk)
         adjacency[fk.to_table].append(fk)
     joined = {anchor}
-    parts = [anchor]
     frontier = [anchor]
     while frontier:
         current = frontier.pop(0)
@@ -316,103 +271,75 @@ def _from_clause(subschema: Subschema) -> tuple[str, Node]:
             other = fk.to_table if fk.from_table == current else fk.from_table
             if other in joined:
                 continue
-            conditions = []
-            for fc, tc in zip(fk.from_columns, fk.to_columns):
-                left, left_node = _column_ref(fk.from_table, fc)
-                right, right_node = _column_ref(fk.to_table, tc)
-                conditions.append((f"{left} = {right}", Binary("=", left_node, right_node)))
-            parts.append(f"INNER JOIN {other} ON {' AND '.join(text for text, _ in conditions)}")
+            conditions = [
+                Binary("=", _column_ref(fk.from_table, fc), _column_ref(fk.to_table, tc))
+                for fc, tc in zip(fk.from_columns, fk.to_columns)
+            ]
             ref = Join(
                 left=ref,
                 right=TableName(name=other.lower()),
                 kind="inner",
-                condition=_chain("and", [node for _, node in conditions]),
+                condition=_chain("and", conditions),
             )
             joined.add(other)
             frontier.append(other)
-    return " ".join(parts), ref
+    return ref
 
 
 def _pick_aggregates(
     rng: random.Random, columns: list, config: MechConfig, count: int
-) -> list[tuple[str, FuncCall]]:
-    numeric = [(t, c) for t, c in columns if c.is_numeric and not c.metadata.is_label]
-    usable = [(t, c) for t, c in columns if not c.metadata.is_label]
-    out: list[tuple[str, FuncCall]] = []
-    seen = set()
+) -> list[FuncCall]:
+    numeric = [(t, c) for t, c, _ in columns if c.is_numeric and not c.metadata.is_label]
+    usable = [(t, c) for t, c, _ in columns if not c.metadata.is_label]
+    out: list[FuncCall] = []
     for _ in range(count):
-        func = rng.choice(config.aggregate_functions).upper()
-        pool = numeric if func in ("SUM", "AVG") else usable  # MIN / MAX: any non-label column
-        if func == "COUNT" or not pool:
-            aggregate = _count_star()
+        func = rng.choice(config.aggregate_functions).lower()
+        pool = numeric if func in ("sum", "avg") else usable  # MIN / MAX: any non-label column
+        if func == "count" or not pool:
+            aggregate = _COUNT_STAR
         else:
             t, c = rng.choice(pool)
-            ref, node = _column_ref(t, c.name)
-            aggregate = (f"{func}({ref})", FuncCall(name=func.lower(), args=[node]))
-        if aggregate[0] not in seen:
-            seen.add(aggregate[0])
+            aggregate = FuncCall(name=func, args=[_column_ref(t, c.name)])
+        if aggregate not in out:
             out.append(aggregate)
-    return out or [_count_star()]
+    return out or [_COUNT_STAR]
 
 
-def _count_star() -> tuple[str, FuncCall]:
-    return "COUNT(*)", FuncCall(name="count", star=True)
+def _having_condition(rng: random.Random, aggregate: FuncCall) -> Node:
+    bound = rng.randint(1, 10) if aggregate.name == "count" else rng.randint(1, 1000)
+    return Binary(">", aggregate, Literal("number", str(bound)))
 
 
-def _having_condition(rng: random.Random, aggregate: tuple[str, FuncCall]) -> tuple[str, Node]:
-    text, node = aggregate
-    bound = rng.randint(1, 10) if text.startswith("COUNT") else rng.randint(1, 1000)
-    return f"{text} > {bound}", Binary(">", node, Literal("number", str(bound)))
-
-
-def _predicate(rng: random.Random, table: str, column: ColumnDef) -> tuple[str, Node | None]:
-    ref, ref_node = _column_ref(table, column.name)
+def _predicate(rng: random.Random, table: str, column: ColumnDef, literals: list) -> Node:
+    ref = _column_ref(table, column.name)
     meta = column.metadata
-    if meta.enumerated_values:
-        literals = [_literal(column, v) for v in meta.enumerated_values]
+    if literals:
         choice = rng.random()
         if choice < 0.5 or len(literals) == 1:
-            return _comparison(ref, ref_node, "=", rng.choice(literals))
+            return Binary("=", ref, rng.choice(literals))
         if choice < 0.75:
-            return _comparison(ref, ref_node, "<>", rng.choice(literals))
-        picked = rng.sample(literals, rng.randint(1, min(3, len(literals))))
-        items = [literal_node(text) for text in picked]
-        node = None if any(item is None for item in items) else InList(expr=ref_node, items=items)
-        return f"{ref} IN ({', '.join(picked)})", node
+            return Binary("<>", ref, rng.choice(literals))
+        return InList(expr=ref, items=rng.sample(literals, rng.randint(1, min(3, len(literals)))))
     if meta.is_label:
         # no safe literal known; arithmetic is off-limits anyway
-        return f"{ref} IS NOT NULL", IsNull(expr=ref_node, negated=True)
+        return IsNull(expr=ref, negated=True)
     if column.is_numeric:
         low, high = _numeric_range(column)
         op = rng.choice(("<", "<=", ">", ">=", "BETWEEN"))
         if op == "BETWEEN":
             a, b = sorted(_numeric_value(rng, column, low, high) for _ in range(2))
-            return _between(ref, ref_node, _format_literal(column, a), _format_literal(column, b))
+            return Between(ref, _format_literal(column, a), _format_literal(column, b))
         value = _numeric_value(rng, column, low, high)
-        return _comparison(ref, ref_node, op, _format_literal(column, value))
+        return Binary(op, ref, _format_literal(column, value))
     if column.sql_type == "date":
         low, high = meta.value_range or (_DEFAULT_DATE, _DEFAULT_DATE)
         op = rng.choice(("<", "<=", ">", ">=", "BETWEEN"))
         if op == "BETWEEN":
-            return _between(ref, ref_node, f"'{low}'", f"'{high}'")
-        return _comparison(ref, ref_node, op, f"'{rng.choice((low, high))}'")
+            return Between(ref, _string(low), _string(high))
+        return Binary(op, ref, _string(rng.choice((low, high))))
     if column.sql_type == "boolean":
-        return _comparison(ref, ref_node, "=", rng.choice(("TRUE", "FALSE")))
-    pattern = f"'{rng.choice(_LIKE_LETTERS)}%'"
-    return f"{ref} LIKE {pattern}", Like(expr=ref_node, pattern=Literal("string", pattern))
-
-
-def _comparison(ref: str, ref_node: Node, op: str, literal: str) -> tuple[str, Node | None]:
-    node = literal_node(literal)
-    return f"{ref} {op} {literal}", None if node is None else Binary(op, ref_node, node)
-
-
-def _between(ref: str, ref_node: Node, low: str, high: str) -> tuple[str, Node | None]:
-    low_node, high_node = literal_node(low), literal_node(high)
-    node = None
-    if low_node is not None and high_node is not None:
-        node = Between(expr=ref_node, low=low_node, high=high_node)
-    return f"{ref} BETWEEN {low} AND {high}", node
+        return Binary("=", ref, Literal("boolean", rng.choice(("TRUE", "FALSE"))))
+    return Like(expr=ref, pattern=Literal("string", f"'{rng.choice(_LIKE_LETTERS)}%'"))
 
 
 def _numeric_range(column: ColumnDef) -> tuple[float, float]:
@@ -431,19 +358,27 @@ def _numeric_value(rng: random.Random, column: ColumnDef, low: float, high: floa
     return low + rng.random() * (high - low)
 
 
-def _format_literal(column: ColumnDef, value: float) -> str:
-    if column.sql_type == "integer":
-        return str(int(value))
-    return format(value, ".2f")
+def _format_literal(column: ColumnDef, value: float) -> Node:
+    return literal_node(str(int(value)) if column.sql_type == "integer" else format(value, ".2f"))
 
 
-def _literal(column: ColumnDef, value: str) -> str:
+def _enumerated_literals(column: ColumnDef) -> list[Node]:
+    """The literal nodes of ``column``'s sampled values; a value that is no
+    literal of the column's type (``nan`` in a numeric column, ``t`` in a
+    boolean one) has none and is left out."""
+    values = column.metadata.enumerated_values or ()
     if column.is_numeric:
-        return value
-    if column.sql_type == "boolean":
-        return value.upper()
+        literals = map(literal_node, values)
+    elif column.sql_type == "boolean":
+        literals = (literal_node(value.upper()) for value in values)
+    else:
+        literals = map(_string, values)
+    return [node for node in literals if node is not None]
+
+
+def _string(value: str) -> Literal:
     escaped = value.replace("'", "''")
-    return f"'{escaped}'"
+    return Literal("string", f"'{escaped}'")
 
 
 # ---------------------------------------------------------------------------

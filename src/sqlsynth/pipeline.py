@@ -32,8 +32,9 @@ bytes, runtimes apart.
 Each candidate is tokenized once, parsed at most once and analysed as it
 arrives. :func:`~sqlsynth.records.make_record` tokenizes it and derives its
 id from that token list, which the record holds. A mechanical candidate
-also holds the syntax tree its generator built alongside the text, so it is
-never parsed; an LLM candidate, or a record read from a file, is.
+also holds the syntax tree it was built as (its SQL is the text
+:func:`~sqlsynth.sqltree.to_sql` writes of that tree), so it is never
+parsed; an LLM candidate, or a record read from a file, is.
 :func:`mechanical_batch` and :func:`_llm_batch` yield candidates one
 subschema or one prompt at a time (:func:`_llm_batch` once every prompt's
 completions are in, so the analysis never competes with the backend's
@@ -379,11 +380,12 @@ def validate_record(record, catalog, subschema_by_id, validators) -> None:
 
     Takes the token list the record holds (``record.tokens``, from
     :func:`~sqlsynth.records.make_record`), or tokenizes ``record.sql`` once
-    for a record read from a file, and the tree the mechanical generator
-    built (``record.tree``), or parses that token list when there is none;
-    both are dropped. Sets ``record.validation`` and ``record.profile``: an
-    accepted candidate's profile is built from the same tree and references,
-    and its report holds its dedup key (the normalized form under
+    for a record read from a file, and the tree a mechanical record was
+    built as (``record.tree``), or parses that token list for an LLM record
+    or one read from a file, which have none; both are dropped. Sets
+    ``record.validation`` and ``record.profile``: an accepted candidate's
+    profile is built from the same tree and references, and its report
+    holds its dedup key (the normalized form under
     ``validators.literal_placeholder_dedup``) from the same tokens; a
     rejected one's profile is None.
     """

@@ -11,12 +11,13 @@ with a missing or mistyped field fails to load.
 
 :func:`make_record` tokenizes the query once. The record id comes from that
 token list, which the record holds as ``tokens`` until the pipeline's
-validator has taken the dedup key from it (and parsed it, when the record
-has no tree) and dropped it. A mechanical record also carries the clauses
-its generator used as ``tags``, which go with it into a seed pool, and the
-syntax tree its generator built as ``tree``, which the validator uses in
-place of a parse and drops. All three are plain attributes, not fields: the
-codec neither writes nor reads them.
+validator has taken the dedup key from it (and parsed it, for an LLM record
+or one read from a file) and dropped it. A mechanical record also carries
+the clauses its generator used as ``tags``, which go with it into a seed
+pool, and the syntax tree it was built as, which its SQL was written from,
+as ``tree``; the validator uses the tree in place of a parse and drops it.
+All three are plain attributes, not fields: the codec neither writes nor
+reads them.
 """
 
 from __future__ import annotations

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Protocol
 
 from .errors import DdlSyntaxError, DuplicateObjectError, UnknownObjectError
-from .sqltree import Token, TokenCursor, tokenize
+from .sqltree import Token, TokenCursor, sql_name, tokenize
 from .util import SCHEMA_VERSION, dump_json, fields_of, load_json
 
 logger = logging.getLogger(__name__)
@@ -568,10 +569,12 @@ def _fill_metadata(
             meta.is_label = True
     if column.is_numeric:
         try:
-            numeric = sorted(float(v) for v in values)
-            meta.value_range = (_format_number(numeric[0]), _format_number(numeric[-1]))
+            # nan, inf and -inf bound no range a query can write
+            numeric = sorted(x for x in map(float, values) if math.isfinite(x))
         except ValueError:
-            pass
+            numeric = []
+        if numeric:
+            meta.value_range = (_format_number(numeric[0]), _format_number(numeric[-1]))
     elif column.sql_type == "date":
         meta.value_range = (min(values), max(values))
 
@@ -580,9 +583,11 @@ def _sort_key(column: ColumnDef):
     if column.is_numeric:
         def key(v: str):
             try:
-                return (0, float(v), v)
+                number = float(v)
             except ValueError:
                 return (1, 0.0, v)
+            # nan compares with nothing, so it sorts as text
+            return (1, 0.0, v) if math.isnan(number) else (0, number, v)
         return key
     return lambda v: (0, 0.0, v)
 
@@ -638,9 +643,9 @@ def render_create_statements(
         lines = []
         for col in columns:
             null_text = "" if col.nullable else " NOT NULL"
-            lines.append(f"  {col.name} {col.type_text}{null_text}")
+            lines.append(f"  {sql_name(col.name)} {col.type_text}{null_text}")
         if table.primary_key and all(c in kept_names for c in table.primary_key):
-            lines.append(f"  PRIMARY KEY ({', '.join(table.primary_key)})")
+            lines.append(f"  PRIMARY KEY ({_name_list(table.primary_key)})")
         for fk in catalog.fk_edges:
             if fk.from_table != table.name or fk.to_table not in selected_names:
                 continue
@@ -651,12 +656,16 @@ def render_create_statements(
             if not all(c in target_kept for c in fk.to_columns):
                 continue
             lines.append(
-                f"  FOREIGN KEY ({', '.join(fk.from_columns)}) "
-                f"REFERENCES {fk.to_table} ({', '.join(fk.to_columns)})"
+                f"  FOREIGN KEY ({_name_list(fk.from_columns)}) "
+                f"REFERENCES {sql_name(fk.to_table)} ({_name_list(fk.to_columns)})"
             )
         body = ",\n".join(lines)
-        statements.append(f"CREATE TABLE {table.name} (\n{body}\n);")
+        statements.append(f"CREATE TABLE {sql_name(table.name)} (\n{body}\n);")
     return statements
+
+
+def _name_list(names) -> str:
+    return ", ".join(map(sql_name, names))
 
 
 # ---------------------------------------------------------------------------

@@ -90,9 +90,10 @@ def load(conn, table: str, data_dir: str, column_count: int, cap: int) -> int:
     """Insert the rows ``read_rows`` yields into ``table`` in one
     transaction; returns how many there were."""
     placeholders = ", ".join("?" * column_count)
+    quoted = table.replace('"', '""')  # the name may be a reserved word
     rows = read_rows(data_dir, table, column_count, cap)
     try:
-        cursor = conn.executemany(f"INSERT INTO {table} VALUES ({placeholders})", rows)
+        cursor = conn.executemany(f'INSERT INTO "{quoted}" VALUES ({placeholders})', rows)
         conn.commit()
     except DataFileError:
         conn.rollback()

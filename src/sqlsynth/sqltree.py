@@ -16,15 +16,15 @@ makes its token list (:func:`tokenize_or_error`), derives the record id from
 it (:func:`normalize_tokens`, literals kept), and holds it on the record;
 :func:`~sqlsynth.pipeline.validate_record` takes the dedup key from it
 (literals as placeholders) and drops it. A candidate is parsed at most once:
-a mechanical one carries the tree its generator built alongside the text
-(from the nodes below, with :func:`bare_name` and :func:`literal_node`), and
-only the others' token lists are parsed (``parse_select(sql, tokens)``). The
-parser reads a token list and never changes it. :func:`normalize_sql` and
-``parse_select(sql)`` tokenize for themselves, for callers holding only text.
+a mechanical one is built as a tree, and its SQL is the text :func:`to_sql`
+writes of it, so only the others' token lists are parsed
+(``parse_select(sql, tokens)``). :func:`to_sql` is this module's one writer
+of SQL surface syntax; every name it writes goes through :func:`sql_name`.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field, fields
 
@@ -913,7 +913,7 @@ def parse_select(sql: str, tokens: list[Token] | None = None) -> Query:
 
 
 # ---------------------------------------------------------------------------
-# Nodes for text written by a generator
+# Printer: SQL text from the nodes a generator builds
 # ---------------------------------------------------------------------------
 
 #: Words the parser reads as something other than a name before "." or in FROM.
@@ -930,6 +930,13 @@ def bare_name(name: str) -> bool:
     """Whether ``name``, written unquoted, parses back as ``name.lower()``
     both as a table name in FROM and as either part of ``table.column``."""
     return _one_token(name) == "name" and name.lower() not in _NOT_BARE
+
+
+@functools.cache
+def sql_name(name: str) -> str:
+    """``name`` as SQL text: itself when :func:`bare_name` holds, double-quoted
+    otherwise, so it reads back as ``name.lower()`` either way."""
+    return name if bare_name(name) else '"' + name.replace('"', '""') + '"'
 
 
 def literal_node(text: str) -> Node | None:
@@ -949,6 +956,59 @@ def literal_node(text: str) -> Node | None:
     if kind == "name" and text.lower() in ("true", "false"):
         return Literal(kind="boolean", text=text)
     return None
+
+
+def to_sql(node: Node) -> str:
+    """SQL text that :func:`parse_select` reads back as ``node``, for the
+    node kinds the mechanical generator builds and the fields it sets.
+
+    Keywords and function names are upper case, names go through
+    :func:`sql_name` and literals are written as their text. AND and OR get
+    no parentheses: the tree must nest them as the parser does (left-deep,
+    OR over runs of AND). Any other node kind raises TypeError.
+    """
+    kind = type(node)
+    if kind is ColumnRef:
+        return f"{sql_name(node.table)}.{sql_name(node.name)}"
+    if kind is Literal:
+        return node.text
+    if kind is Binary:
+        return f"{to_sql(node.left)} {node.op.upper()} {to_sql(node.right)}"
+    if kind is FuncCall:
+        args = "*" if node.star else ", ".join(map(to_sql, node.args))
+        return f"{node.name.upper()}({args})"
+    if kind is Between:
+        return f"{to_sql(node.expr)} BETWEEN {to_sql(node.low)} AND {to_sql(node.high)}"
+    if kind is InList:
+        return f"{to_sql(node.expr)} IN ({', '.join(map(to_sql, node.items))})"
+    if kind is Like:
+        return f"{to_sql(node.expr)} LIKE {to_sql(node.pattern)}"
+    if kind is IsNull:
+        return f"{to_sql(node.expr)} IS {'NOT NULL' if node.negated else 'NULL'}"
+    if kind is Unary and node.op == "-":
+        return f"-{to_sql(node.operand)}"
+    if kind is TableName:
+        return sql_name(node.name)
+    if kind is Join and node.kind == "inner":
+        return f"{to_sql(node.left)} INNER JOIN {to_sql(node.right)} ON {to_sql(node.condition)}"
+    if kind is Query and type(node.body) is SelectCore:
+        core = node.body
+        sql = f"SELECT {', '.join(to_sql(item.expr) for item in core.items)}"
+        sql += f" FROM {', '.join(map(to_sql, core.from_refs))}"
+        if core.where is not None:
+            sql += f" WHERE {to_sql(core.where)}"
+        if core.group_by:
+            sql += f" GROUP BY {', '.join(map(to_sql, core.group_by))}"
+        if core.having is not None:
+            sql += f" HAVING {to_sql(core.having)}"
+        if node.order_by:
+            items = (
+                to_sql(item.expr) + (" DESC" if item.direction == "desc" else "")
+                for item in node.order_by
+            )
+            sql += f" ORDER BY {', '.join(items)}"
+        return sql
+    raise TypeError(f"to_sql does not print {kind.__name__} nodes")
 
 
 # ---------------------------------------------------------------------------

@@ -459,6 +459,28 @@ class TestRestrictDataset:
         with pytest.raises(LoadError):
             restrict_dataset(tpch_catalog_inferred, tmp_path, session, 100)
 
+    def test_reserved_word_names_load_and_run(self, open_session, tmp_path):
+        from sqlsynth.mechgen import MechConfig, generate_mechanical
+        from sqlsynth.schema import ingest_ddl
+        from sqlsynth.subschema import build_join_graph, enumerate_subschemas
+
+        catalog = ingest_ddl(
+            'CREATE TABLE t (id integer, "order" integer, "select" varchar(10));'
+            'CREATE TABLE "group" (id integer)'
+        )
+        (tmp_path / "t.tbl").write_text("1|2|ab|\n2|3|cd|\n", encoding="utf-8")
+        (tmp_path / "group.tbl").write_text("1|\n", encoding="utf-8")
+        session = open_session()
+        assert restrict_dataset(catalog, tmp_path, session, 100) == {"t": 2, "group": 1}
+        subschema = next(
+            s for s in enumerate_subschemas(build_join_graph(catalog)) if s.tables == ("t",)
+        )
+        records = generate_mechanical(subschema, catalog, MechConfig(), 20, seed=1)
+        record = next(r for r in records if 't."order"' in r.sql)
+        engine = EngineSpec(engine_id="sqlite-mem", driver="sqlite")
+        (label,) = execute_batch([record], engine, timeout_ms=5_000, session=session)
+        assert label.error is None and not label.timed_out and label.row_count is not None
+
     def test_loaded_data_queryable(self, open_session, tpch_catalog_inferred):
         session = open_session()
         restrict_dataset(tpch_catalog_inferred, SAMPLE_DATA_DIR, session, 40_000)

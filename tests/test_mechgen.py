@@ -320,23 +320,29 @@ class TestConstructionTrees:
         assert record.tree == expected
         assert parse_select(record.sql) == expected
 
-    def test_quoted_reserved_name_gives_no_tree(self):
-        # A quoted reserved word as a column name is written bare, so the
-        # text does not parse; the record then carries no tree.
-        catalog = ingest_ddl('CREATE TABLE t (id integer, "order" integer)')
+    def test_reserved_word_names_are_quoted(self):
+        # A name that would not read back unquoted is written double-quoted,
+        # so every query over it parses to its tree and is accepted.
+        catalog = ingest_ddl('CREATE TABLE t (id integer, "order" integer, "select" varchar(10))')
         subschema = enumerate_subschemas(build_join_graph(catalog))[0]
         records = generate_mechanical(subschema, catalog, MechConfig(), 20, seed=1)
-        assert all(record.tree is None for record in records)
+        assert any('t."order"' in record.sql for record in records)
+        assert any('t."select"' in record.sql for record in records)
+        for record in records:
+            assert parse_select(record.sql) == record.tree, record.sql
+            assert validate_relevance(record.tree, catalog, subschema=subschema) == []
 
     def test_boolean_date_and_unmirrored_literals(self):
-        # Sampled enumerations of a numeric column may hold text the
-        # generator writes as is; a query holding one is left to the parser.
+        # A sampled value that is no literal of its column's type (``nan`` in
+        # a numeric column, ``t`` in a boolean one) is never written; a column
+        # left with no such value gets the predicate of its type.
         catalog = ingest_ddl("CREATE TABLE t (id integer, flag boolean, d date, score decimal)")
 
         class Sampler:
             def sample(self, table, column, limit):
                 return {
                     "id": ["1", "-2", "1e3"],
+                    "flag": ["t", "f"],
                     "d": ["1995-01-01", "1996-06-30", "1997-03-15", "1998-12-31"],
                     "score": ["-1.5", "2.25", "nan"],
                 }.get(column, [])
@@ -344,16 +350,17 @@ class TestConstructionTrees:
         catalog = profile_columns(catalog, Sampler(), enum_threshold=3)
         subschema = enumerate_subschemas(build_join_graph(catalog))[0]
         config = MechConfig(p_where=1.0, max_predicates=3)
-        records = generate_mechanical(subschema, catalog, config, 300, seed=2)
-        with_tree = [record for record in records if record.tree is not None]
-        assert any("TRUE" in r.sql or "FALSE" in r.sql for r in with_tree)
-        assert any("t.d BETWEEN" in r.sql for r in with_tree)
-        assert any("t.id = -2" in r.sql for r in with_tree)
-        assert any("1e3" in r.sql for r in with_tree)
-        for record in with_tree:
+        records = generate_mechanical(subschema, catalog, config, 200, seed=2)
+        assert any("TRUE" in r.sql or "FALSE" in r.sql for r in records)
+        assert any("t.d BETWEEN" in r.sql for r in records)
+        assert any("t.id = -2" in r.sql for r in records)
+        assert any("1e3" in r.sql for r in records)
+        assert any("t.score IN (" in r.sql for r in records)
+        for record in records:
+            assert "nan" not in record.sql
             assert parse_select(record.sql) == record.tree, record.sql
-        assert all("nan" in record.sql for record in records if record.tree is None)
-        assert any(record.tree is None for record in records)
+            tree = validate_syntax(record.sql)
+            assert validate_relevance(tree, catalog, subschema=subschema) == [], record.sql
 
 
 class TestSeedExamples:

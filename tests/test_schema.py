@@ -233,6 +233,16 @@ class TestProfiling:
         catalog = profile_columns(self._catalog(), sampler)
         assert catalog.table("t").column("amount").metadata.value_range == ("1", "9")
 
+    def test_non_finite_values_bound_no_range(self):
+        values = ["5", "nan", "inf", "-inf", "1", "9"]
+        sampler = self.ListSampler({("t", "amount"): values})
+        meta = profile_columns(self._catalog(), sampler).table("t").column("amount").metadata
+        assert meta.value_range == ("1", "9")
+        assert meta.enumerated_values == ["-inf", "1", "5", "9", "inf", "nan"]
+        sampler = self.ListSampler({("t", "amount"): ["nan", "inf"]})
+        meta = profile_columns(self._catalog(), sampler).table("t").column("amount").metadata
+        assert meta.value_range is None
+
     def test_sampler_failure_never_aborts(self):
         catalog = profile_columns(self._catalog(), self.ListSampler({}))
         assert all(
@@ -300,6 +310,19 @@ class TestRender:
         rendered = "\n".join(render_create_statements(tpch_catalog))
         again = ingest_ddl(rendered, name=tpch_catalog.name)
         assert again == tpch_catalog
+
+    def test_reserved_word_names_are_quoted(self):
+        catalog = ingest_ddl(
+            'CREATE TABLE "group" ("order" integer PRIMARY KEY, "select" varchar(10));'
+            'CREATE TABLE u (id integer, g integer REFERENCES "group")'
+        )
+        rendered = render_create_statements(catalog)
+        assert rendered[0] == (
+            'CREATE TABLE "group" (\n  "order" integer,\n  "select" varchar(10),\n'
+            '  PRIMARY KEY ("order")\n);'
+        )
+        assert 'REFERENCES "group" ("order")' in rendered[1]
+        assert ingest_ddl("\n".join(rendered), name=catalog.name) == catalog
 
     def test_reingest_preserves_inferred_edge_set(self, tpch_catalog_inferred):
         rendered = "\n".join(render_create_statements(tpch_catalog_inferred))

@@ -20,19 +20,26 @@ from sqlsynth.sqltree import (
     FuncCall,
     InList,
     InSubquery,
+    IsNull,
     Join,
     Like,
     Literal,
+    OrderItem,
+    Query,
     SelectCore,
+    SelectItem,
     SetOp,
     Star,
     TableName,
+    Unary,
     bare_name,
     literal_node,
     normalize_sql,
     normalize_text,
     normalize_tokens,
     parse_select,
+    sql_name,
+    to_sql,
     tokenize,
     tokenize_or_error,
     walk,
@@ -385,6 +392,88 @@ class TestNodesForGeneratedText:
     )
     def test_bare_name_declines(self, name):
         assert not bare_name(name)
+
+
+def select(*items, from_ref=TableName("t"), where=None, order_by=()) -> Query:
+    core = SelectCore(
+        distinct=False,
+        items=[SelectItem(item) for item in items],
+        from_refs=[from_ref],
+        where=where,
+        group_by=[],
+        having=None,
+    )
+    return Query(ctes=[], body=core, order_by=list(order_by))
+
+
+class TestToSql:
+    """to_sql writes text that parse_select reads back as the tree itself."""
+
+    @pytest.mark.parametrize(
+        "tree, text",
+        [
+            (
+                select(ColumnRef("t", "a"), where=IsNull(ColumnRef("t", "b"))),
+                "SELECT t.a FROM t WHERE t.b IS NULL",
+            ),
+            (
+                select(ColumnRef("t", "a"), where=IsNull(ColumnRef("t", "b"), negated=True)),
+                "SELECT t.a FROM t WHERE t.b IS NOT NULL",
+            ),
+            (
+                select(
+                    FuncCall("sum", [ColumnRef("t", "a")]),
+                    where=Binary(">=", ColumnRef("t", "a"), Unary("-", Literal("number", "1.50"))),
+                ),
+                "SELECT SUM(t.a) FROM t WHERE t.a >= -1.50",
+            ),
+            (
+                select(
+                    ColumnRef("order", "select"),
+                    from_ref=TableName("order"),
+                    order_by=[OrderItem(ColumnRef("order", "a b"), "desc")],
+                ),
+                'SELECT "order"."select" FROM "order" ORDER BY "order"."a b" DESC',
+            ),
+            (
+                select(
+                    FuncCall("count", star=True),
+                    from_ref=Join(
+                        left=Join(
+                            left=TableName("t"),
+                            right=TableName("u"),
+                            kind="inner",
+                            condition=Binary(
+                                "and",
+                                Binary("=", ColumnRef("t", "a"), ColumnRef("u", "a")),
+                                Binary("=", ColumnRef("t", "b"), ColumnRef("u", "b")),
+                            ),
+                        ),
+                        right=TableName("v"),
+                        kind="inner",
+                        condition=Binary("=", ColumnRef("u", "c"), ColumnRef("v", "c")),
+                    ),
+                ),
+                "SELECT COUNT(*) FROM t INNER JOIN u ON t.a = u.a AND t.b = u.b "
+                "INNER JOIN v ON u.c = v.c",
+            ),
+        ],
+    )
+    def test_reads_back_as_the_tree(self, tree, text):
+        assert to_sql(tree) == text
+        assert parse_select(to_sql(tree)) == tree
+
+    def test_unprinted_kind_raises(self):
+        case = Case(operand=None, whens=[(Literal("boolean", "TRUE"), Literal("number", "1"))],
+                    else_=None)
+        with pytest.raises(TypeError, match="Case"):
+            to_sql(select(case))
+
+    @pytest.mark.parametrize(
+        "name, text", [("lineitem", "lineitem"), ("order", '"order"'), ('a"b', '"a""b"')]
+    )
+    def test_sql_name(self, name, text):
+        assert sql_name(name) == text
 
 
 class TestNormalize:
