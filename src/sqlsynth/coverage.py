@@ -333,9 +333,6 @@ class RegenDirectives:
     column_filters: dict = field(default_factory=dict)  # table -> sorted column list
     bias_override: str | None = None
 
-    def is_empty(self) -> bool:
-        return not self.subschema_weights and not self.column_filters and self.bias_override is None
-
 
 def plan_regeneration(
     report: CoverageReport, subschemas, catalog: SchemaCatalog

@@ -23,9 +23,9 @@ Each query is built as a syntax tree only, and its SQL is the text
 spacing and quoting of mechanical SQL live in :mod:`sqlsynth.sqltree`. Every
 record carries the tree as ``tree``, which is what
 :func:`~sqlsynth.sqltree.parse_select` makes of its SQL, so the validator
-parses no mechanical candidate. A sampled value becomes a literal through
-:func:`~sqlsynth.sqltree.literal_node`; one that is no literal of its
-column's type is never written.
+parses no mechanical candidate and nothing tokenizes one. A sampled value
+becomes a literal through :func:`~sqlsynth.sqltree.literal_node`; one that
+is no literal of its column's type is never written.
 """
 
 from __future__ import annotations
@@ -144,7 +144,8 @@ def generate_mechanical(
     """Generate ``n`` valid queries over ``subschema``; deterministic for
     (seed, subschema, config, n), with records for a smaller ``n`` forming
     a prefix of a larger one. Each record carries its clause tags as
-    ``tags``, its token list as ``tokens`` and its syntax tree as ``tree``."""
+    ``tags``, its normalized forms as ``forms`` and its syntax tree as
+    ``tree``."""
     config.validate()
     if n < 1:
         raise ValueError("n must be >= 1")

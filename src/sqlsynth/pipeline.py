@@ -29,20 +29,21 @@ from the same config:
 So ``run`` with ``loop_limit = 0`` and that chain of commands write the same
 bytes, runtimes apart.
 
-Each candidate is tokenized once, parsed at most once and analysed as it
-arrives. :func:`~sqlsynth.records.make_record` tokenizes it and derives its
-id from that token list, which the record holds. A mechanical candidate
-also holds the syntax tree it was built as (its SQL is the text
-:func:`~sqlsynth.sqltree.to_sql` writes of that tree), so it is never
-parsed; an LLM candidate, or a record read from a file, is.
+Each candidate is scanned once for its normalized forms, parsed at most once
+and analysed as it arrives. :func:`~sqlsynth.records.make_record` scans it
+and derives its id from the literal form; the record holds both forms as
+strings. A mechanical candidate also holds the syntax tree it was built as
+(its SQL is the text :func:`~sqlsynth.sqltree.to_sql` writes of that tree),
+so it is never parsed or tokenized; an LLM candidate, or a record read from
+a file, is parsed.
 :func:`mechanical_batch` and :func:`_llm_batch` yield candidates one
 subschema or one prompt at a time (:func:`_llm_batch` once every prompt's
 completions are in, so the analysis never competes with the backend's
 threads), and :func:`validate_record` analyses each at once: it takes the
-record's tree or parses its token list, resolves the references a single
-time, derives the relevance codes from them, profiles an accepted candidate
-from the same tree and takes its dedup key from the same tokens; the token
-list and the tree are dropped there. At batch end :func:`settle_batch`
+record's tree or parses its SQL, resolves the references a single time,
+derives the relevance codes from them, profiles an accepted candidate from
+the same tree and takes its dedup key from the record's forms; the forms
+and the tree are dropped there. At batch end :func:`settle_batch`
 counts the batch and deduplicates its accepted candidates against the set
 of normalized forms already kept, which it extends with the batch's new
 records only, so no batch re-parses, re-normalizes or re-profiles what an
@@ -88,7 +89,7 @@ from .coverage import (
     profile_tree,
     write_csv,
 )
-from .errors import BackendError, SqlSyntaxError, SqlsynthError
+from .errors import BackendError, SqlsynthError
 from .execution import apply_retention, connect, execute_batch, restrict_dataset
 from .llmgen import (
     HttpBackend,
@@ -111,7 +112,7 @@ from .schema import (
     save_catalog,
 )
 from .subschema import build_join_graph, enumerate_subschemas, load_subschemas, save_subschemas
-from .sqltree import normalize_tokens, tokenize_or_error
+from .sqltree import normalized_forms
 from .util import SCHEMA_VERSION, decode_in, derive_seed, dump_json, fields_of, load_json
 from .validation import (
     REJECT_SYNTAX,
@@ -375,29 +376,26 @@ def mechanical_batch(config, catalog, subschemas, batch: int):
 
 
 def validate_record(record, catalog, subschema_by_id, validators) -> None:
-    """Validate one candidate from a single tokenization, tree and
-    resolution, against its subschema in ``subschema_by_id``.
+    """Validate one candidate from a single tree and resolution, against its
+    subschema in ``subschema_by_id``.
 
-    Takes the token list the record holds (``record.tokens``, from
-    :func:`~sqlsynth.records.make_record`), or tokenizes ``record.sql`` once
-    for a record read from a file, and the tree a mechanical record was
-    built as (``record.tree``), or parses that token list for an LLM record
-    or one read from a file, which have none; both are dropped. Sets
+    Takes the tree a mechanical record was built as (``record.tree``), or
+    parses ``record.sql`` for an LLM record or one read from a file, which
+    have none, and the normalized forms the record holds (``record.forms``,
+    from :func:`~sqlsynth.records.make_record`), or scans ``record.sql`` for
+    them for a record read from a file; both are dropped. Sets
     ``record.validation`` and ``record.profile``: an accepted candidate's
     profile is built from the same tree and references, and its report
     holds its dedup key (the normalized form under
-    ``validators.literal_placeholder_dedup``) from the same tokens; a
-    rejected one's profile is None.
+    ``validators.literal_placeholder_dedup``); a rejected one's profile is
+    None.
     """
-    tokens = record.tokens if record.tokens is not None else tokenize_or_error(record.sql)
-    tree = record.tree
-    record.tokens = record.tree = None
+    forms, tree = record.forms, record.tree
+    record.forms = record.tree = None
     record.profile = None
     try:
-        if isinstance(tokens, SqlSyntaxError):
-            raise tokens
         if tree is None:
-            tree = validate_syntax(record.sql, tokens)
+            tree = validate_syntax(record.sql)
     except SqlsynthError:
         record.validation = ValidationReport(
             query_id=record.id, verdict=VERDICT_REJECTED, rejection_reasons=[REJECT_SYNTAX]
@@ -411,10 +409,11 @@ def validate_record(record, catalog, subschema_by_id, validators) -> None:
             query_id=record.id, verdict=VERDICT_REJECTED, rejection_reasons=codes
         )
         return
+    literal, placeholder = forms if forms is not None else normalized_forms(record.sql)
     record.validation = ValidationReport(
         query_id=record.id,
         verdict=VERDICT_ACCEPTED,
-        normalized_form=normalize_tokens(tokens, validators.literal_placeholder_dedup),
+        normalized_form=placeholder if validators.literal_placeholder_dedup else literal,
     )
     record.profile = profile_tree(tree, refs)
 

@@ -9,15 +9,15 @@ every field. Runtime labels map each engine id to an
 ``timed_out``, ``error``: the runtime label without its ids), so a label
 with a missing or mistyped field fails to load.
 
-:func:`make_record` tokenizes the query once. The record id comes from that
-token list, which the record holds as ``tokens`` until the pipeline's
-validator has taken the dedup key from it (and parsed it, for an LLM record
-or one read from a file) and dropped it. A mechanical record also carries
-the clauses its generator used as ``tags``, which go with it into a seed
-pool, and the syntax tree it was built as, which its SQL was written from,
-as ``tree``; the validator uses the tree in place of a parse and drops it.
-All three are plain attributes, not fields: the codec neither writes nor
-reads them.
+:func:`make_record` scans the query once, for its two normalized forms
+(:func:`~sqlsynth.sqltree.normalized_forms`): the record id is the hash of
+the literal form, and the record holds both strings as ``forms`` until the
+pipeline's validator has taken the dedup key from them and dropped them. A
+mechanical record also carries the clauses its generator used as ``tags``,
+which go with it into a seed pool, and the syntax tree it was built as,
+which its SQL was written from, as ``tree``; the validator uses the tree in
+place of a parse and drops it. All three are plain attributes, not fields:
+the codec neither writes nor reads them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .coverage import ComplexityProfile
 from .execution import EngineLabel
 from .llmgen import GenParams, PromptSetting
-from .sqltree import tokenize_or_error
+from .sqltree import normalized_forms
 from .util import read_jsonl, write_jsonl
 from .validation import ValidationReport, query_id
 
@@ -51,7 +51,7 @@ class QueryRecord:
     labels: dict[str, EngineLabel] = field(default_factory=dict)  # engine id -> label
 
     # Transient, never written (see the module docstring).
-    tokens = None  # list[Token] | SqlSyntaxError | None
+    forms = None  # (literal form, placeholder form) | None
     tags = None  # frozenset | None
     tree = None  # sqltree.Query | None
 
@@ -76,13 +76,13 @@ class QueryRecord:
 
 def make_record(sql: str, origin: str, subschema_id: str, batch: int = 0, **kwargs) -> QueryRecord:
     """Build a record with its id derived from the normalized SQL, from the
-    one token list the record then holds as ``tokens``."""
-    tokens = tokenize_or_error(sql)
+    one scan whose two normalized forms the record then holds as ``forms``."""
+    forms = normalized_forms(sql)
     record = QueryRecord(
-        id=query_id(sql, tokens), sql=sql, origin=origin, subschema_id=subschema_id,
+        id=query_id(sql, forms[0]), sql=sql, origin=origin, subschema_id=subschema_id,
         batch=batch, **kwargs,
     )
-    record.tokens = tokens
+    record.forms = forms
     return record
 
 

@@ -9,7 +9,6 @@ enumerated domains, label-like columns (version strings), and value ranges.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import re
@@ -18,7 +17,8 @@ from pathlib import Path
 from typing import Protocol
 
 from .errors import DdlSyntaxError, DuplicateObjectError, UnknownObjectError
-from .sqltree import Token, TokenCursor, sql_name, tokenize
+from .sqlite_engine import read_rows
+from .sqltree import Token, TokenCursor, sql_name
 from .util import SCHEMA_VERSION, dump_json, fields_of, load_json
 
 logger = logging.getLogger(__name__)
@@ -141,9 +141,7 @@ class SchemaCatalog:
 class _DdlReader(TokenCursor):
     """Cursor over the token stream of a full DDL script."""
 
-    def __init__(self, tokens: list[Token], statement_index: int = 0):
-        super().__init__(tokens)
-        self.statement_index = statement_index
+    statement_index = 0
 
     def done(self) -> bool:
         return self.peek().kind == "end"
@@ -173,10 +171,9 @@ def ingest_ddl(ddl_text: str, name: str = "schema") -> SchemaCatalog:
     provenance ``declared``. View bodies are skipped; only names are kept.
     """
     try:
-        tokens = tokenize(ddl_text)
+        reader = _DdlReader(ddl_text)
     except Exception as exc:  # tokenizer reports its own position
         raise DdlSyntaxError(str(exc), 0, getattr(exc, "position", 0)) from exc
-    reader = _DdlReader(tokens)
     catalog = SchemaCatalog(name=name)
     pending_fks: list[ForeignKey] = []
     while True:
@@ -471,47 +468,20 @@ class ValueSampler(Protocol):
 
 
 class CsvDirSampler:
-    """Samples from a directory of ``<table>.csv`` (header) or ``<table>.tbl``
-    (pipe-delimited, positional per catalog column order) files."""
+    """Samples from a directory of table data files, read as the SQLite
+    engine loads them (:func:`~sqlsynth.sqlite_engine.read_rows`):
+    ``<table>.tbl`` (pipe-delimited) or else ``<table>.csv`` (after a header
+    line), each positional per catalog column order."""
 
     def __init__(self, directory: str | Path, catalog: SchemaCatalog):
         self.directory = Path(directory)
         self.catalog = catalog
 
     def sample(self, table: str, column: str, limit: int) -> list:
-        csv_path = self.directory / f"{table}.csv"
-        tbl_path = self.directory / f"{table}.tbl"
-        if csv_path.exists():
-            return self._sample_csv(csv_path, column, limit)
-        if tbl_path.exists():
-            return self._sample_tbl(tbl_path, table, column, limit)
-        raise FileNotFoundError(f"no data file for table {table!r} in {self.directory}")
-
-    def _sample_csv(self, path: Path, column: str, limit: int) -> list:
-        values = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                lowered = {k.lower(): v for k, v in row.items()}
-                if column not in lowered:
-                    raise KeyError(f"{path.name} has no column {column!r}")
-                values.append(lowered[column])
-                if len(values) >= limit:
-                    break
-        return values
-
-    def _sample_tbl(self, path: Path, table: str, column: str, limit: int) -> list:
         names = self.catalog.require_table(table).column_names()
         index = names.index(column)
-        values = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                fields = line.rstrip("\n").split("|")
-                if fields and fields[-1] == "":
-                    fields = fields[:-1]  # trailing delimiter
-                values.append(fields[index])
-                if len(values) >= limit:
-                    break
-        return values
+        rows = read_rows(str(self.directory), table, len(names), limit)
+        return [row[index] for row in rows]
 
 
 def profile_columns(

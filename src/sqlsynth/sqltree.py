@@ -11,15 +11,16 @@ It is deliberately a validating parser: malformed statements raise
 :class:`~sqlsynth.errors.SqlSyntaxError` with the offending position, which is
 what the downstream syntax filter reports.
 
-A candidate query is tokenized once. :func:`~sqlsynth.records.make_record`
-makes its token list (:func:`tokenize_or_error`), derives the record id from
-it (:func:`normalize_tokens`, literals kept), and holds it on the record;
-:func:`~sqlsynth.pipeline.validate_record` takes the dedup key from it
-(literals as placeholders) and drops it. A candidate is parsed at most once:
-a mechanical one is built as a tree, and its SQL is the text :func:`to_sql`
-writes of it, so only the others' token lists are parsed
-(``parse_select(sql, tokens)``). :func:`to_sql` is this module's one writer
-of SQL surface syntax; every name it writes goes through :func:`sql_name`.
+One scanner, :func:`_lex`, reads SQL text. Token objects exist only inside a
+parse: :func:`parse_select` (and the DDL reader) tokenize the text they are
+given and drop the list when they return. :func:`normalized_forms` scans a
+candidate once for its two canonical forms, the literal form its record id
+hashes and the placeholder form that is its dedup key, and builds no token.
+So :func:`~sqlsynth.records.make_record` scans each candidate once, and a
+candidate is parsed at most once: a mechanical one is built as a tree, and
+its SQL is the text :func:`to_sql` writes of it, so it is never tokenized.
+:func:`to_sql` is this module's one writer of SQL surface syntax; every name
+it writes goes through :func:`sql_name`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ _TOKEN_RE = re.compile(
     | (?P<name>[A-Za-z_][A-Za-z_0-9$]*)
     | (?P<string>'(?:[^']|'')*')
     | (?P<qname>"(?:[^"]|"")*"|`[^`]*`)
-    | (?P<op><=|>=|<>|!=|\|\||[=<>+\-*/%(),.;])
+    | (?P<op><=|>=|<>|!=|\|\||/(?!\*)|[=<>+\-*%(),.;])  # an unclosed /* is an error
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -70,59 +71,58 @@ class Token:
     kind: str  # 'number' | 'name' | 'string' | 'qname' | 'op' | 'end'
     text: str
     pos: int
-    line: int
-    col: int
 
     @property
     def norm(self) -> str:
         """Lower-cased token text; quoted identifiers are unwrapped."""
         if self.kind == "qname":
-            body = self.text[1:-1]
-            if self.text[0] == '"':
-                body = body.replace('""', '"')
-            return body.lower()
+            return _unquote(self.text)
         return self.text.lower()
+
+
+def _unquote(qname: str) -> str:
+    """The lower-cased name a quoted identifier token spells."""
+    body = qname[1:-1]
+    if qname[0] == '"':
+        body = body.replace('""', '"')
+    return body.lower()
+
+
+def _syntax_error(message: str, sql: str, pos: int) -> SqlSyntaxError:
+    line_start = sql.rfind("\n", 0, pos) + 1
+    return SqlSyntaxError(message, pos, sql.count("\n", 0, pos) + 1, pos - line_start + 1)
+
+
+_SKIPPED = frozenset({"ws", "line_comment", "block_comment"})
+
+
+def _lex(sql: str):
+    """Yield ``(kind, text, pos)`` for each token of ``sql``, skipping
+    whitespace and comments; raise SqlSyntaxError where no token starts."""
+    pos = 0
+    for m in _TOKEN_RE.finditer(sql):
+        if m.start() != pos:
+            break
+        kind = m.lastgroup
+        if kind not in _SKIPPED:
+            yield kind, m.group(), pos
+        pos = m.end()
+    if pos == len(sql):
+        return
+    if sql[pos] == "'":
+        msg = "unterminated string literal"
+    elif sql.startswith("/*", pos):
+        msg = "unterminated block comment"
+    else:
+        msg = f"unexpected character {sql[pos]!r}"
+    raise _syntax_error(msg, sql, pos)
 
 
 def tokenize(sql: str) -> list[Token]:
     """Split ``sql`` into tokens, dropping whitespace and comments."""
-    tokens: list[Token] = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(sql)
-    while pos < n:
-        m = _TOKEN_RE.match(sql, pos)
-        if m is None:
-            ch = sql[pos]
-            if ch == "'":
-                msg = "unterminated string literal"
-            elif sql.startswith("/*", pos):
-                msg = "unterminated block comment"
-            else:
-                msg = f"unexpected character {ch!r}"
-            raise SqlSyntaxError(msg, pos, line, pos - line_start + 1)
-        kind = m.lastgroup
-        text = m.group()
-        if kind not in ("ws", "line_comment", "block_comment"):
-            tokens.append(Token(kind, text, pos, line, pos - line_start + 1))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + text.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(Token("end", "", pos, line, pos - line_start + 1))
+    tokens = [Token(kind, text, pos) for kind, text, pos in _lex(sql)]
+    tokens.append(Token("end", "", len(sql)))
     return tokens
-
-
-def tokenize_or_error(sql: str) -> list[Token] | SqlSyntaxError:
-    """:func:`tokenize`, with the SqlSyntaxError of text that cannot be
-    tokenized returned rather than raised: the one outcome a candidate keeps
-    for every later step."""
-    try:
-        return tokenize(sql)
-    except SqlSyntaxError as exc:
-        return exc
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +351,12 @@ _JOIN_INTRO = frozenset({"join", "inner", "left", "right", "full", "cross"})
 
 
 class TokenCursor:
-    """Cursor over a token list, shared by the SELECT parser and the DDL
-    reader; ``error`` raises the reader's own syntax error."""
+    """Cursor over the tokens of ``sql``, shared by the SELECT parser and the
+    DDL reader; ``error`` raises the reader's own syntax error."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, sql: str):
+        self.sql = sql
+        self.tokens = tokenize(sql)
         self.i = 0
 
     def peek(self, ahead: int = 0) -> Token:
@@ -370,7 +371,7 @@ class TokenCursor:
     def error(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
         shown = tok.text if tok.kind != "end" else "end of input"
-        raise SqlSyntaxError(f"{message} (got {shown!r})", tok.pos, tok.line, tok.col)
+        raise _syntax_error(f"{message} (got {shown!r})", self.sql, tok.pos)
 
     def at_kw(self, *words: str) -> bool:
         tok = self.peek()
@@ -895,17 +896,13 @@ class _Parser(TokenCursor):
         return Cast(expr=expr, type_name=type_name)
 
 
-def parse_select(sql: str, tokens: list[Token] | None = None) -> Query:
+def parse_select(sql: str) -> Query:
     """Parse one SELECT (or WITH ... SELECT) statement into a syntax tree.
 
-    ``tokens``, when given, is ``sql``'s own token list, which is parsed
-    instead of tokenizing ``sql`` again; it is read, never changed. Raises
-    :class:`~sqlsynth.errors.SqlSyntaxError` on malformed input, including
-    trailing garbage after the statement.
+    Raises :class:`~sqlsynth.errors.SqlSyntaxError` on malformed input,
+    including trailing garbage after the statement.
     """
-    if tokens is None:
-        tokens = tokenize(sql)
-    parser = _Parser(tokens)
+    parser = _Parser(sql)
     first = parser.peek()
     if not (first.kind == "name" and first.norm in ("select", "with")):
         parser.error("expected SELECT or WITH")
@@ -1015,46 +1012,42 @@ def to_sql(node: Node) -> str:
 # Normalization
 # ---------------------------------------------------------------------------
 
-_PLACEHOLDERS = {"number": ":num", "string": ":str"}
-
-
 def normalize_sql(sql: str, literal_placeholders: bool = True) -> str:
-    """Canonical single-line form of ``sql`` used for deduplication and ids:
-    :func:`normalize_tokens` of its tokens.
-
-    Falls back to :func:`normalize_text` if the text cannot be tokenized at
-    all (still usable as a dedup key for rejected candidates).
-    """
-    try:
-        tokens = tokenize(sql)
-    except SqlSyntaxError:
-        return normalize_text(sql)
-    return normalize_tokens(tokens, literal_placeholders)
+    """Canonical single-line form of ``sql`` used for deduplication: one of
+    its :func:`normalized_forms`."""
+    literal, placeholder = normalized_forms(sql)
+    return placeholder if literal_placeholders else literal
 
 
-def normalize_tokens(tokens: list[Token], literal_placeholders: bool) -> str:
-    """Canonical single-line form of a token list.
+def normalized_forms(sql: str) -> tuple[str, str]:
+    """The two canonical single-line forms of ``sql``, from one scan: with
+    literals kept (record ids) and with literals as placeholders (dedup keys).
 
     Keywords and identifiers are lower-cased (quoted identifiers unwrapped),
-    whitespace and comments collapse to single spaces, and, when
-    ``literal_placeholders`` is on, number/string literals are replaced by
-    typed placeholders so queries differing only in constants coincide.
+    whitespace and comments collapse to single spaces and semicolons go. In
+    the placeholder form, number and string literals become typed
+    placeholders, so queries differing only in constants coincide. Text that
+    cannot be tokenized at all has :func:`normalize_text` as both forms (still
+    usable as a dedup key for rejected candidates).
     """
-    parts: list[str] = []
-    for tok in tokens:
-        if tok.kind == "end":
-            break
-        if tok.kind == "op" and tok.text == ";":
-            continue
-        if literal_placeholders and tok.kind in _PLACEHOLDERS:
-            parts.append(_PLACEHOLDERS[tok.kind])
-        elif tok.kind == "number":
-            parts.append(tok.text.lower())
-        elif tok.kind == "string":
-            parts.append(tok.text)
-        else:
-            parts.append(tok.norm)
-    return " ".join(parts)
+    literal: list[str] = []
+    placeholder: list[str] = []
+    try:
+        for kind, text, _ in _lex(sql):
+            if kind == "string":
+                literal.append(text)
+                placeholder.append(":str")
+            elif kind == "number":
+                literal.append(text.lower())
+                placeholder.append(":num")
+            elif text != ";":
+                word = _unquote(text) if kind == "qname" else text.lower()
+                literal.append(word)
+                placeholder.append(word)
+    except SqlSyntaxError:
+        text = normalize_text(sql)
+        return text, text
+    return " ".join(literal), " ".join(placeholder)
 
 
 def normalize_text(sql: str) -> str:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import SqlSyntaxError
 from .schema import ColumnDef, SchemaCatalog, TableDef
 from .sqltree import (
     Between,
@@ -40,13 +39,10 @@ from .sqltree import (
     SetOp,
     Star,
     TableName,
-    Token,
     Unary,
     normalize_sql,
-    normalize_text,
-    normalize_tokens,
+    normalized_forms,
     parse_select,
-    tokenize_or_error,
 )
 from .util import stable_hash_hex
 
@@ -72,25 +68,18 @@ class ValidationReport:
     normalized_form: str = ""
 
 
-def query_id(sql: str, tokens: list[Token] | SqlSyntaxError | None = None) -> str:
-    """Stable id: hash of the literal-preserving normalized form.
-
-    ``tokens`` is what :func:`~sqlsynth.sqltree.tokenize_or_error` gave for
-    ``sql``, when the caller holds it; ``sql`` is then not tokenized again.
-    """
-    if tokens is None:
-        tokens = tokenize_or_error(sql)
-    if isinstance(tokens, SqlSyntaxError):
-        form = normalize_text(sql)
-    else:
-        form = normalize_tokens(tokens, literal_placeholders=False)
-    return stable_hash_hex(form, length=16)
+def query_id(sql: str, literal_form: str | None = None) -> str:
+    """Stable id: hash of the literal-preserving normalized form of ``sql``
+    (the first of its :func:`~sqlsynth.sqltree.normalized_forms`), which the
+    caller passes as ``literal_form`` when it holds it."""
+    if literal_form is None:
+        literal_form = normalized_forms(sql)[0]
+    return stable_hash_hex(literal_form, length=16)
 
 
-def validate_syntax(sql: str, tokens: list[Token] | None = None) -> Query:
-    """Parse ``sql``, or its token list ``tokens`` when given, into a syntax
-    tree; raises SqlSyntaxError with position."""
-    return parse_select(sql, tokens)
+def validate_syntax(sql: str) -> Query:
+    """Parse ``sql`` into a syntax tree; raises SqlSyntaxError with position."""
+    return parse_select(sql)
 
 
 @dataclass
@@ -549,8 +538,8 @@ def deduplicate(records, literal_placeholders: bool = True, seen: set[str] | Non
     default so queries differing only in constants collapse. Order is
     preserved; every record's report gains its normalized form. A report
     that already holds one, made with the same ``literal_placeholders`` (as
-    the pipeline's validator stores it from the candidate's token list), is
-    not normalized again.
+    the pipeline's validator stores it from the candidate's normalized forms),
+    is not normalized again.
 
     ``seen`` holds the forms already kept, such as those of earlier
     batches, and gains the forms kept here. A caller folding batches passes

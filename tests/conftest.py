@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from sqlsynth.errors import SqlSyntaxError
 from sqlsynth.schema import ingest_ddl, infer_foreign_keys
+from sqlsynth.sqltree import tokenize
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TPCH_DDL_PATH = REPO_ROOT / "data" / "tpch_schema.sql"
+PERFBENCH_RUN = REPO_ROOT / "perfbench" / "run.py"
 
 TINY_DDL = """
 CREATE TABLE region (
@@ -23,6 +28,26 @@ CREATE TABLE nation (
   FOREIGN KEY (n_regionkey) REFERENCES region (r_regionkey)
 );
 """
+
+
+def tokenizes(sql: str) -> bool:
+    """Whether ``tokenize`` reads ``sql`` without a SqlSyntaxError."""
+    try:
+        tokenize(sql)
+    except SqlSyntaxError:
+        return False
+    return True
+
+
+@pytest.fixture()
+def perfbench_run(monkeypatch):
+    """The benchmark harness ``perfbench/run.py``, imported (never run)."""
+    monkeypatch.syspath_prepend(str(PERFBENCH_RUN.parent))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH_RUN)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look it up
+    spec.loader.exec_module(bench)
+    return bench
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,8 @@
 from __future__ import annotations
 
 import copy
-import importlib
-import importlib.util
 import json
 import re
-import sys
 import tomllib
 from dataclasses import fields, is_dataclass
 from typing import get_type_hints
@@ -27,7 +24,6 @@ from sqlsynth.config import (
 from tests.conftest import REPO_ROOT, TPCH_DDL_PATH
 
 DEMO_DIR = REPO_ROOT / "data" / "demo"
-PERFBENCH_RUN = REPO_ROOT / "perfbench" / "run.py"
 
 
 MINIMAL = {
@@ -280,12 +276,8 @@ class TestStrictLoader:
 
 
 class TestShippedConfigs:
-    def test_demo_and_every_benchmark_workload_load(self, tmp_path, monkeypatch):
-        monkeypatch.syspath_prepend(str(REPO_ROOT / "perfbench"))
-        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH_RUN)
-        bench = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look it up
-        spec.loader.exec_module(bench)
+    def test_demo_and_every_benchmark_workload_load(self, tmp_path, perfbench_run):
+        bench = perfbench_run
         base = load_toml(DEMO_DIR / "demo.toml")
         assert config_from_dict(base, base_dir=DEMO_DIR).execution.engines
         inputs = {"url": "http://localhost:9", "dataset": tmp_path}
@@ -293,11 +285,6 @@ class TestShippedConfigs:
             data = copy.deepcopy(base)
             transform(data, 1, inputs)
             config_from_dict(data, base_dir=DEMO_DIR)
-        for _, target, _ in bench.LAYER_PROBES:
-            module_name, attr = target.split(":")
-            owner = importlib.import_module(module_name)
-            for part in attr.split("."):
-                owner = getattr(owner, part)
 
     def test_readme_table_lists_every_accepted_key(self):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")

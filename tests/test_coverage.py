@@ -21,6 +21,7 @@ from sqlsynth.coverage import (
     CoverageReport,
     CoverageTargets,
     FacetStats,
+    RegenDirectives,
     aggregate_coverage,
     clause_presence_rows,
     facet_stats_rows,
@@ -330,7 +331,7 @@ class TestPlanRegeneration:
         )
         assert report.gap_list == []
         directives = plan_regeneration(report, subschemas, tpch_catalog_inferred)
-        assert directives.is_empty()
+        assert directives == RegenDirectives()
 
     def test_table_gap_boosts_containing_subschemas(self, tpch_catalog_inferred, subschemas):
         report = self._report_with(tpch_catalog_inferred, ["SELECT r_name FROM region"])

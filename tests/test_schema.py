@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
+from sqlsynth import sqlite_engine
 from sqlsynth.errors import DdlSyntaxError, DuplicateObjectError, UnknownObjectError
 from sqlsynth.schema import (
     CsvDirSampler,
@@ -275,6 +278,21 @@ class TestProfiling:
         sampler = CsvDirSampler(tmp_path, tiny_catalog)
         assert sampler.sample("region", "r_name", 10) == ["AFRICA", "AMERICA"]
         assert sampler.sample("nation", "n_name", 1) == ["ALGERIA"]
+
+    def test_sampler_reads_the_file_the_engine_loads(self, tmp_path, tiny_catalog):
+        """With both data files present, profiling samples the rows a SQLite
+        engine loads: the .tbl file's, by position, not the CSV's by header."""
+        (tmp_path / "region.csv").write_text("r_name,r_regionkey\nFROMCSV,9\n", encoding="utf-8")
+        (tmp_path / "region.tbl").write_text("0|FROMTBL|\n", encoding="utf-8")
+        conn = sqlite3.connect(":memory:")
+        conn.execute("CREATE TABLE region (r_regionkey, r_name)")
+        assert sqlite_engine.load(conn, "region", str(tmp_path), 2, 10) == 1
+        loaded = conn.execute("SELECT r_regionkey, r_name FROM region").fetchall()
+        assert loaded == [("0", "FROMTBL")]
+        sampler = CsvDirSampler(tmp_path, tiny_catalog)
+        assert sampler.sample("region", "r_name", 10) == ["FROMTBL"]
+        profiled = profile_columns(tiny_catalog, sampler).require_table("region")
+        assert profiled.column("r_name").metadata.enumerated_values == ["FROMTBL"]
 
 
 class TestRender:

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import json
 
 import pytest
@@ -36,17 +35,16 @@ from sqlsynth.sqltree import (
     literal_node,
     normalize_sql,
     normalize_text,
-    normalize_tokens,
+    normalized_forms,
     parse_select,
     sql_name,
     to_sql,
     tokenize,
-    tokenize_or_error,
     walk,
 )
 from sqlsynth.validation import query_id
 
-from tests.conftest import REPO_ROOT
+from tests.conftest import REPO_ROOT, tokenizes
 
 
 def core(sql: str) -> SelectCore:
@@ -353,6 +351,27 @@ class TestErrors:
             parse_select("SELECT a\nFROM t\nWHERE ???")
         assert err.value.line == 3
 
+    @pytest.mark.parametrize(
+        "sql, position, line, column",
+        [
+            ("SELECT a\n  FROM t WHERE (a = 1", 30, 2, 22),  # parser: end of input
+            ("SELECT 'x\ny'\n , ?", 16, 3, 4),  # tokenizer: '?' after a string's newline
+        ],
+    )
+    def test_error_line_and_column(self, sql, position, line, column):
+        with pytest.raises(SqlSyntaxError) as err:
+            parse_select(sql)
+        assert (err.value.position, err.value.line, err.value.column) == (position, line, column)
+
+    def test_unterminated_block_comment(self):
+        with pytest.raises(SqlSyntaxError, match="unterminated block comment") as err:
+            tokenize("SELECT 1 /* note")
+        assert (err.value.position, err.value.line, err.value.column) == (9, 1, 10)
+        with pytest.raises(SqlSyntaxError, match="unterminated block comment"):
+            parse_select("SELECT 1 /* note")
+        assert parse_select("SELECT 1 /* note */") == parse_select("SELECT 1")
+        assert normalized_forms("SELECT 1 /* note") == ("select 1 /* note",) * 2
+
 
 class TestWalk:
     def test_walk_reaches_all_columns(self):
@@ -529,36 +548,29 @@ def messy_sql(draw):
 sql_texts = st.sampled_from(DEMO_SQL) | messy_sql() | st.text(max_size=120)
 
 
-class TestOneTokenList:
-    @given(sql_texts, st.booleans())
-    @settings(max_examples=300, deadline=None)
-    def test_normalize_tokens_is_normalize_sql(self, sql, placeholders):
-        tokens = tokenize_or_error(sql)
-        if isinstance(tokens, SqlSyntaxError):
-            assert normalize_sql(sql, placeholders) == normalize_text(sql)
-        else:
-            assert normalize_tokens(tokens, placeholders) == normalize_sql(sql, placeholders)
-        assert query_id(sql, tokens) == query_id(sql)
-
+class TestNormalizedForms:
     @given(sql_texts)
     @settings(max_examples=300, deadline=None)
-    def test_parser_reads_a_token_list_without_changing_it(self, sql):
-        tokens = tokenize_or_error(sql)
-        if isinstance(tokens, SqlSyntaxError):
-            return
-        before = copy.deepcopy(tokens)
-        try:
-            tree = parse_select(sql, tokens)
-        except SqlSyntaxError as exc:
-            with pytest.raises(SqlSyntaxError) as again:
-                parse_select(sql)
-            assert str(again.value) == str(exc)
+    def test_forms_join_the_token_norms(self, sql):
+        """The one-scan forms equal the forms spelled out over the token
+        list, and fall back to normalize_text exactly when tokenize raises."""
+        forms = normalized_forms(sql)
+        if not tokenizes(sql):
+            assert forms == (normalize_text(sql), normalize_text(sql))
         else:
-            assert tree == parse_select(sql)
-        assert tokens == before
+            words = [
+                tok for tok in tokenize(sql)
+                if tok.kind != "end" and not (tok.kind == "op" and tok.text == ";")
+            ]
+            literal = " ".join(tok.text if tok.kind == "string" else tok.norm for tok in words)
+            placeholders = {"number": ":num", "string": ":str"}
+            placeholder = " ".join(placeholders.get(tok.kind, tok.norm) for tok in words)
+            assert forms == (literal, placeholder)
+        assert (normalize_sql(sql, False), normalize_sql(sql, True)) == forms
+        assert query_id(sql, forms[0]) == query_id(sql)
 
     def test_demo_holds_untokenizable_candidates(self):
-        assert any(isinstance(tokenize_or_error(sql), SqlSyntaxError) for sql in DEMO_SQL)
+        assert not all(map(tokenizes, DEMO_SQL))
         with pytest.raises(SqlSyntaxError):
             tokenize("SELECT 'oops")
 
