@@ -1,6 +1,9 @@
 """Structural profiling of validated queries and corpus-level coverage.
 
-Counting contract (fixed here, used by every metric):
+Counting contract (fixed here, used by every metric, and counted by the
+reference resolver, :func:`~sqlsynth.validation.resolve_references`, as it
+visits each node; a profile reads the counts off its
+:class:`~sqlsynth.validation.ResolvedReferences` and walks no tree):
 
 * ``join_count``: explicit JOIN nodes, plus k-1 for each comma-list of k
   relations, summed over all SELECT cores including sub-selects.
@@ -26,28 +29,13 @@ from fractions import Fraction
 
 from .errors import EmptyInputError, UnknownObjectError
 from .schema import SchemaCatalog
-from .sqltree import (
-    Between,
-    Binary,
-    FuncCall,
-    InList,
-    InSubquery,
-    Join,
-    Like,
-    Query,
-    SelectCore,
-    Unary,
-    parse_select,
-    walk,
-)
+from .sqltree import parse_select
 from .validation import REJECT_UNKNOWN_OBJECT, ResolvedReferences, resolve_references
 
 CLAUSE_KEYS = ("select", "where", "group_by", "order_by", "having", "limit")
 OPERATOR_KEYS = ("and", "or", "not", "comparison", "in", "between", "like")
 FACET_KEYS = ("joins", "clauses", "operators", "functions")
 PRESENCE_CLAUSES = ("group_by", "order_by", "having")
-
-_COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 
 
 @dataclass
@@ -74,67 +62,25 @@ def profile_query(sql: str, catalog: SchemaCatalog) -> ComplexityProfile:
 
     The one-shot form: parses and resolves ``sql`` itself, then runs
     :func:`profile_tree`. The pipeline does not call it; it profiles each
-    accepted candidate from the tree and references its validation already
-    built. The query must already have passed syntax validation and resolve
-    against the catalog; unresolved identifiers raise UnknownObjectError.
+    accepted candidate from the references its validation already resolved.
+    The query must already have passed syntax validation and resolve against
+    the catalog; unresolved identifiers raise UnknownObjectError.
     """
     tree = parse_select(sql)
     refs = resolve_references(tree, catalog)
     if REJECT_UNKNOWN_OBJECT in refs.codes:
         raise UnknownObjectError("; ".join(refs.notes) or "unresolved identifier")
-    return profile_tree(tree, refs)
+    return profile_tree(refs)
 
 
-def profile_tree(tree: Query, refs: ResolvedReferences) -> ComplexityProfile:
-    """Profile a parsed query from its resolved references (one tree walk)."""
-    join_count = 0
-    select_count = 0
-    clause_counts = {key: 0 for key in CLAUSE_KEYS}
-    operator_counts = {key: 0 for key in OPERATOR_KEYS}
-    function_counts: Counter = Counter()
-
-    for node in walk(tree):
-        if isinstance(node, SelectCore):
-            select_count += 1
-            if len(node.from_refs) > 1:
-                join_count += len(node.from_refs) - 1
-            if node.where is not None:
-                clause_counts["where"] += 1
-            if node.group_by:
-                clause_counts["group_by"] += 1
-            if node.having is not None:
-                clause_counts["having"] += 1
-        elif isinstance(node, Join):
-            join_count += 1
-        elif isinstance(node, Query):
-            if node.order_by:
-                clause_counts["order_by"] += 1
-            if node.limit is not None:
-                clause_counts["limit"] += 1
-        elif isinstance(node, Binary):
-            if node.op in ("and", "or"):
-                operator_counts[node.op] += 1
-            elif node.op in _COMPARISON_OPS:
-                operator_counts["comparison"] += 1
-        elif isinstance(node, Unary):
-            if node.op == "not":
-                operator_counts["not"] += 1
-        elif isinstance(node, (InList, InSubquery)):
-            operator_counts["in"] += 1
-        elif isinstance(node, Between):
-            operator_counts["between"] += 1
-        elif isinstance(node, Like):
-            operator_counts["like"] += 1
-        elif isinstance(node, FuncCall):
-            function_counts[node.name] += 1
-
-    clause_counts["select"] = select_count
+def profile_tree(refs: ResolvedReferences) -> ComplexityProfile:
+    """Profile a resolved query from the counts its resolution took."""
     return ComplexityProfile(
-        join_count=join_count,
-        clause_counts=clause_counts,
-        operator_counts=operator_counts,
-        function_counts=dict(sorted(function_counts.items())),
-        subselect_count=select_count - 1,
+        join_count=refs.joins + refs.comma_joins,
+        clause_counts={key: refs.clauses[key] for key in CLAUSE_KEYS},
+        operator_counts={key: refs.operators[key] for key in OPERATOR_KEYS},
+        function_counts=dict(sorted(refs.functions.items())),
+        subselect_count=refs.clauses["select"] - 1,
         referenced_tables=dict(sorted(refs.tables.items())),
         referenced_columns=dict(sorted(refs.columns.items())),
     )

@@ -176,15 +176,11 @@ class SqliteSession:
     def executescript(self, script: str):
         self._setup("script", script)
 
-    def executemany(self, sql: str, rows):
-        """Insert ``rows`` sent over the pipe; for small fixtures, since
-        ``load_table`` reads data files inside the engine."""
-        self._setup("many", sql, list(rows))
-
-    def load_table(self, table: str, data_dir, column_count: int, cap: int) -> int:
+    def load_table(self, table: str, data_dir, columns: list[str], cap: int) -> int:
         """Have the engine insert at most ``cap`` rows of ``<table>.tbl`` or
-        ``<table>.csv`` from ``data_dir``; returns the loaded count."""
-        return self._setup("load", table, str(data_dir), column_count, cap)
+        ``<table>.csv`` from ``data_dir``, whose fields are ``columns`` in
+        order; returns the loaded count."""
+        return self._setup("load", table, str(data_dir), columns, cap)
 
     def close(self):
         """Close the engine's input and reap the process; idempotent."""
@@ -342,14 +338,15 @@ def restrict_dataset(
 ) -> dict[str, int]:
     """Create the catalog's tables in the SQLite ``session`` and load at
     most ``max_rows_per_table`` rows per table from ``<table>.tbl`` (pipe
-    delimited) or ``<table>.csv`` files; returns loaded counts. The engine
-    process reads the files itself."""
+    delimited) or ``<table>.csv`` files (whose header names the table's
+    columns in order); returns loaded counts. The engine process reads the
+    files itself."""
     if max_rows_per_table < 1:
         raise LoadError(f"max_rows_per_table must be >= 1, got {max_rows_per_table}")
     session.executescript("\n".join(render_create_statements(catalog)))
     return {
         table.name: session.load_table(
-            table.name, data_dir, len(table.columns), max_rows_per_table
+            table.name, data_dir, table.column_names(), max_rows_per_table
         )
         for table in catalog.tables
     }

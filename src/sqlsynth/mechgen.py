@@ -16,7 +16,10 @@ carries them as ``tags`` (group_by / order_by / having / where / aggregate /
 join), the tags :func:`clause_tags` would read from the parsed query. Seed
 pools hold :class:`SeedExample` values built from those tags, so seed-example
 selection never parses; :func:`clause_tags` remains for text of unknown
-origin, such as records read from a file, and as the test oracle.
+origin, such as records read from a file, and as the test oracle. It walks
+no tree of its own: it reads the clause, join and function counts that
+:func:`~sqlsynth.validation.resolve_references` takes in the library's one
+walk over a syntax tree.
 
 Each query is built as a syntax tree only, and its SQL is the text
 :func:`~sqlsynth.sqltree.to_sql` writes of that tree, so the spelling,
@@ -55,10 +58,10 @@ from .sqltree import (
     literal_node,
     parse_select,
     to_sql,
-    walk,
 )
 from .subschema import Subschema
 from .util import derive_seed
+from .validation import resolve_references
 
 DEFAULT_AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
@@ -117,24 +120,16 @@ _AGG_NAMES = frozenset(f.lower() for f in DEFAULT_AGGREGATES)
 
 def clause_tags(sql: str) -> frozenset:
     """Clause tags present in a query: group_by / order_by / having /
-    where / aggregate / join, read from its parse tree. Used for biased
-    seed-example selection."""
-    query = parse_select(sql)
-    tags = set()
-    for node in walk(query):
-        if isinstance(node, SelectCore):
-            if node.group_by:
-                tags.add("group_by")
-            if node.having:
-                tags.add("having")
-            if node.where is not None:
-                tags.add("where")
-        elif isinstance(node, Query) and node.order_by:
-            tags.add("order_by")
-        elif isinstance(node, Join):
-            tags.add("join")
-        elif isinstance(node, FuncCall) and node.name in _AGG_NAMES:
-            tags.add("aggregate")
+    where / aggregate / join (an explicit JOIN), read from the counts its
+    resolution takes. The tags are syntactic, so it resolves against an
+    empty catalog and ignores the verdict. Used for biased seed-example
+    selection."""
+    refs = resolve_references(parse_select(sql), SchemaCatalog(name=""))
+    tags = {name for name in ("group_by", "order_by", "having", "where") if refs.clauses[name]}
+    if refs.joins:
+        tags.add("join")
+    if _AGG_NAMES & refs.functions.keys():
+        tags.add("aggregate")
     return frozenset(tags)
 
 

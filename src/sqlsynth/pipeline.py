@@ -40,17 +40,18 @@ a file, is parsed.
 subschema or one prompt at a time (:func:`_llm_batch` once every prompt's
 completions are in, so the analysis never competes with the backend's
 threads), and :func:`validate_record` analyses each at once: it takes the
-record's tree or parses its SQL, resolves the references a single time,
-derives the relevance codes from them, profiles an accepted candidate from
-the same tree and takes its dedup key from the record's forms; the forms
-and the tree are dropped there. At batch end :func:`settle_batch`
-counts the batch and deduplicates its accepted candidates against the set
-of normalized forms already kept, which it extends with the batch's new
-records only, so no batch re-parses, re-normalizes or re-profiles what an
-earlier batch kept. Mechanical candidates carry the clause tags of their
-construction into the seed pools (:class:`~sqlsynth.mechgen.SeedExample`),
-so seed selection parses nothing. Only the overall coverage report steers:
-one :class:`~sqlsynth.coverage.CoverageFold` adds each batch's newly kept
+record's tree or parses its SQL, resolves the references in the one walk
+over the tree, derives the relevance codes from them, profiles an accepted
+candidate from the counts that walk took and takes its dedup key from the
+record's forms; the forms and the tree are dropped there. At batch end
+:func:`settle_batch` counts the batch and deduplicates its accepted
+candidates against the set of normalized forms already kept, which it
+extends with the batch's new records only, so no batch re-parses,
+re-normalizes or re-profiles what an earlier batch kept. Mechanical
+candidates carry the clause tags of their construction into the seed pools
+(:class:`~sqlsynth.mechgen.SeedExample`), so seed selection parses nothing.
+Only the overall coverage report steers: one
+:class:`~sqlsynth.coverage.CoverageFold` adds each batch's newly kept
 profiles, and each batch reads its report off the running totals. The
 per-setting reports are built once, for ``coverage.json``.
 
@@ -385,7 +386,7 @@ def validate_record(record, catalog, subschema_by_id, validators) -> None:
     from :func:`~sqlsynth.records.make_record`), or scans ``record.sql`` for
     them for a record read from a file; both are dropped. Sets
     ``record.validation`` and ``record.profile``: an accepted candidate's
-    profile is built from the same tree and references, and its report
+    profile is read off the same resolution, and its report
     holds its dedup key (the normalized form under
     ``validators.literal_placeholder_dedup``); a rejected one's profile is
     None.
@@ -415,7 +416,7 @@ def validate_record(record, catalog, subschema_by_id, validators) -> None:
         verdict=VERDICT_ACCEPTED,
         normalized_form=placeholder if validators.literal_placeholder_dedup else literal,
     )
-    record.profile = profile_tree(tree, refs)
+    record.profile = profile_tree(refs)
 
 
 def settle_batch(config, candidates, seen_forms, accounting):

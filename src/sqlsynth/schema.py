@@ -471,7 +471,8 @@ class CsvDirSampler:
     """Samples from a directory of table data files, read as the SQLite
     engine loads them (:func:`~sqlsynth.sqlite_engine.read_rows`):
     ``<table>.tbl`` (pipe-delimited) or else ``<table>.csv`` (after a header
-    line), each positional per catalog column order."""
+    line that names the catalog's columns in order), each positional per
+    catalog column order."""
 
     def __init__(self, directory: str | Path, catalog: SchemaCatalog):
         self.directory = Path(directory)
@@ -480,7 +481,7 @@ class CsvDirSampler:
     def sample(self, table: str, column: str, limit: int) -> list:
         names = self.catalog.require_table(table).column_names()
         index = names.index(column)
-        rows = read_rows(str(self.directory), table, len(names), limit)
+        rows = read_rows(str(self.directory), table, names, limit)
         return [row[index] for row in rows]
 
 

@@ -60,10 +60,12 @@ class DataFileError(Exception):
     insert."""
 
 
-def read_rows(data_dir: str, table: str, column_count: int, cap: int):
+def read_rows(data_dir: str, table: str, columns: list[str], cap: int):
     """Yield at most ``cap`` rows of ``<table>.tbl`` (pipe delimited, with or
-    without a trailing delimiter) or, failing that, ``<table>.csv`` (with a
-    header line)."""
+    without a trailing delimiter) or, failing that, ``<table>.csv``, whose
+    header line must name ``columns`` in order (in any letter case). Each
+    row must hold one field per column."""
+    width = len(columns)
     tbl_path = os.path.join(data_dir, f"{table}.tbl")
     csv_path = os.path.join(data_dir, f"{table}.csv")
     if os.path.exists(tbl_path):
@@ -72,26 +74,34 @@ def read_rows(data_dir: str, table: str, column_count: int, cap: int):
                 fields = line.rstrip("\n").split("|")
                 if fields and fields[-1] == "":
                     fields.pop()
-                if len(fields) != column_count:
-                    raise DataFileError(
-                        f"{table}.tbl: expected {column_count} fields, got {len(fields)}"
-                    )
+                if len(fields) != width:
+                    raise DataFileError(f"{table}.tbl: expected {width} fields, got {len(fields)}")
                 yield tuple(fields)
     elif os.path.exists(csv_path):
         with open(csv_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            next(reader, None)  # header
-            yield from map(tuple, islice(reader, cap))
+            header = next(reader, None)
+            if header is not None and [name.lower() for name in header] != [
+                name.lower() for name in columns
+            ]:
+                raise DataFileError(
+                    f"{table}.csv: header {','.join(header)!r} does not name the "
+                    f"columns {','.join(columns)!r} in order"
+                )
+            for fields in islice(reader, cap):
+                if len(fields) != width:
+                    raise DataFileError(f"{table}.csv: expected {width} fields, got {len(fields)}")
+                yield tuple(fields)
     else:
         raise DataFileError(f"no data file for table {table!r} in {data_dir}")
 
 
-def load(conn, table: str, data_dir: str, column_count: int, cap: int) -> int:
+def load(conn, table: str, data_dir: str, columns: list[str], cap: int) -> int:
     """Insert the rows ``read_rows`` yields into ``table`` in one
     transaction; returns how many there were."""
-    placeholders = ", ".join("?" * column_count)
+    placeholders = ", ".join("?" * len(columns))
     quoted = table.replace('"', '""')  # the name may be a reserved word
-    rows = read_rows(data_dir, table, column_count, cap)
+    rows = read_rows(data_dir, table, columns, cap)
     try:
         cursor = conn.executemany(f'INSERT INTO "{quoted}" VALUES ({placeholders})', rows)
         conn.commit()
@@ -108,12 +118,7 @@ def script(conn, text: str) -> None:
     conn.executescript(text)
 
 
-def many(conn, sql: str, rows: list) -> None:
-    conn.executemany(sql, rows)
-    conn.commit()
-
-
-OPS = {"run": run, "load": load, "script": script, "many": many}
+OPS = {"run": run, "load": load, "script": script}
 
 
 def main(database: str) -> int:

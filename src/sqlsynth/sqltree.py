@@ -21,13 +21,19 @@ candidate is parsed at most once: a mechanical one is built as a tree, and
 its SQL is the text :func:`to_sql` writes of it, so it is never tokenized.
 :func:`to_sql` is this module's one writer of SQL surface syntax; every name
 it writes goes through :func:`sql_name`.
+
+This module offers no generic tree walk. Besides the parser that builds a
+tree and :func:`to_sql` that prints it, the one walk over a tree is the
+reference resolver, :func:`~sqlsynth.validation.resolve_references`, which
+visits each node once and counts the shape that coverage profiles and
+clause tags read.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .errors import SqlSyntaxError
 
@@ -313,39 +319,11 @@ class Query(Node):
     offset: Node | None = None
 
 
-#: Each node class's field names, read once rather than on every visit.
-_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in Node.__subclasses__()}
-
-
-def children(node: Node):
-    """Yield the direct child nodes of ``node``."""
-    for name in _FIELD_NAMES[type(node)]:
-        value = getattr(node, name)
-        if isinstance(value, Node):
-            yield value
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                if isinstance(item, Node):
-                    yield item
-                elif isinstance(item, tuple):
-                    for sub in item:
-                        if isinstance(sub, Node):
-                            yield sub
-
-
-def walk(node: Node):
-    """Yield ``node`` and every descendant, depth first."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        stack.extend(children(current))
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+#: also the operators the resolver counts as comparisons
 _COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 _JOIN_INTRO = frozenset({"join", "inner", "left", "right", "full", "cross"})
 

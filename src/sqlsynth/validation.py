@@ -6,9 +6,14 @@ sub-selects) and enforces the metadata rules: no arithmetic on label
 columns, enumerated columns filtered only with their known literals, and,
 when a subschema is given, no references outside its tables.
 
-The same resolver also produces the reference multisets the coverage
-analyzer consumes, so generation, validation, and coverage all agree on
-what "resolves" means.
+The resolver is the library's one walk over a syntax tree (apart from the
+parser that builds it and :func:`~sqlsynth.sqltree.to_sql` that prints it).
+It visits every node once and, as it goes, counts the query's shape:
+SELECT cores, joins, clauses, operators and function calls. So one
+:class:`ResolvedReferences` holds the verdict, the reference multisets and
+the counts that the coverage profile (:func:`~sqlsynth.coverage.profile_tree`)
+and the clause tags (:func:`~sqlsynth.mechgen.clause_tags`) read, and
+generation, validation and coverage all agree on what "resolves" means.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .sqltree import (
     Star,
     TableName,
     Unary,
+    _COMPARISON_OPS,
     normalize_sql,
     normalized_forms,
     parse_select,
@@ -57,7 +63,6 @@ VERDICT_ACCEPTED = "accepted"
 VERDICT_REJECTED = "rejected"
 
 _ARITHMETIC_OPS = frozenset({"+", "-", "*", "/", "%"})
-_COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", "<=", ">", ">="})
 
 
 @dataclass
@@ -84,17 +89,35 @@ def validate_syntax(sql: str) -> Query:
 
 @dataclass
 class ResolvedReferences:
-    """Outcome of resolving a query against a catalog."""
+    """Outcome of resolving a query against a catalog, and the query's
+    shape as counted on the way (whether or not it resolved)."""
 
     tables: Counter = field(default_factory=Counter)  # base-table FROM occurrences
     columns: Counter = field(default_factory=Counter)  # "table.column" occurrences
     codes: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
+    joins: int = 0  # explicit JOINs
+    comma_joins: int = 0  # k-1 for each FROM list of k relations
+    # "select" (SELECT cores), "where", "group_by", "having" per core;
+    # "order_by", "limit" per query expression
+    clauses: Counter = field(default_factory=Counter)
+    # "and", "or", "not", "comparison" (all comparison operators), "in",
+    # "between", "like"
+    operators: Counter = field(default_factory=Counter)
+    functions: Counter = field(default_factory=Counter)  # calls by lower-cased name
 
     def add_code(self, code: str, note: str):
         if code not in self.codes:
             self.codes.append(code)
         self.notes.append(note)
+
+    def add_counts(self, other: ResolvedReferences):
+        """Add ``other``'s shape counts (not its references or codes)."""
+        self.joins += other.joins
+        self.comma_joins += other.comma_joins
+        self.clauses.update(other.clauses)
+        self.operators.update(other.operators)
+        self.functions.update(other.functions)
 
 
 class _Relation:
@@ -210,14 +233,26 @@ def _resolve_query(
         known = set(output) if output else set()
         for item in query.order_by:
             # Set-operation ORDER BY addresses output columns by name or
-            # position; anything fancier is tolerated rather than resolved.
+            # position; anything fancier is tolerated rather than resolved,
+            # though its nodes are counted.
             expr = item.expr
-            if isinstance(expr, ColumnRef) and expr.table is None:
-                if output is not None and expr.name not in known:
+            if isinstance(expr, ColumnRef):
+                if expr.table is None and output is not None and expr.name not in known:
                     refs.add_code(
                         REJECT_UNKNOWN_OBJECT,
                         f"ORDER BY column {expr.name!r} not in set-operation output",
                     )
+            else:
+                scratch = ResolvedReferences()
+                _resolve_expr(expr, catalog, scratch, cte_scope, known)
+                refs.add_counts(scratch)
+    if query.order_by:
+        refs.clauses["order_by"] += 1
+    if query.limit is not None:
+        refs.clauses["limit"] += 1
+        _resolve_expr(query.limit, catalog, refs, cte_scope, frozenset())
+    if query.offset is not None:
+        _resolve_expr(query.offset, catalog, refs, cte_scope, frozenset())
     return output
 
 
@@ -238,6 +273,9 @@ def _resolve_core(
     core: SelectCore, catalog, refs, outer: _Scope
 ) -> tuple[_Scope, list[str] | None, set[str]]:
     frame = _Scope(outer)
+    refs.clauses["select"] += 1
+    if len(core.from_refs) > 1:
+        refs.comma_joins += len(core.from_refs) - 1
     pending_conditions: list[Node] = []
     for ref in core.from_refs:
         _bind_table_ref(ref, catalog, refs, frame, pending_conditions)
@@ -265,10 +303,14 @@ def _resolve_core(
         else:
             output = None  # unnamed computed column: output shape opaque
     if core.where is not None:
+        refs.clauses["where"] += 1
         _resolve_expr(core.where, catalog, refs, frame, frozenset())
-    for expr in core.group_by:
-        _resolve_expr(expr, catalog, refs, frame, aliases)
+    if core.group_by:
+        refs.clauses["group_by"] += 1
+        for expr in core.group_by:
+            _resolve_expr(expr, catalog, refs, frame, aliases)
     if core.having is not None:
+        refs.clauses["having"] += 1
         _resolve_expr(core.having, catalog, refs, frame, aliases)
     return frame, output, aliases
 
@@ -294,6 +336,7 @@ def _bind_table_ref(ref: Node, catalog, refs, frame: _Scope, pending: list):
         known = set(output) if output is not None else None
         _add_binding(frame, _Relation(ref.alias, None, known), refs)
     elif isinstance(ref, Join):
+        refs.joins += 1
         _bind_table_ref(ref.left, catalog, refs, frame, pending)
         _bind_table_ref(ref.right, catalog, refs, frame, pending)
         if ref.condition is not None:
@@ -407,39 +450,51 @@ def _resolve_expr(expr: Node, catalog, refs, scope: _Scope, aliases: frozenset |
         _resolve_query(expr.query, catalog, refs, scope)
         return
     if isinstance(expr, InSubquery):
+        refs.operators["in"] += 1
         _resolve_expr(expr.expr, catalog, refs, scope, aliases)
         _resolve_query(expr.query, catalog, refs, scope)
         return
     if isinstance(expr, Binary):
+        op = expr.op
+        if op == "and" or op == "or":
+            refs.operators[op] += 1
+        elif op in _COMPARISON_OPS:
+            refs.operators["comparison"] += 1
         _resolve_expr(expr.left, catalog, refs, scope, aliases)
         _resolve_expr(expr.right, catalog, refs, scope, aliases)
-        if expr.op in _ARITHMETIC_OPS:
+        if op in _ARITHMETIC_OPS:
             for side in (expr.left, expr.right):
-                _check_label_arithmetic(side, catalog, refs, scope, aliases, expr.op)
-        if expr.op == "=":
+                _check_label_arithmetic(side, catalog, refs, scope, aliases, op)
+        if op == "=":
             _check_enum_literal(expr.left, expr.right, catalog, refs, scope, aliases)
             _check_enum_literal(expr.right, expr.left, catalog, refs, scope, aliases)
         return
     if isinstance(expr, Unary):
+        if expr.op == "not":
+            refs.operators["not"] += 1
         _resolve_expr(expr.operand, catalog, refs, scope, aliases)
         if expr.op in ("-", "+"):
             _check_label_arithmetic(expr.operand, catalog, refs, scope, aliases, expr.op)
         return
     if isinstance(expr, InList):
+        refs.operators["in"] += 1
         _resolve_expr(expr.expr, catalog, refs, scope, aliases)
         for item in expr.items:
             _resolve_expr(item, catalog, refs, scope, aliases)
         column = _peek_base_column(expr.expr, scope)
         if column is not None and column.metadata.enumerated_values is not None:
             for item in expr.items:
-                if isinstance(item, Literal):
-                    _check_literal_in_enum(column, item, refs)
+                literal = _enum_operand(item)
+                if literal is not None:
+                    _check_literal_in_enum(column, literal, refs)
         return
     if isinstance(expr, Between):
+        refs.operators["between"] += 1
         for part in (expr.expr, expr.low, expr.high):
             _resolve_expr(part, catalog, refs, scope, aliases)
         return
     if isinstance(expr, Like):
+        refs.operators["like"] += 1
         _resolve_expr(expr.expr, catalog, refs, scope, aliases)
         _resolve_expr(expr.pattern, catalog, refs, scope, aliases)
         if expr.escape is not None:
@@ -449,6 +504,7 @@ def _resolve_expr(expr: Node, catalog, refs, scope: _Scope, aliases: frozenset |
         _resolve_expr(expr.expr, catalog, refs, scope, aliases)
         return
     if isinstance(expr, FuncCall):
+        refs.functions[expr.name] += 1
         for arg in expr.args:
             _resolve_expr(arg, catalog, refs, scope, aliases)
         if expr.over is not None:
@@ -489,13 +545,30 @@ def _check_label_arithmetic(side: Node, catalog, refs, scope, aliases, op: str):
         )
 
 
+def _enum_operand(node: Node) -> Literal | None:
+    """``node`` as a literal to check against an enumeration: a literal, or
+    a minus sign before a number (the shape ``literal_node`` builds of a
+    negative number) read as the negative number; None for anything else."""
+    if isinstance(node, Literal):
+        return node
+    if (
+        isinstance(node, Unary)
+        and node.op == "-"
+        and isinstance(node.operand, Literal)
+        and node.operand.kind == "number"
+    ):
+        return Literal("number", "-" + node.operand.text)
+    return None
+
+
 def _check_enum_literal(maybe_col: Node, maybe_lit: Node, catalog, refs, scope, aliases):
-    if not isinstance(maybe_lit, Literal):
+    literal = _enum_operand(maybe_lit)
+    if literal is None:
         return
     column = _peek_base_column(maybe_col, scope)
     if column is None or column.metadata.enumerated_values is None:
         return
-    _check_literal_in_enum(column, maybe_lit, refs)
+    _check_literal_in_enum(column, literal, refs)
 
 
 def _check_literal_in_enum(column: ColumnDef, literal: Literal, refs: ResolvedReferences):

@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from sqlsynth.errors import SqlSyntaxError
-from sqlsynth.schema import ingest_ddl, infer_foreign_keys
+from sqlsynth.schema import infer_foreign_keys, ingest_ddl, load_catalog
 from sqlsynth.sqltree import tokenize
+from sqlsynth.subschema import load_subschemas
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 TPCH_DDL_PATH = REPO_ROOT / "data" / "tpch_schema.sql"
 PERFBENCH_RUN = REPO_ROOT / "perfbench" / "run.py"
+DEMO_OUT = REPO_ROOT / "out" / "demo"
 
 TINY_DDL = """
 CREATE TABLE region (
@@ -37,6 +41,39 @@ def tokenizes(sql: str) -> bool:
     except SqlSyntaxError:
         return False
     return True
+
+
+#: Every candidate of the committed demo run: mechanical queries and
+#: extracted LLM completions, three of which cannot be tokenized.
+DEMO_SQL = [
+    json.loads(line)["sql"]
+    for line in (DEMO_OUT / "records.jsonl").read_text(
+        encoding="utf-8").splitlines()[1:]
+]
+
+
+@st.composite
+def messy_sql(draw):
+    """A demo query re-spaced, re-cased and commented at random word breaks."""
+    words = draw(st.sampled_from(DEMO_SQL)).split(" ")
+    gaps = st.sampled_from([" ", "  ", "\n", "\t", " /* note */ ", " -- note\n"])
+    text = words[0]
+    for word in words[1:]:
+        text += draw(gaps) + (word.upper() if draw(st.booleans()) else word)
+    return text + draw(st.sampled_from(["", ";", " ; ", "\n"]))
+
+
+sql_texts = st.sampled_from(DEMO_SQL) | messy_sql() | st.text(max_size=120)
+
+#: A generator probability, drawn with its bounds 0 and 1 often.
+probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def demo_inputs():
+    """The demo's profiled catalog (enumerated, label, date and numeric
+    columns) and its subschemas."""
+    return load_catalog(DEMO_OUT / "catalog.json"), load_subschemas(DEMO_OUT / "subschemas.jsonl")
 
 
 @pytest.fixture()

@@ -27,12 +27,23 @@ from sqlsynth.coverage import (
     facet_stats_rows,
     plan_regeneration,
     profile_query,
+    profile_tree,
     write_csv,
 )
-from sqlsynth.errors import EmptyInputError, UnknownObjectError
-from sqlsynth.mechgen import MechConfig, generate_mechanical
+from sqlsynth.errors import EmptyInputError, SqlSyntaxError, UnknownObjectError
+from sqlsynth.mechgen import MechConfig, clause_tags, generate_mechanical
+from sqlsynth.sqltree import parse_select
 from sqlsynth.subschema import build_join_graph, enumerate_subschemas
 from sqlsynth.util import dump_json, fields_of
+from sqlsynth.validation import resolve_references
+
+from tests.conftest import probability, sql_texts
+from tests.walk_reference import (
+    reference_profile,
+    reference_tags,
+    refers_in_limits,
+    without_limits,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -179,6 +190,115 @@ class TestAggregate:
         profiles = [profile_query(r.sql, tpch_catalog_inferred) for r in records]
         report = aggregate_coverage(profiles, "mechanical", tpch_catalog_inferred)
         assert 0.87 <= report.clause_presence_freq["group_by"] <= 0.93
+
+
+#: Query shapes the demo texts lack, each counted by the resolver on a path
+#: of its own: set-operation ORDER BY terms that are not bare names, comma
+#: joins, LIMIT / OFFSET expressions, CTEs, windows, CASE, CAST, EXISTS.
+SHAPES = [
+    "SELECT a FROM t UNION SELECT b FROM u ORDER BY lower(a)",
+    "SELECT r_name FROM region UNION SELECT n_name FROM nation "
+    "ORDER BY lower(r_name), (SELECT count(*) FROM nation WHERE n_name LIKE 'A%') DESC",
+    "SELECT n_name, r_name FROM nation, region WHERE n_regionkey = r_regionkey",
+    "SELECT count(*) FROM nation, region, supplier s JOIN partsupp ON s_suppkey = ps_suppkey",
+    "SELECT r_name FROM region LIMIT (SELECT count(*) FROM ghost)",
+    "SELECT r_name FROM region LIMIT (SELECT count(*) FROM nation "
+    "WHERE n_regionkey BETWEEN 1 AND 2) OFFSET (SELECT max(r_regionkey) FROM region)",
+    "SELECT r_name FROM region LIMIT 2 + 1 OFFSET abs(-1)",
+    "WITH w AS (SELECT n_regionkey, count(*) AS c FROM nation GROUP BY n_regionkey "
+    "HAVING count(*) > 1) SELECT r_name FROM region JOIN w ON w.n_regionkey = r_regionkey "
+    "WHERE NOT r_name IN ('A', 'B') OR EXISTS (SELECT 1 FROM nation WHERE n_name LIKE '%A') "
+    "ORDER BY r_name LIMIT 3",
+    "SELECT CASE WHEN r_regionkey < 2 THEN upper(r_name) ELSE lower(r_name) END, "
+    "row_number() OVER (PARTITION BY r_name ORDER BY abs(r_regionkey)) FROM region",
+    "SELECT CAST(r_regionkey AS integer) FROM region "
+    "WHERE r_name IS NOT NULL AND r_regionkey <> 3 AND r_regionkey NOT BETWEEN 5 AND 6",
+    "SELECT x FROM (SELECT r_name AS x FROM region) s WHERE x IN (SELECT n_name FROM nation)",
+    "SELECT n_name FROM nation JOIN region USING (r_regionkey) INTERSECT "
+    "SELECT r_name FROM region EXCEPT SELECT 'x' ORDER BY 1",
+]
+
+def assert_counts_match_the_walk(tree, catalog):
+    """The profile read off the resolver's counts equals the profile one walk
+    over ``tree`` counts (``tests/walk_reference.py``), with the reference
+    multisets of a resolution that skips LIMIT and OFFSET, as the resolver
+    once did. References inside LIMIT / OFFSET are the one difference."""
+    profile = profile_tree(resolve_references(tree, catalog))
+    expected = reference_profile(tree, resolve_references(without_limits(tree), catalog))
+    if refers_in_limits(tree):
+        assert Counter(profile.referenced_tables) >= Counter(expected.referenced_tables)
+        assert Counter(profile.referenced_columns) >= Counter(expected.referenced_columns)
+        profile.referenced_tables = expected.referenced_tables
+        profile.referenced_columns = expected.referenced_columns
+    assert profile == expected
+
+
+class TestCountsMatchTheWalk:
+    """The resolver counts what a walk over the whole tree counts, and
+    clause_tags reads what that walk reads."""
+
+    @given(sql_texts | st.sampled_from(SHAPES))
+    @settings(max_examples=300, deadline=None)
+    def test_texts(self, demo_inputs, sql):
+        try:
+            tree = parse_select(sql)
+        except SqlSyntaxError:
+            return
+        assert_counts_match_the_walk(tree, demo_inputs[0])
+        assert clause_tags(sql) == reference_tags(tree)
+
+    @pytest.mark.parametrize("sql", SHAPES)
+    def test_shapes(self, demo_inputs, sql):
+        tree = parse_select(sql)
+        assert_counts_match_the_walk(tree, demo_inputs[0])
+        assert clause_tags(sql) == reference_tags(tree)
+
+    def test_fixture_corpus(self, fixture_entries, tpch_catalog_inferred):
+        for entry in fixture_entries:
+            tree = parse_select(entry["sql"])
+            assert_counts_match_the_walk(tree, tpch_catalog_inferred)
+            assert clause_tags(entry["sql"]) == reference_tags(tree)
+
+    @given(
+        seed=st.integers(0, 2**31),
+        index=st.integers(0, 10_000),
+        p_where=probability,
+        p_group_by=probability,
+        p_having=probability,
+        p_order_by=probability,
+        p_aggregate=probability,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_mechanical_trees(
+        self, demo_inputs, seed, index, p_where, p_group_by, p_having, p_order_by, p_aggregate
+    ):
+        catalog, subschemas = demo_inputs
+        config = MechConfig(
+            p_where=p_where,
+            p_group_by=p_group_by,
+            p_having=p_having if p_group_by > 0 else 0.0,
+            p_order_by=p_order_by,
+            p_aggregate=p_aggregate,
+        )
+        subschema = subschemas[index % len(subschemas)]
+        for record in generate_mechanical(subschema, catalog, config, 8, seed=seed):
+            assert_counts_match_the_walk(record.tree, catalog)
+            assert clause_tags(record.sql) == reference_tags(record.tree)
+
+    def test_limit_references_are_counted(self, demo_inputs):
+        profile = profile_query(
+            "SELECT r_name FROM region LIMIT (SELECT count(*) FROM nation)", demo_inputs[0]
+        )
+        assert profile.referenced_tables == {"nation": 1, "region": 1}
+        assert profile.clause_counts["select"] == 2 and profile.clause_counts["limit"] == 1
+        assert profile.function_counts == {"count": 1}
+
+    def test_set_operation_order_by_counted_not_resolved(self, demo_inputs):
+        sql = "SELECT r_name FROM region UNION SELECT n_name FROM nation ORDER BY lower(ghost)"
+        refs = resolve_references(parse_select(sql), demo_inputs[0])
+        assert refs.codes == []
+        assert dict(refs.functions) == {"lower": 1}
+        assert refs.clauses["order_by"] == 1
 
 
 def list_aggregate_coverage(profiles, setting, catalog, targets=None) -> CoverageReport:

@@ -107,6 +107,15 @@ class TestRetention:
             assert item.row_count >= 1 or item.runtime_ms >= 10_000
 
 
+def numbers_script(rows: int) -> str:
+    """A script creating table ``n`` holding x = 0 .. rows-1."""
+    return (
+        "CREATE TABLE n (x integer);"
+        "INSERT INTO n WITH RECURSIVE c(x) AS (SELECT 0 UNION ALL SELECT x + 1 FROM c "
+        f"WHERE x + 1 < {rows}) SELECT x FROM c;"
+    )
+
+
 class TestSqliteExecution:
     def _engine(self):
         return EngineSpec(engine_id="sqlite-mem", driver="sqlite")
@@ -115,10 +124,7 @@ class TestSqliteExecution:
         session = open_session()
         session.executescript(
             "CREATE TABLE region (r_regionkey integer, r_name char(25));"
-        )
-        session.executemany(
-            "INSERT INTO region VALUES (?, ?)",
-            [(i, f"R{i}") for i in range(5)],
+            "INSERT INTO region VALUES (0, 'R0'), (1, 'R1'), (2, 'R2'), (3, 'R3'), (4, 'R4');"
         )
         return session
 
@@ -148,8 +154,7 @@ class TestSqliteExecution:
 
     def test_timeout_clamps_runtime(self, open_session):
         session = open_session()
-        session.executescript("CREATE TABLE n (x integer);")
-        session.executemany("INSERT INTO n VALUES (?)", [(i,) for i in range(300)])
+        session.executescript(numbers_script(300))
         slow = make_record(
             "SELECT COUNT(*) FROM n a, n b, n c, n d WHERE a.x + b.x + c.x + d.x > 0",
             "mechanical",
@@ -208,8 +213,7 @@ class TestEngineProcess:
 
     def _session(self, open_session, rows=300):
         session = open_session()
-        session.executescript("CREATE TABLE n (x integer);")
-        session.executemany("INSERT INTO n VALUES (?)", [(i,) for i in range(rows)])
+        session.executescript(numbers_script(rows))
         return session
 
     def test_labels_are_positive_float_ms(self, open_session):
@@ -286,6 +290,26 @@ class TestEngineProcess:
         with pytest.raises(LoadError, match="t.tbl: expected 2 fields, got 1"):
             restrict_dataset(catalog, tmp_path, session, 100)
         assert session.run("SELECT * FROM t", 1_000)[0] == 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the CSV of a region table whose columns are in another order
+            ("r_name,r_regionkey\nAFRICA,0\n",
+             "region.csv: header 'r_name,r_regionkey' does not name the columns"),
+            ("r_regionkey,r_name\n0,AFRICA\n1,AMERICA,x\n",
+             "region.csv: expected 2 fields, got 3"),
+        ],
+    )
+    def test_malformed_csv_rejected_and_rolled_back(self, open_session, tmp_path, text, message):
+        from sqlsynth.schema import ingest_ddl
+
+        catalog = ingest_ddl("CREATE TABLE region (r_regionkey integer, r_name char(25))")
+        (tmp_path / "region.csv").write_text(text, encoding="utf-8")
+        session = open_session()
+        with pytest.raises(LoadError, match=message):
+            restrict_dataset(catalog, tmp_path, session, 100)
+        assert session.run("SELECT * FROM region", 1_000)[0] == 0
 
     def test_missing_file_message(self, open_session, tmp_path):
         from sqlsynth.schema import ingest_ddl

@@ -14,7 +14,7 @@ from sqlsynth.mechgen import (
     generate_mechanical,
     select_seed_examples,
 )
-from sqlsynth.schema import ingest_ddl, load_catalog, profile_columns
+from sqlsynth.schema import ingest_ddl, profile_columns
 from sqlsynth.sqltree import (
     Binary,
     ColumnRef,
@@ -28,12 +28,10 @@ from sqlsynth.sqltree import (
     Unary,
     parse_select,
 )
-from sqlsynth.subschema import build_join_graph, enumerate_subschemas, load_subschemas
+from sqlsynth.subschema import build_join_graph, enumerate_subschemas
 from sqlsynth.validation import validate_relevance, validate_syntax
 
-from tests.conftest import REPO_ROOT
-
-DEMO_OUT = REPO_ROOT / "out" / "demo"
+from tests.conftest import probability
 
 
 @pytest.fixture(scope="module")
@@ -185,16 +183,6 @@ class TestClauseTags:
 
     def test_plain_select(self):
         assert clause_tags("SELECT a FROM t") == frozenset()
-
-
-probability = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
-
-
-@pytest.fixture(scope="module")
-def demo_inputs():
-    """The demo's profiled catalog (enumerated, label, date and numeric
-    columns) and its subschemas."""
-    return load_catalog(DEMO_OUT / "catalog.json"), load_subschemas(DEMO_OUT / "subschemas.jsonl")
 
 
 class TestConstructionTags:

@@ -286,13 +286,33 @@ class TestProfiling:
         (tmp_path / "region.tbl").write_text("0|FROMTBL|\n", encoding="utf-8")
         conn = sqlite3.connect(":memory:")
         conn.execute("CREATE TABLE region (r_regionkey, r_name)")
-        assert sqlite_engine.load(conn, "region", str(tmp_path), 2, 10) == 1
+        columns = ["r_regionkey", "r_name"]
+        assert sqlite_engine.load(conn, "region", str(tmp_path), columns, 10) == 1
         loaded = conn.execute("SELECT r_regionkey, r_name FROM region").fetchall()
         assert loaded == [("0", "FROMTBL")]
         sampler = CsvDirSampler(tmp_path, tiny_catalog)
         assert sampler.sample("region", "r_name", 10) == ["FROMTBL"]
         profiled = profile_columns(tiny_catalog, sampler).require_table("region")
         assert profiled.column("r_name").metadata.enumerated_values == ["FROMTBL"]
+
+
+    def test_csv_header_names_the_columns(self, tmp_path, tiny_catalog):
+        """A CSV header must name the catalog's columns in order, in any
+        letter case; with the columns swapped, profiling samples nothing."""
+        (tmp_path / "region.csv").write_text("R_RegionKey,R_NAME\n0,AFRICA\n", encoding="utf-8")
+        assert CsvDirSampler(tmp_path, tiny_catalog).sample("region", "r_name", 10) == ["AFRICA"]
+        (tmp_path / "region.csv").write_text("r_name,r_regionkey\nAFRICA,0\n", encoding="utf-8")
+        with pytest.raises(sqlite_engine.DataFileError, match="region.csv: header"):
+            CsvDirSampler(tmp_path, tiny_catalog).sample("region", "r_name", 10)
+        profiled = profile_columns(tiny_catalog, CsvDirSampler(tmp_path, tiny_catalog))
+        assert profiled.require_table("region").column("r_name").metadata.enumerated_values is None
+        assert any("region.csv: header" in note for note in profiled.advisories)
+
+    def test_csv_row_field_count_checked(self, tmp_path, tiny_catalog):
+        (tmp_path / "region.csv").write_text("r_regionkey,r_name\n0\n", encoding="utf-8")
+        sampler = CsvDirSampler(tmp_path, tiny_catalog)
+        with pytest.raises(sqlite_engine.DataFileError, match="region.csv: expected 2 fields"):
+            sampler.sample("region", "r_name", 10)
 
 
 class TestRender:

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,11 +38,10 @@ from sqlsynth.sqltree import (
     sql_name,
     to_sql,
     tokenize,
-    walk,
 )
 from sqlsynth.validation import query_id
 
-from tests.conftest import REPO_ROOT, tokenizes
+from tests.conftest import DEMO_SQL, sql_texts, tokenizes
 
 
 def core(sql: str) -> SelectCore:
@@ -118,6 +115,17 @@ class TestClauses:
     def test_order_by_nulls_last(self):
         query = parse_select("SELECT a FROM t ORDER BY a ASC NULLS LAST")
         assert query.order_by[0].direction == "asc"
+
+    def test_columns_in_every_clause(self):
+        body = core(
+            "SELECT a, SUM(b) FROM t WHERE c IN (SELECT d FROM u) GROUP BY a HAVING SUM(b) > 1"
+        )
+        a, b = ColumnRef(None, "a"), ColumnRef(None, "b")
+        assert [item.expr for item in body.items] == [a, FuncCall("sum", [b])]
+        assert body.where.expr == ColumnRef(None, "c")
+        assert body.where.query.body.items == [SelectItem(ColumnRef(None, "d"))]
+        assert body.group_by == [a]
+        assert body.having == Binary(">", FuncCall("sum", [b]), Literal("number", "1"))
 
 
 class TestJoins:
@@ -197,7 +205,13 @@ class TestSubqueries:
         query = parse_select(
             "SELECT x FROM (SELECT x FROM t WHERE x IN (SELECT y FROM u)) s"
         )
-        assert sum(isinstance(n, SelectCore) for n in walk(query)) == 3
+        (derived,) = query.body.from_refs
+        assert isinstance(derived, DerivedTable)
+        middle = derived.query.body
+        assert isinstance(middle.where, InSubquery)
+        inner = middle.where.query.body
+        assert inner == core("SELECT y FROM u")
+        assert [isinstance(c, SelectCore) for c in (query.body, middle, inner)] == [True] * 3
 
 
 class TestSetOps:
@@ -373,15 +387,6 @@ class TestErrors:
         assert normalized_forms("SELECT 1 /* note") == ("select 1 /* note",) * 2
 
 
-class TestWalk:
-    def test_walk_reaches_all_columns(self):
-        query = parse_select(
-            "SELECT a, SUM(b) FROM t WHERE c IN (SELECT d FROM u) GROUP BY a HAVING SUM(b) > 1"
-        )
-        names = sorted(n.name for n in walk(query) if isinstance(n, ColumnRef))
-        assert names == ["a", "a", "b", "b", "c", "d"]
-
-
 class TestNodesForGeneratedText:
     @pytest.mark.parametrize(
         "text", ["1", "-1.50", "-0.00", "1e3", ".5", "7.", "'x'", "'it''s'", "''", "TRUE", "false"]
@@ -523,29 +528,6 @@ class TestNormalize:
 
     def test_untokenizable_fallback(self):
         assert normalize_sql("SELECT 'oops") == "select 'oops"
-
-
-#: Every candidate of the committed demo run: mechanical queries and
-#: extracted LLM completions, three of which cannot be tokenized.
-DEMO_SQL = [
-    json.loads(line)["sql"]
-    for line in (REPO_ROOT / "out" / "demo" / "records.jsonl").read_text(
-        encoding="utf-8").splitlines()[1:]
-]
-
-
-@st.composite
-def messy_sql(draw):
-    """A demo query re-spaced, re-cased and commented at random word breaks."""
-    words = draw(st.sampled_from(DEMO_SQL)).split(" ")
-    gaps = st.sampled_from([" ", "  ", "\n", "\t", " /* note */ ", " -- note\n"])
-    text = words[0]
-    for word in words[1:]:
-        text += draw(gaps) + (word.upper() if draw(st.booleans()) else word)
-    return text + draw(st.sampled_from(["", ";", " ; ", "\n"]))
-
-
-sql_texts = st.sampled_from(DEMO_SQL) | messy_sql() | st.text(max_size=120)
 
 
 class TestNormalizedForms:

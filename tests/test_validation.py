@@ -153,6 +153,39 @@ class TestRelevance:
         assert relevance("SELECT lvl FROM t WHERE lvl = 2", catalog) == []
         assert relevance("SELECT lvl FROM t WHERE lvl = 9", catalog) == [REJECT_ENUM_LITERAL]
 
+    @pytest.mark.parametrize(
+        "condition, codes",
+        [
+            ("r_regionkey = 4", []),
+            ("r_regionkey = -0", []),
+            ("r_regionkey = 999", [REJECT_ENUM_LITERAL]),
+            ("r_regionkey = -999", [REJECT_ENUM_LITERAL]),
+            ("-999 = r_regionkey", [REJECT_ENUM_LITERAL]),
+            ("r_regionkey IN (1, 2)", []),
+            ("r_regionkey IN (1, -999)", [REJECT_ENUM_LITERAL]),
+        ],
+    )
+    def test_negative_enum_literal(self, demo_inputs, condition, codes):
+        """A minus sign before a number is the negative number, checked
+        against the enumeration (r_regionkey is enumerated 0..4)."""
+        sql = f"SELECT r_name FROM region WHERE {condition}"
+        assert relevance(sql, demo_inputs[0]) == codes
+
+    @pytest.mark.parametrize(
+        "sql, codes",
+        [
+            ("SELECT r_name FROM region LIMIT (SELECT count(*) FROM ghost)",
+             [REJECT_UNKNOWN_OBJECT]),
+            ("SELECT r_name FROM region LIMIT 1 OFFSET (SELECT count(*) FROM ghost)",
+             [REJECT_UNKNOWN_OBJECT]),
+            ("SELECT r_name FROM region LIMIT (SELECT max(ghost) FROM nation)",
+             [REJECT_UNKNOWN_OBJECT]),
+            ("SELECT r_name FROM region LIMIT (SELECT count(*) FROM nation) OFFSET 1", []),
+        ],
+    )
+    def test_limit_and_offset_resolved(self, demo_inputs, sql, codes):
+        assert relevance(sql, demo_inputs[0]) == codes
+
     def test_non_equality_ops_not_enum_checked(self, metadata_catalog):
         # Only equality / IN filters are constrained to the enumeration.
         assert relevance("SELECT a FROM t WHERE flag > 'A'", metadata_catalog) == []
