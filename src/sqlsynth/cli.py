@@ -94,8 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--records", required=True, action="append",
         help="candidate records JSONL; repeat to validate several files in order",
     )
-    p.add_argument("--out", required=True, help="all records with verdicts")
-    p.add_argument("--kept", help="kept-only JSONL output")
+    p.add_argument(
+        "--out", required=True,
+        help="the records not kept (rejected or duplicates), with verdicts",
+    )
+    p.add_argument("--kept", required=True, help="the kept records, profiled")
 
     p = stage("coverage", "aggregate coverage of a kept corpus", cmd_coverage)
     p.add_argument("--catalog", required=True)
@@ -200,12 +203,11 @@ def cmd_validate(args) -> int:
     kept = pipeline.validate_batch(
         config, load_catalog(args.catalog), subschema_by_id, records, set(), accounting
     )
-    save_records(records, args.out)
-    if args.kept:
-        save_records(kept, args.kept)
+    save_records(pipeline.not_kept(records, kept), args.out)
+    save_records(kept, args.kept)
     print(
-        f"{len(records)} records: {accounting.kept} kept, {accounting.rejected} rejected, "
-        f"{accounting.dedup_dropped} duplicates -> {args.out}"
+        f"{len(records)} records: {accounting.kept} kept -> {args.kept}, "
+        f"{accounting.rejected} rejected and {accounting.dedup_dropped} duplicates -> {args.out}"
     )
     return 0
 

@@ -23,12 +23,15 @@ walk over a syntax tree.
 
 Each query is built as a syntax tree only, and its SQL is the text
 :func:`~sqlsynth.sqltree.to_sql` writes of that tree, so the spelling,
-spacing and quoting of mechanical SQL live in :mod:`sqlsynth.sqltree`. Every
-record carries the tree as ``tree``, which is what
-:func:`~sqlsynth.sqltree.parse_select` makes of its SQL, so the validator
-parses no mechanical candidate and nothing tokenizes one. A sampled value
-becomes a literal through :func:`~sqlsynth.sqltree.literal_node`; one that
-is no literal of its column's type is never written.
+spacing and quoting of mechanical SQL live in :mod:`sqlsynth.sqltree`. Its
+normalized forms, which give the record its id and later its dedup key, are
+printed from the same tree by :func:`~sqlsynth.sqltree.to_forms`, so no
+mechanical candidate is ever scanned. Every record carries the tree as
+``tree``, which is what :func:`~sqlsynth.sqltree.parse_select` makes of its
+SQL, so the validator parses no mechanical candidate and nothing tokenizes
+one. A sampled value becomes a literal through
+:func:`~sqlsynth.sqltree.literal_node`; one that is no literal of its
+column's type is never written.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .sqltree import (
     TableName,
     literal_node,
     parse_select,
+    to_forms,
     to_sql,
 )
 from .subschema import Subschema
@@ -158,7 +162,9 @@ def generate_mechanical(
     records = []
     for _ in range(n):
         tree, tags = _build_query(rng, columns, from_clause, config)
-        record = make_record(to_sql(tree), ORIGIN_MECHANICAL, subschema.id)
+        record = make_record(
+            to_sql(tree), ORIGIN_MECHANICAL, subschema.id, forms=to_forms(tree)
+        )
         record.tags = tags
         record.tree = tree
         records.append(record)

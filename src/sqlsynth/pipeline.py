@@ -5,7 +5,8 @@ Stage outputs land in the configured output directory:
 
 * ``catalog.json``       schema catalog (after inference and profiling)
 * ``subschemas.jsonl``   enumerated generation targets
-* ``records.jsonl``      every candidate with its validation verdict
+* ``records.jsonl``      the candidates not kept (rejected or duplicates),
+  with their validation verdicts, in candidate order
 * ``kept.jsonl``         the deduplicated kept corpus
 * ``coverage.json``      per-setting and overall coverage reports
 * ``coverage_facets.csv`` / ``coverage_clauses.csv`` tabular exports
@@ -29,13 +30,15 @@ from the same config:
 So ``run`` with ``loop_limit = 0`` and that chain of commands write the same
 bytes, runtimes apart.
 
-Each candidate is scanned once for its normalized forms, parsed at most once
-and analysed as it arrives. :func:`~sqlsynth.records.make_record` scans it
-and derives its id from the literal form; the record holds both forms as
-strings. A mechanical candidate also holds the syntax tree it was built as
-(its SQL is the text :func:`~sqlsynth.sqltree.to_sql` writes of that tree),
-so it is never parsed or tokenized; an LLM candidate, or a record read from
-a file, is parsed.
+Each candidate is analysed as it arrives, and its row is written once:
+``kept.jsonl`` holds the kept ones and ``records.jsonl`` the rest
+(:func:`not_kept`). :func:`~sqlsynth.records.make_record` derives each
+candidate's id from its literal normalized form, and the record holds both
+forms as strings. A mechanical candidate holds the syntax tree it was built
+as: its SQL is the text :func:`~sqlsynth.sqltree.to_sql` writes of that
+tree and its forms are what :func:`~sqlsynth.sqltree.to_forms` prints of
+it, so it is never scanned, tokenized or parsed. An LLM candidate, or a
+record read from a file, is scanned once for its forms and parsed once.
 :func:`mechanical_batch` and :func:`_llm_batch` yield candidates one
 subschema or one prompt at a time (:func:`_llm_batch` once every prompt's
 completions are in, so the analysis never competes with the backend's
@@ -308,10 +311,10 @@ def build_subschemas(config: PipelineConfig, catalog):
 
 def _generate(config, catalog, subschemas, backend, paths):
     """Generate, validate and steer batch by batch, prompting ``backend``
-    (None when the LLM is off); writes the records, kept corpus and
-    coverage."""
+    (None when the LLM is off); writes the candidates not kept, the kept
+    corpus and coverage."""
     subschema_by_id = {s.id: s for s in subschemas}
-    all_records: list[QueryRecord] = []
+    dropped_records: list[QueryRecord] = []
     kept_records: list[QueryRecord] = []
     mech_pools: dict[str, list[SeedExample]] = {}
     seen_forms: set[str] = set()  # normalized forms of the kept corpus
@@ -333,10 +336,9 @@ def _generate(config, catalog, subschemas, backend, paths):
             ):
                 validate_record(record, catalog, subschema_by_id, config.validators)
                 candidates.append(record)
-        all_records.extend(candidates)
-
         new_kept = settle_batch(config, candidates, seen_forms, accounting)
         kept_records += new_kept
+        dropped_records += not_kept(candidates, new_kept)
         coverage.add(record.profile for record in new_kept)
         batches.append(accounting)
 
@@ -356,7 +358,7 @@ def _generate(config, catalog, subschemas, backend, paths):
         if config.kept_target is not None and len(kept_records) >= config.kept_target:
             break
 
-    save_records(all_records, paths["records"])
+    save_records(dropped_records, paths["records"])
     save_records(kept_records, paths["kept"])
     write_coverage(coverage_reports(config, catalog, kept_records, overall), paths["coverage"])
     return kept_records, batches, gaps_remaining
@@ -448,6 +450,14 @@ def settle_batch(config, candidates, seen_forms, accounting):
     for record in dropped:
         record.profile = None  # a duplicate is not part of the corpus
     return new_kept
+
+
+def not_kept(candidates, kept) -> list[QueryRecord]:
+    """The ``candidates`` not in ``kept`` (rejected or duplicates), in
+    candidate order: the rows of ``records.jsonl``, which with the kept rows
+    make every candidate, each written once."""
+    kept_ids = {id(record) for record in kept}
+    return [record for record in candidates if id(record) not in kept_ids]
 
 
 def validate_batch(config, catalog, subschema_by_id, candidates, seen_forms, accounting):

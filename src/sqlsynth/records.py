@@ -9,10 +9,12 @@ every field. Runtime labels map each engine id to an
 ``timed_out``, ``error``: the runtime label without its ids), so a label
 with a missing or mistyped field fails to load.
 
-:func:`make_record` scans the query once, for its two normalized forms
-(:func:`~sqlsynth.sqltree.normalized_forms`): the record id is the hash of
-the literal form, and the record holds both strings as ``forms`` until the
-pipeline's validator has taken the dedup key from them and dropped them. A
+:func:`make_record` takes the query's two normalized forms: the record id
+is the hash of the literal form, and the record holds both strings as
+``forms`` until the pipeline's validator has taken the dedup key from them
+and dropped them. A mechanical query's forms are printed from its syntax
+tree (:func:`~sqlsynth.sqltree.to_forms`), so it is never scanned; an LLM
+query's come from one scan (:func:`~sqlsynth.sqltree.normalized_forms`). A
 mechanical record also carries the clauses its generator used as ``tags``,
 which go with it into a seed pool, and the syntax tree it was built as,
 which its SQL was written from, as ``tree``; the validator uses the tree in
@@ -74,10 +76,15 @@ class QueryRecord:
         return self.prompt_setting.label
 
 
-def make_record(sql: str, origin: str, subschema_id: str, batch: int = 0, **kwargs) -> QueryRecord:
-    """Build a record with its id derived from the normalized SQL, from the
-    one scan whose two normalized forms the record then holds as ``forms``."""
-    forms = normalized_forms(sql)
+def make_record(
+    sql: str, origin: str, subschema_id: str, batch: int = 0, *,
+    forms: tuple[str, str] | None = None, **kwargs,
+) -> QueryRecord:
+    """Build a record with its id derived from the normalized SQL. The record
+    holds the two normalized forms as ``forms``: ``forms`` when the caller
+    printed them from the tree ``sql`` was written from, else one scan's."""
+    if forms is None:
+        forms = normalized_forms(sql)
     record = QueryRecord(
         id=query_id(sql, forms[0]), sql=sql, origin=origin, subschema_id=subschema_id,
         batch=batch, **kwargs,

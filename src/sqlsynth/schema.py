@@ -472,17 +472,24 @@ class CsvDirSampler:
     engine loads them (:func:`~sqlsynth.sqlite_engine.read_rows`):
     ``<table>.tbl`` (pipe-delimited) or else ``<table>.csv`` (after a header
     line that names the catalog's columns in order), each positional per
-    catalog column order."""
+    catalog column order.
+
+    It holds the rows of the last table it read, so profiling a table
+    column by column reads its file once. A file that fails to read is
+    tried again for each column, and each column gets the error."""
 
     def __init__(self, directory: str | Path, catalog: SchemaCatalog):
         self.directory = Path(directory)
         self.catalog = catalog
+        self._held = (None, [])  # ((table, limit), the rows read for them)
 
     def sample(self, table: str, column: str, limit: int) -> list:
         names = self.catalog.require_table(table).column_names()
         index = names.index(column)
-        rows = read_rows(str(self.directory), table, names, limit)
-        return [row[index] for row in rows]
+        if self._held[0] != (table, limit):
+            rows = list(read_rows(str(self.directory), table, names, limit))
+            self._held = ((table, limit), rows)
+        return [row[index] for row in self._held[1]]
 
 
 def profile_columns(

@@ -16,17 +16,18 @@ parse: :func:`parse_select` (and the DDL reader) tokenize the text they are
 given and drop the list when they return. :func:`normalized_forms` scans a
 candidate once for its two canonical forms, the literal form its record id
 hashes and the placeholder form that is its dedup key, and builds no token.
-So :func:`~sqlsynth.records.make_record` scans each candidate once, and a
-candidate is parsed at most once: a mechanical one is built as a tree, and
-its SQL is the text :func:`to_sql` writes of it, so it is never tokenized.
-:func:`to_sql` is this module's one writer of SQL surface syntax; every name
-it writes goes through :func:`sql_name`.
+A mechanical candidate is built as a tree: its SQL is the text :func:`to_sql`
+writes of it, and its two forms are what :func:`to_forms` prints of the same
+tree, so it is never scanned, tokenized or parsed. An LLM candidate is
+scanned once and parsed at most once. :func:`to_sql` is this module's one
+writer of SQL surface syntax; every name it writes goes through
+:func:`sql_name`.
 
 This module offers no generic tree walk. Besides the parser that builds a
-tree and :func:`to_sql` that prints it, the one walk over a tree is the
-reference resolver, :func:`~sqlsynth.validation.resolve_references`, which
-visits each node once and counts the shape that coverage profiles and
-clause tags read.
+tree and the printers :func:`to_sql` and :func:`to_forms`, the one walk
+over a tree is the reference resolver,
+:func:`~sqlsynth.validation.resolve_references`, which visits each node once
+and counts the shape that coverage profiles and clause tags read.
 """
 
 from __future__ import annotations
@@ -984,6 +985,82 @@ def to_sql(node: Node) -> str:
             sql += f" ORDER BY {', '.join(items)}"
         return sql
     raise TypeError(f"to_sql does not print {kind.__name__} nodes")
+
+
+def to_forms(node: Node) -> tuple[str, str]:
+    """The two :func:`normalized_forms` of ``to_sql(node)``, printed from the
+    tree without writing or scanning that text: the literal form and the
+    placeholder form.
+
+    It prints the node kinds :func:`to_sql` prints, each token as the word
+    the scan would make of it: keywords, operators and function names lower
+    case, tokens one space apart. A name's word is ``name.lower()``: what
+    the scan makes of ``sql_name(name)``, bare or double-quoted alike (see
+    :func:`_unquote`). Number, string, TRUE/FALSE and NULL literals are
+    printed; any other node kind, or literal kind, raises TypeError.
+    """
+    return _form(node, False), _form(node, True)
+
+
+def _form(node: Node, placeholders: bool) -> str:
+    """One of :func:`to_forms`, the placeholder form when ``placeholders``."""
+    kind = type(node)
+    if kind is ColumnRef:
+        return f"{node.table.lower()} . {node.name.lower()}"
+    if kind is Literal:
+        if node.kind == "number":
+            return ":num" if placeholders else node.text.lower()
+        if node.kind == "string":
+            return ":str" if placeholders else node.text
+        if node.kind in ("boolean", "null"):
+            return node.text.lower()
+        raise TypeError(f"to_forms does not print {node.kind} literals")
+    if kind is Binary:
+        left, right = _form(node.left, placeholders), _form(node.right, placeholders)
+        return f"{left} {node.op.lower()} {right}"
+    if kind is FuncCall:
+        args = "*" if node.star else " , ".join([_form(arg, placeholders) for arg in node.args])
+        return f"{node.name.lower()} ( {args} )"
+    if kind is Between:
+        return (
+            f"{_form(node.expr, placeholders)} between {_form(node.low, placeholders)}"
+            f" and {_form(node.high, placeholders)}"
+        )
+    if kind is InList:
+        items = " , ".join([_form(item, placeholders) for item in node.items])
+        return f"{_form(node.expr, placeholders)} in ( {items} )"
+    if kind is Like:
+        return f"{_form(node.expr, placeholders)} like {_form(node.pattern, placeholders)}"
+    if kind is IsNull:
+        return f"{_form(node.expr, placeholders)} is {'not null' if node.negated else 'null'}"
+    if kind is Unary and node.op == "-":
+        return f"- {_form(node.operand, placeholders)}"
+    if kind is TableName:
+        return node.name.lower()
+    if kind is Join and node.kind == "inner":
+        return (
+            f"{_form(node.left, placeholders)} inner join {_form(node.right, placeholders)}"
+            f" on {_form(node.condition, placeholders)}"
+        )
+    if kind is Query and type(node.body) is SelectCore:
+        core = node.body
+        items = " , ".join([_form(item.expr, placeholders) for item in core.items])
+        refs = " , ".join([_form(ref, placeholders) for ref in core.from_refs])
+        text = f"select {items} from {refs}"
+        if core.where is not None:
+            text += f" where {_form(core.where, placeholders)}"
+        if core.group_by:
+            text += f" group by {' , '.join([_form(e, placeholders) for e in core.group_by])}"
+        if core.having is not None:
+            text += f" having {_form(core.having, placeholders)}"
+        if node.order_by:
+            terms = " , ".join([
+                _form(item.expr, placeholders) + (" desc" if item.direction == "desc" else "")
+                for item in node.order_by
+            ])
+            text += f" order by {terms}"
+        return text
+    raise TypeError(f"to_forms does not print {kind.__name__} nodes")
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,13 @@ def tokenizes(sql: str) -> bool:
     return True
 
 
-#: Every candidate of the committed demo run: mechanical queries and
-#: extracted LLM completions, three of which cannot be tokenized.
+#: Every candidate of the committed demo run, the rows not kept and then
+#: the kept ones: mechanical queries and extracted LLM completions, three of
+#: which cannot be tokenized.
 DEMO_SQL = [
     json.loads(line)["sql"]
-    for line in (DEMO_OUT / "records.jsonl").read_text(
-        encoding="utf-8").splitlines()[1:]
+    for name in ("records.jsonl", "kept.jsonl")
+    for line in (DEMO_OUT / name).read_text(encoding="utf-8").splitlines()[1:]
 ]
 
 

@@ -355,11 +355,13 @@ class TestValidateSubschemaRule:
                 "--records", str(records_path),
                 "--subschemas", str(subschemas_path),
                 "--out", str(out),
+                "--kept", str(tmp_path / "kept.jsonl"),
             ]
         )
         assert code == 0
         checked = load_records(out)
         assert checked[0].validation.rejection_reasons == ["uses_wrong_tables"]
+        assert load_records(tmp_path / "kept.jsonl") == []
 
 
 class TestWrongInputs:
@@ -372,6 +374,7 @@ class TestWrongInputs:
                 "--subschemas", str(subschemas_path),
                 "--records", str(records),
                 "--out", str(out),
+                "--kept", str(out.with_name("kept.jsonl")),
             ]
         )
 
@@ -447,7 +450,7 @@ class TestWrongInputs:
         error = self._one_json_error(capsys, [
             "validate", "--config", str(config_path), "--catalog", str(catalog_path),
             "--subschemas", str(subschemas_path), "--records", str(records),
-            "--out", str(tmp_path / "v.jsonl"),
+            "--out", str(tmp_path / "v.jsonl"), "--kept", str(tmp_path / "k.jsonl"),
         ])
         assert error["message"] == f"{records}, line 3: sql: missing"
         assert not (tmp_path / "v.jsonl").exists()

@@ -26,10 +26,12 @@ from sqlsynth.sqltree import (
     SelectItem,
     TableName,
     Unary,
+    normalized_forms,
     parse_select,
+    to_forms,
 )
 from sqlsynth.subschema import build_join_graph, enumerate_subschemas
-from sqlsynth.validation import validate_relevance, validate_syntax
+from sqlsynth.validation import query_id, validate_relevance, validate_syntax
 
 from tests.conftest import probability
 
@@ -251,6 +253,9 @@ class TestConstructionTrees:
         for record in generate_mechanical(subschema, catalog, config, 8, seed=seed):
             assert record.tree is not None, record.sql
             assert parse_select(record.sql) == record.tree, record.sql
+            # the forms printed from the tree are the scan of its printed SQL
+            assert record.forms == to_forms(record.tree) == normalized_forms(record.sql)
+            assert record.id == query_id(record.sql)
 
     def test_negative_literal_in_list_and_joins(self, demo_inputs):
         catalog, subschemas = demo_inputs
@@ -349,6 +354,70 @@ class TestConstructionTrees:
             assert parse_select(record.sql) == record.tree, record.sql
             tree = validate_syntax(record.sql)
             assert validate_relevance(tree, catalog, subschema=subschema) == [], record.sql
+
+
+def _quoted_catalog(texts, numbers):
+    """One table of reserved-word names, profiled from ``texts`` for its
+    string column and ``numbers`` for its numeric one, with a boolean, a date
+    and a label column (filtered by IS NOT NULL, having no literals)."""
+    catalog = ingest_ddl(
+        'CREATE TABLE "order" ("select" varchar(20), "from" decimal, flag boolean, '
+        "note varchar(10), d date)"
+    )
+    values = {
+        "select": texts, "from": numbers, "flag": ["true", "false"],
+        "d": ["1995-01-01", "1998-12-31"],
+    }
+
+    class Sampler:
+        def sample(self, table, column, limit):
+            return values.get(column, [])
+
+    return profile_columns(
+        catalog, Sampler(), enum_threshold=50, label_columns={("order", "note")}
+    )
+
+
+class TestPrintedForms:
+    """A mechanical record's forms are printed from its tree
+    (``sqltree.to_forms``) and equal the scan of the SQL printed from it,
+    here over quoted names and odd literals (the demo catalog's are checked
+    with its trees above)."""
+
+    @given(
+        seed=st.integers(0, 2**31),
+        texts=st.lists(st.text("ab'%_ \n\"é", max_size=6), min_size=1, max_size=5),
+        numbers=st.lists(
+            st.sampled_from(["-2", "-0.50", "1e3", "-1E-2", "7", "3.25"]), min_size=1, max_size=4
+        ),
+        p_where=probability,
+        p_group_by=probability,
+        p_order_by=probability,
+        p_aggregate=probability,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_quoted_names_and_odd_literals(
+        self, seed, texts, numbers, p_where, p_group_by, p_order_by, p_aggregate
+    ):
+        catalog = _quoted_catalog(texts, numbers)
+        subschema = enumerate_subschemas(build_join_graph(catalog))[0]
+        config = MechConfig(
+            p_where=p_where, p_group_by=p_group_by, p_having=0.5 if p_group_by > 0 else 0.0,
+            p_order_by=p_order_by, p_aggregate=p_aggregate, max_predicates=3,
+        )
+        for record in generate_mechanical(subschema, catalog, config, 8, seed=seed):
+            assert record.forms == to_forms(record.tree) == normalized_forms(record.sql)
+
+    def test_quoted_catalog_reaches_every_case(self):
+        catalog = _quoted_catalog(["it's", "O''Hara", "plain"], ["-2", "-0.50", "1E3"])
+        subschema = enumerate_subschemas(build_join_graph(catalog))[0]
+        config = MechConfig(p_where=1.0, max_predicates=3)
+        records = generate_mechanical(subschema, catalog, config, 200, seed=5)
+        for needle in ('"order"."select"', '"order"."from"', "IS NOT NULL", "''",
+                       "= -", "1E3", "TRUE", "FALSE"):
+            assert any(needle in record.sql for record in records), needle
+        for record in records:
+            assert record.forms == to_forms(record.tree) == normalized_forms(record.sql)
 
 
 class TestSeedExamples:

@@ -27,6 +27,13 @@ DEMO_CONFIG = REPO_ROOT / "data" / "demo" / "demo.toml"
 COMMITTED_DEMO_OUT = REPO_ROOT / "out" / "demo"
 
 
+def load_candidates(out_dir) -> list:
+    """Every candidate of a run: the rows not kept (``records.jsonl``), then
+    the kept ones (``kept.jsonl``)."""
+    out = Path(out_dir)
+    return load_records(out / "records.jsonl") + load_records(out / "kept.jsonl")
+
+
 def base_config(tmp_path, **overrides):
     data = {
         "pipeline": {
@@ -184,7 +191,8 @@ class TestStubLlmPipeline:
             StubBackend.store(stub_dir, prompt, ["SELECT r_name FROM region"])
             hash_by_prompt[prompt_hash(prompt)] = prompt
         run_pipeline(config)
-        records = load_records(Path(config.out_dir) / "records.jsonl")
+        records = load_candidates(config.out_dir)
+        assert any(record.origin == "llm" for record in records)
         for record in records:
             if record.origin == "llm":
                 assert record.prompt_hash in hash_by_prompt
@@ -381,7 +389,7 @@ class TestVerdictInvariant:
                 stub_dir, prompt, ["SELECT ghost FROM nowhere", "SELECT FROM", "SELECT 1"]
             )
         run_pipeline(config)
-        records = load_records(Path(config.out_dir) / "records.jsonl")
+        records = load_candidates(config.out_dir)
         assert records
         for record in records:
             rejected = record.validation.verdict == "rejected"
@@ -592,16 +600,14 @@ class TestIncrementalAnalysis:
         dump_json({**header, "reports": reports}, expected)
         assert (out / "coverage.json").read_bytes() == expected.read_bytes()
 
+        # records.jsonl holds the candidates not kept; with kept.jsonl, every one
         records = load_records(out / "records.jsonl")
-        dropped = [r for r in records if r.validation.verdict != "accepted"]
-        assert any("duplicate" in r.validation.rejection_reasons for r in dropped)
-        assert any("duplicate" not in r.validation.rejection_reasons for r in dropped)
-        assert len(records) - len(dropped) == len(kept)
+        assert not any(r.validation.verdict == "accepted" for r in records)
+        assert any("duplicate" in r.validation.rejection_reasons for r in records)
+        assert any("duplicate" not in r.validation.rejection_reasons for r in records)
+        assert len(records) + len(kept) == manifest["counts"]["generated"]
         for record in records:
-            if record.validation.verdict == "accepted":
-                assert record.profile == profile_query(record.sql, catalog)
-            else:
-                assert record.profile is None, record.sql
+            assert record.profile is None, record.sql
 
     def test_each_candidate_parsed_once_and_never_reprofiled(self, tmp_path, monkeypatch):
         # The stub LLM on: its candidates, and the seed examples its prompts
@@ -614,6 +620,7 @@ class TestIncrementalAnalysis:
                 "parse": sqltree_mod.parse_select,
                 "resolve": validation_mod.resolve_references,
                 "normalize": sqltree_mod.normalize_sql,
+                "forms": sqltree_mod.normalized_forms,
                 "clause_tags": mechgen_mod.clause_tags,
                 "profile": coverage_mod.profile_query,
             },
@@ -624,7 +631,8 @@ class TestIncrementalAnalysis:
         assert counts["llm_calls"] > counts["llm_failures"]
         generated = counts["generated"]
         assert generated > 0
-        records = load_records(Path(config.out_dir) / "records.jsonl")
+        records = load_candidates(config.out_dir)
+        assert len(records) == generated
         origins = Counter(record.origin for record in records)
         assert 0 < sum(tokenizes(r.sql) for r in records if r.origin == "llm") < origins["llm"]
         assert origins["mechanical"] > 0
@@ -634,8 +642,10 @@ class TestIncrementalAnalysis:
         assert calls["parse"] == origins["llm"]
         assert calls["tokenize"] == origins["llm"] + 1
         assert calls["resolve"] <= generated
-        # ids and dedup keys come from each candidate's one scan for its forms
+        # ids and dedup keys come from each candidate's forms: scanned once
+        # for an LLM candidate, printed from the tree for a mechanical one
         assert calls["normalize"] == 0
+        assert calls["forms"] == origins["llm"]
         # seed pools hold the mechanical generator's own clause tags
         assert calls["clause_tags"] == 0
         assert calls["profile"] == 0

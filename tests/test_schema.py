@@ -17,6 +17,8 @@ from sqlsynth.schema import (
     save_catalog,
 )
 
+from tests.conftest import TPCH_DDL_PATH
+
 # Table/column/key counts from the published TPC-H benchmark definition;
 # the independent cross-check for ingesting the full DDL.
 TPCH_TABLE_COLUMNS = {
@@ -307,6 +309,38 @@ class TestProfiling:
         profiled = profile_columns(tiny_catalog, CsvDirSampler(tmp_path, tiny_catalog))
         assert profiled.require_table("region").column("r_name").metadata.enumerated_values is None
         assert any("region.csv: header" in note for note in profiled.advisories)
+
+    def test_sampler_reads_each_table_once(self, tpch_catalog, monkeypatch):
+        """Profiling the bundled sample reads each of its 8 tables' files
+        once, not once per column (61 columns)."""
+        from sqlsynth import schema as schema_mod
+
+        tables = []
+
+        def counted(data_dir, table, columns, cap):
+            tables.append(table)
+            return sqlite_engine.read_rows(data_dir, table, columns, cap)
+
+        monkeypatch.setattr(schema_mod, "read_rows", counted)
+        sample_dir = TPCH_DDL_PATH.parent / "tpch_sample"
+        profiled = profile_columns(tpch_catalog, CsvDirSampler(sample_dir, tpch_catalog))
+        assert sorted(tables) == sorted(TPCH_TABLE_COLUMNS)
+        assert not profiled.advisories
+        region = profiled.require_table("region").column("r_name").metadata
+        assert region.enumerated_values == [
+            "AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST"
+        ]
+
+    def test_failing_file_gives_each_column_an_advisory(self, tmp_path, tiny_catalog):
+        (tmp_path / "region.csv").write_text("r_regionkey,r_name\n0\n", encoding="utf-8")
+        (tmp_path / "nation.tbl").write_text("0|ALGERIA|0\n", encoding="utf-8")
+        profiled = profile_columns(tiny_catalog, CsvDirSampler(tmp_path, tiny_catalog))
+        assert profiled.advisories == [
+            f"sampling failed for region.{column}: region.csv: expected 2 fields, got 1"
+            for column in ("r_regionkey", "r_name")
+        ]
+        nation = profiled.require_table("nation").column("n_name").metadata
+        assert nation.enumerated_values == ["ALGERIA"]
 
     def test_csv_row_field_count_checked(self, tmp_path, tiny_catalog):
         (tmp_path / "region.csv").write_text("r_regionkey,r_name\n0\n", encoding="utf-8")

@@ -36,6 +36,7 @@ from sqlsynth.sqltree import (
     normalized_forms,
     parse_select,
     sql_name,
+    to_forms,
     to_sql,
     tokenize,
 )
@@ -430,59 +431,77 @@ def select(*items, from_ref=TableName("t"), where=None, order_by=()) -> Query:
     return Query(ctes=[], body=core, order_by=list(order_by))
 
 
+#: Trees :func:`to_sql` prints, with the text it prints of each.
+PRINTED_TREES = [
+    (
+        select(ColumnRef("t", "a"), where=IsNull(ColumnRef("t", "b"))),
+        "SELECT t.a FROM t WHERE t.b IS NULL",
+    ),
+    (
+        select(ColumnRef("t", "a"), where=IsNull(ColumnRef("t", "b"), negated=True)),
+        "SELECT t.a FROM t WHERE t.b IS NOT NULL",
+    ),
+    (
+        select(
+            FuncCall("sum", [ColumnRef("t", "a")]),
+            where=Binary(">=", ColumnRef("t", "a"), Unary("-", Literal("number", "1.50"))),
+        ),
+        "SELECT SUM(t.a) FROM t WHERE t.a >= -1.50",
+    ),
+    (
+        select(
+            ColumnRef("order", "select"),
+            from_ref=TableName("order"),
+            order_by=[OrderItem(ColumnRef("order", "a b"), "desc")],
+        ),
+        'SELECT "order"."select" FROM "order" ORDER BY "order"."a b" DESC',
+    ),
+    (
+        select(
+            FuncCall("count", star=True),
+            from_ref=Join(
+                left=Join(
+                    left=TableName("t"),
+                    right=TableName("u"),
+                    kind="inner",
+                    condition=Binary(
+                        "and",
+                        Binary("=", ColumnRef("t", "a"), ColumnRef("u", "a")),
+                        Binary("=", ColumnRef("t", "b"), ColumnRef("u", "b")),
+                    ),
+                ),
+                right=TableName("v"),
+                kind="inner",
+                condition=Binary("=", ColumnRef("u", "c"), ColumnRef("v", "c")),
+            ),
+        ),
+        "SELECT COUNT(*) FROM t INNER JOIN u ON t.a = u.a AND t.b = u.b "
+        "INNER JOIN v ON u.c = v.c",
+    ),
+    (
+        select(
+            ColumnRef("t", "a"),
+            where=Binary(
+                "or",
+                Binary("=", ColumnRef("t", "flag"), Literal("boolean", "FALSE")),
+                Binary(
+                    "and",
+                    Binary("<>", ColumnRef("t", "s"), Literal("string", "'it''s'")),
+                    InList(
+                        ColumnRef("t", "n"), [Literal("number", "1E3"), Literal("null", "NULL")]
+                    ),
+                ),
+            ),
+        ),
+        "SELECT t.a FROM t WHERE t.flag = FALSE OR t.s <> 'it''s' AND t.n IN (1E3, NULL)",
+    ),
+]
+
+
 class TestToSql:
     """to_sql writes text that parse_select reads back as the tree itself."""
 
-    @pytest.mark.parametrize(
-        "tree, text",
-        [
-            (
-                select(ColumnRef("t", "a"), where=IsNull(ColumnRef("t", "b"))),
-                "SELECT t.a FROM t WHERE t.b IS NULL",
-            ),
-            (
-                select(ColumnRef("t", "a"), where=IsNull(ColumnRef("t", "b"), negated=True)),
-                "SELECT t.a FROM t WHERE t.b IS NOT NULL",
-            ),
-            (
-                select(
-                    FuncCall("sum", [ColumnRef("t", "a")]),
-                    where=Binary(">=", ColumnRef("t", "a"), Unary("-", Literal("number", "1.50"))),
-                ),
-                "SELECT SUM(t.a) FROM t WHERE t.a >= -1.50",
-            ),
-            (
-                select(
-                    ColumnRef("order", "select"),
-                    from_ref=TableName("order"),
-                    order_by=[OrderItem(ColumnRef("order", "a b"), "desc")],
-                ),
-                'SELECT "order"."select" FROM "order" ORDER BY "order"."a b" DESC',
-            ),
-            (
-                select(
-                    FuncCall("count", star=True),
-                    from_ref=Join(
-                        left=Join(
-                            left=TableName("t"),
-                            right=TableName("u"),
-                            kind="inner",
-                            condition=Binary(
-                                "and",
-                                Binary("=", ColumnRef("t", "a"), ColumnRef("u", "a")),
-                                Binary("=", ColumnRef("t", "b"), ColumnRef("u", "b")),
-                            ),
-                        ),
-                        right=TableName("v"),
-                        kind="inner",
-                        condition=Binary("=", ColumnRef("u", "c"), ColumnRef("v", "c")),
-                    ),
-                ),
-                "SELECT COUNT(*) FROM t INNER JOIN u ON t.a = u.a AND t.b = u.b "
-                "INNER JOIN v ON u.c = v.c",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("tree, text", PRINTED_TREES)
     def test_reads_back_as_the_tree(self, tree, text):
         assert to_sql(tree) == text
         assert parse_select(to_sql(tree)) == tree
@@ -492,6 +511,36 @@ class TestToSql:
                     else_=None)
         with pytest.raises(TypeError, match="Case"):
             to_sql(select(case))
+        with pytest.raises(TypeError, match="Case"):
+            to_forms(select(case))
+
+    @pytest.mark.parametrize("tree, text", PRINTED_TREES)
+    def test_printed_forms_are_the_scan_of_the_text(self, tree, text):
+        assert to_forms(tree) == normalized_forms(text)
+
+    def test_printed_forms_of_quoted_names_and_literals(self):
+        tree = select(
+            ColumnRef("order", "a b"),
+            from_ref=TableName("order"),
+            where=Binary(
+                "and",
+                Binary("=", ColumnRef("order", 'Q"t'), Literal("string", "'O''Hara'")),
+                Binary(">", ColumnRef("order", "select"), Unary("-", Literal("number", "2.5E1"))),
+            ),
+        )
+        assert to_forms(tree) == (
+            "select order . a b from order where order . q\"t = 'O''Hara' "
+            "and order . select > - 2.5e1",
+            "select order . a b from order where order . q\"t = :str "
+            "and order . select > - :num",
+        )
+        assert to_forms(tree) == normalized_forms(to_sql(tree))
+
+    def test_multi_token_literal_raises(self):
+        tree = select(ColumnRef("t", "a"), where=Binary(
+            "<", ColumnRef("t", "d"), Literal("date", "DATE '1995-01-01'")))
+        with pytest.raises(TypeError, match="date literals"):
+            to_forms(tree)
 
     @pytest.mark.parametrize(
         "name, text", [("lineitem", "lineitem"), ("order", '"order"'), ('a"b', '"a""b"')]
