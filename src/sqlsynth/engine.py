@@ -1,19 +1,25 @@
-"""The SQLite engine process: one connection, driven over a pair of pipes.
+"""The engine process: one database connection, driven over a pair of pipes.
 
-``execution.SqliteSession`` starts this file as ``python -I -S
-sqlite_engine.py DATABASE``. It imports only the standard library and never
-the ``sqlsynth`` package, so it starts in about 30 ms; ``-I -S`` keep
-``PYTHONPATH``, site-packages and this file's directory off ``sys.path``.
+``execution.SqliteSession`` starts this file for every engine, SQLite or
+DB-API. A SQLite engine runs as ``python -I -S engine.py``: it imports only
+the standard library and never the ``sqlsynth`` package, so it starts in
+about 30 ms, and ``-I -S`` keep ``PYTHONPATH``, site-packages and this
+file's directory off ``sys.path``. A DB-API engine runs as ``python -P
+engine.py``, which keeps site-packages and ``PYTHONPATH``, so an installed
+driver imports, and keeps this file's directory off ``sys.path``.
 
 Requests arrive on stdin and replies leave on stdout, one pickled tuple
-each. The first reply, sent unasked, says whether the database opened. Each
-request ``(op, *args)`` then gets ``("ok", result)`` or ``("error",
-message)``. The process exits at the end of its input.
+each. Each request ``(op, *args)`` gets ``("ok", result)`` or ``("error",
+message)``. The first request is ``("open", database, module,
+connect_args)``: it opens the SQLite ``database`` when ``module`` is None,
+and ``module.connect(**connect_args)`` otherwise; if that fails, the
+process exits after its reply. It exits at the end of its input.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib
 import math
 import os
 import pickle
@@ -33,26 +39,30 @@ def elapsed_ms(started_ns: int) -> float:
 
 
 def run(conn, sql: str, timeout_ms: int):
-    """Execute and consume ``sql`` under a progress-handler deadline; returns
-    (row_count, timed_out, error, elapsed_ms). The time covers execution and
-    fetching only."""
-    deadline = time.monotonic() + timeout_ms / 1000.0
-    conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, PROGRESS_STEP)
+    """Execute and consume ``sql``; returns (row_count, timed_out, error,
+    elapsed_ms). The time covers execution and fetching only. A SQLite
+    statement stops at ``timeout_ms`` through a progress handler, which
+    keeps the loaded data; any other driver's statement runs until the
+    parent kills this process."""
+    interruptible = isinstance(conn, sqlite3.Connection)
+    if interruptible:
+        deadline = time.monotonic() + timeout_ms / 1000.0
+        conn.set_progress_handler(lambda: 1 if time.monotonic() > deadline else 0, PROGRESS_STEP)
     started = time.perf_counter_ns()
     try:
-        cursor = conn.execute(sql)
+        cursor = conn.cursor()
+        cursor.execute(sql)
         rows = 0
         while chunk := cursor.fetchmany(FETCH_CHUNK):
             rows += len(chunk)
         return rows, False, None, elapsed_ms(started)
-    except sqlite3.OperationalError as exc:
-        if "interrupted" in str(exc).lower():
+    except Exception as exc:  # a failing statement is data, not an engine failure
+        if isinstance(exc, sqlite3.OperationalError) and "interrupted" in str(exc).lower():
             return None, True, None, elapsed_ms(started)
         return None, False, str(exc), elapsed_ms(started)
-    except sqlite3.Error as exc:
-        return None, False, str(exc), elapsed_ms(started)
     finally:
-        conn.set_progress_handler(None, 0)
+        if interruptible:
+            conn.set_progress_handler(None, 0)
 
 
 class DataFileError(Exception):
@@ -121,20 +131,33 @@ def script(conn, text: str) -> None:
 OPS = {"run": run, "load": load, "script": script}
 
 
-def main(database: str) -> int:
-    requests, replies = sys.stdin.buffer, sys.stdout.buffer
-    sys.stdout = sys.stderr  # a stray print must not corrupt the replies
+def open_connection(database: str, module: str | None, connect_args: dict):
+    if module is None:
+        try:
+            return sqlite3.connect(database)
+        except sqlite3.Error as exc:
+            raise ConnectionError(f"cannot open sqlite database {database!r}: {exc}") from exc
+    try:
+        return importlib.import_module(module).connect(**connect_args)
+    except Exception as exc:
+        raise ConnectionError(f"cannot connect via {module}: {exc}") from exc
+
+
+def main() -> int:
+    requests, replies = sys.stdin.buffer, os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # stray output, a driver's included, must not corrupt the replies
 
     def reply(status: str, payload) -> None:
         pickle.dump((status, payload), replies, pickle.HIGHEST_PROTOCOL)
         replies.flush()
 
+    _, *target = pickle.load(requests)  # ("open", database, module, connect_args)
     try:
-        conn = sqlite3.connect(database)
-    except sqlite3.Error as exc:
-        reply("error", f"cannot open sqlite database {database!r}: {exc}")
+        conn = open_connection(*target)
+    except ConnectionError as exc:
+        reply("error", str(exc))
         return 1
-    reply("ok", sqlite3.sqlite_version)
+    reply("ok", None)
     while True:
         try:
             op, *args = pickle.load(requests)
@@ -152,6 +175,6 @@ def main(database: str) -> int:
 
 if __name__ == "__main__":
     try:
-        sys.exit(main(sys.argv[1]))
+        sys.exit(main())
     except KeyboardInterrupt:  # Ctrl-C reaches the whole process group
         sys.exit(130)

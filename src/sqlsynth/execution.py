@@ -8,32 +8,32 @@ where the statement runs and stored as float milliseconds at microsecond
 resolution. Each engine runs its batch serially, so its labels never
 overlap each other.
 
-Each SQLite engine runs in its own child process (``sqlite_engine.py``),
-which loads the data files, runs and times every statement and replies
-over a pipe; ``SqliteSession`` is the parent's handle to it. In-process
-SQLite does not scale across threads: a one-row recursive CTE took 2.31 s
-alone and 4.8 s on each of two threads, but 3.0-3.2 s on each of two
-processes, and the 209 demo queries on a 100x TPC-H dataset took 7.3 s on
-one engine alone, about 11 s per engine with two engine threads, and
-6.2-6.8 s per engine with two engine processes. So engines that share a
-process inflate each other's labels by about 1.5x; engines in their own
-processes keep labels uncontended while the engines run in parallel.
+Every engine, of either driver, runs in its own child process
+(``engine.py``), which opens the connection, runs and times every
+statement and replies over a pipe; ``SqliteSession`` is the parent's handle
+to it. A statement whose reply does not come within its timeout plus a
+grace has its process killed and reads as timed out, and the next statement
+starts a fresh process. In-process SQLite does not scale across threads: a
+one-row recursive CTE took 2.31 s alone and 4.8 s on each of two threads,
+but 3.0-3.2 s on each of two processes, and the 209 demo queries on a 100x
+TPC-H dataset took 7.3 s on one engine alone, about 11 s per engine with
+two engine threads, and 6.2-6.8 s per engine with two engine processes. So
+engines that share a process inflate each other's labels by about 1.5x;
+engines in their own processes keep labels uncontended while the engines
+run in parallel.
 """
 
 from __future__ import annotations
 
-import importlib
 import pickle
+import select
 import subprocess
 import sys
-import threading
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import EngineConnectionError, LoadError
 from .schema import SchemaCatalog, render_create_statements
-from .sqlite_engine import elapsed_ms
 
 DEFAULT_TIMEOUT_MS = 600_000  # ten minutes
 DEFAULT_MIN_EMPTY_RUNTIME_MS = 10_000  # empty results faster than this are dropped
@@ -116,35 +116,61 @@ def apply_retention(labels, min_empty_runtime_ms: int = DEFAULT_MIN_EMPTY_RUNTIM
 
 
 class SqliteSession:
-    """Handle to one SQLite engine process, which owns the connection.
+    """Handle to one engine process, which owns the connection: the SQLite
+    ``database`` or, given a ``module``, the PEP 249 connection
+    ``module.connect(**connect_args)``.
 
-    The process runs each statement under a progress-handler deadline and
-    times it there, so a label holds no pipe latency. It exits when its
-    input closes: on ``close()``, or when an unclosed session is dropped.
+    The class serves every driver but keeps the name of the first one it
+    served, because the benchmark harness times ``SqliteSession.run`` by
+    that name.
+
+    The process times each statement itself, so a label holds no pipe
+    latency. A SQLite statement stops at its timeout inside the process,
+    which keeps the loaded data. A statement that has not replied
+    ``_REPLY_GRACE_S`` after its timeout, as a DB-API one may not, is timed
+    out by killing the process; the next statement then starts a fresh one
+    from the same open request. The process exits when its input closes: on
+    ``close()``, or when an unclosed session is dropped.
     """
 
-    _ENGINE = Path(__file__).with_name("sqlite_engine.py")
+    _ENGINE = Path(__file__).with_name("engine.py")
     _CLOSE_GRACE_S = 5.0  # a busy engine is killed after this long
+    _REPLY_GRACE_S = 5.0  # a statement's reply may come this long after its timeout
 
-    def __init__(self, database: str):
+    def __init__(self, database=":memory:", module: str | None = None, connect_args=None):
+        # -I -S start a stdlib-only SQLite engine in about 30 ms; -P keeps
+        # site-packages and PYTHONPATH, where a DB-API driver is installed
+        flags = ("-I", "-S") if module is None else ("-P",)
+        self._command = [sys.executable, *flags, str(self._ENGINE)]
+        self._open = ("open", database, module, connect_args or {})
+        self._start()
+
+    def _start(self):
+        """Start the engine process and have it open the connection;
+        EngineConnectionError if it cannot."""
         self.process = subprocess.Popen(
-            [sys.executable, "-I", "-S", str(self._ENGINE), database],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
+            self._command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
         )
-        reply = self._request()  # the engine reports the open unasked
+        reply = self._request(*self._open)
         if reply is None or reply[0] != "ok":
             detail = self._exited() if reply is None else reply[1]
             self.close()
             raise EngineConnectionError(detail)
+        self._killed = False
 
-    def _request(self, *request):
-        """Send ``request`` (when given) and return the engine's reply;
-        None once the engine process is gone."""
+    def _request(self, *request, wait_s: float | None = None):
+        """Send ``request`` and return the engine's reply; None once the
+        engine process is gone, or once it is killed for sending no reply
+        within ``wait_s`` seconds."""
         try:
-            if request:
-                pickle.dump(request, self.process.stdin, pickle.HIGHEST_PROTOCOL)
-                self.process.stdin.flush()
+            pickle.dump(request, self.process.stdin, pickle.HIGHEST_PROTOCOL)
+            self.process.stdin.flush()
+            # one reply per request, so the reader never holds a buffered one
+            if wait_s is not None and not select.select([self.process.stdout], [], [], wait_s)[0]:
+                self.process.kill()
+                self.close()
+                self._killed = True
+                return None
             return pickle.load(self.process.stdout)
         except (OSError, EOFError, ValueError, pickle.UnpicklingError):
             return None
@@ -155,8 +181,16 @@ class SqliteSession:
     def run(self, sql: str, timeout_ms: int):
         """Execute and consume ``sql``; returns (row_count, timed_out, error,
         elapsed_ms). A dead engine process yields an error, not a hang."""
-        reply = self._request("run", sql, timeout_ms)
+        if self._killed:
+            try:
+                self._start()
+            except EngineConnectionError as exc:
+                return None, False, str(exc), 0.0
+        wait_s = timeout_ms / 1000 + self._REPLY_GRACE_S
+        reply = self._request("run", sql, timeout_ms, wait_s=wait_s)
         if reply is None:
+            if self._killed:
+                return None, True, None, float(timeout_ms)
             return None, False, self._exited(), 0.0
         status, payload = reply
         if status != "ok":
@@ -207,76 +241,15 @@ class SqliteSession:
                     pass
 
 
-class DbApiSession:
-    """Generic PEP 249 session; timeouts enforced by a watchdog thread that
-    cancels and closes the connection when the deadline passes, then opens
-    a fresh one for the next query."""
-
-    def __init__(self, module: str, connect_args: dict, module_obj=None):
-        self.module = module
-        self.dbapi = module_obj if module_obj is not None else importlib.import_module(module)
-        self.connect_args = connect_args
-        self.conn = self._connect()
-
-    def _connect(self):
-        try:
-            return self.dbapi.connect(**self.connect_args)
-        except Exception as exc:
-            raise EngineConnectionError(f"cannot connect via {self.module}: {exc}")
-
-    def run(self, sql: str, timeout_ms: int):
-        result: dict = {}
-
-        def work():
-            started = time.perf_counter_ns()
-            try:
-                cursor = self.conn.cursor()
-                cursor.execute(sql)
-                rows = 0
-                while True:
-                    chunk = cursor.fetchmany(1024)
-                    if not chunk:
-                        break
-                    rows += len(chunk)
-                result["rows"] = rows
-            except Exception as exc:  # per-query failures are data, not errors
-                result["error"] = str(exc)
-            result["elapsed_ms"] = elapsed_ms(started)
-
-        thread = threading.Thread(target=work, daemon=True)
-        thread.start()
-        thread.join(timeout_ms / 1000.0)
-        if thread.is_alive():
-            for method in ("cancel", "close"):
-                try:
-                    getattr(self.conn, method)()
-                except Exception:
-                    pass
-            try:
-                self.conn = self._connect()
-            except EngineConnectionError:
-                pass  # the next queries report the dead connection
-            return None, True, None, float(timeout_ms)
-        if "error" in result:
-            return None, False, result["error"], result["elapsed_ms"]
-        return result["rows"], False, None, result["elapsed_ms"]
-
-    def close(self):
-        try:
-            self.conn.close()
-        except Exception:
-            pass
-
-
-def connect(engine: EngineSpec):
-    """Open a session for ``engine``; EngineConnectionError when unreachable."""
+def connect(engine: EngineSpec) -> SqliteSession:
+    """Start the engine process for ``engine``; EngineConnectionError when
+    it cannot open the database or connect."""
     if engine.driver == "sqlite":
         return SqliteSession(engine.options.get("database", ":memory:"))
     if engine.driver == "dbapi":
-        return DbApiSession(
+        return SqliteSession(
             module=engine.options["module"],
             connect_args=engine.options.get("connect_args", {}),
-            module_obj=engine.options.get("module_obj"),
         )
     raise EngineConnectionError(f"unknown driver kind {engine.driver!r}")
 
@@ -290,39 +263,33 @@ def execute_batch(
     records,
     engine: EngineSpec,
     timeout_ms: int = DEFAULT_TIMEOUT_MS,
-    session=None,
+    *,
+    session: SqliteSession,
 ) -> list[RuntimeLabel]:
-    """Run every record serially on ``engine`` and label it.
+    """Run every record serially in ``session``, an open session on
+    ``engine``, and label it.
 
-    The engine must be reachable at batch start (EngineConnectionError
-    otherwise); per-query failures are captured in the labels and never
-    abort the batch. Timed-out labels carry runtime equal to the timeout.
+    Per-query failures are captured in the labels and never abort the
+    batch. Timed-out labels carry runtime equal to the timeout.
     """
     if timeout_ms <= 0:
         raise ValueError("timeout_ms must be > 0")
-    own_session = session is None
-    if own_session:
-        session = connect(engine)
-    try:
-        labels = []
-        for record in records:
-            row_count, timed_out, error, runtime_ms = session.run(record.sql, timeout_ms)
-            if timed_out:
-                runtime_ms = timeout_ms
-            labels.append(
-                RuntimeLabel(
-                    query_id=record.id,
-                    engine_id=engine.engine_id,
-                    runtime_ms=runtime_ms,
-                    row_count=row_count,
-                    timed_out=timed_out,
-                    error=error,
-                )
+    labels = []
+    for record in records:
+        row_count, timed_out, error, runtime_ms = session.run(record.sql, timeout_ms)
+        if timed_out:
+            runtime_ms = timeout_ms
+        labels.append(
+            RuntimeLabel(
+                query_id=record.id,
+                engine_id=engine.engine_id,
+                runtime_ms=runtime_ms,
+                row_count=row_count,
+                timed_out=timed_out,
+                error=error,
             )
-        return labels
-    finally:
-        if own_session:
-            session.close()
+        )
+    return labels
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .errors import DdlSyntaxError, DuplicateObjectError, UnknownObjectError
-from .sqlite_engine import read_rows
+from .engine import read_rows
 from .sqltree import Token, TokenCursor, sql_name
 from .util import SCHEMA_VERSION, dump_json, fields_of, load_json
 
@@ -469,7 +469,7 @@ class ValueSampler(Protocol):
 
 class CsvDirSampler:
     """Samples from a directory of table data files, read as the SQLite
-    engine loads them (:func:`~sqlsynth.sqlite_engine.read_rows`):
+    engine loads them (:func:`~sqlsynth.engine.read_rows`):
     ``<table>.tbl`` (pipe-delimited) or else ``<table>.csv`` (after a header
     line that names the catalog's columns in order), each positional per
     catalog column order.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import os
 import signal
 import threading
@@ -114,6 +115,10 @@ def numbers_script(rows: int) -> str:
         "INSERT INTO n WITH RECURSIVE c(x) AS (SELECT 0 UNION ALL SELECT x + 1 FROM c "
         f"WHERE x + 1 < {rows}) SELECT x FROM c;"
     )
+
+
+def _records(*sqls):
+    return [make_record(sql, "mechanical", "s") for sql in sqls]
 
 
 class TestSqliteExecution:
@@ -253,6 +258,27 @@ class TestEngineProcess:
         session.close()
         assert session.process.returncode == -signal.SIGKILL
 
+    def test_wedged_engine_is_killed_and_replaced(self, open_session, monkeypatch):
+        """An engine that does not reply by its timeout plus the grace (here
+        a stopped one) is killed and reaped; its statement reads as timed
+        out, and the next statement runs in a fresh engine, which holds no
+        tables."""
+        monkeypatch.setattr(SqliteSession, "_REPLY_GRACE_S", 0.2)
+        session = self._session(open_session)
+        wedged = session.process
+        os.kill(wedged.pid, signal.SIGSTOP)
+        labels = execute_batch(
+            _records("SELECT x FROM n", "SELECT x FROM n", "SELECT 1"),
+            self._engine(),
+            timeout_ms=100,
+            session=session,
+        )
+        assert (labels[0].timed_out, labels[0].runtime_ms, labels[0].row_count) == (True, 100, None)
+        assert labels[1].error == "no such table: n" and not labels[1].timed_out
+        assert labels[2].row_count == 1
+        assert wedged.returncode == -signal.SIGKILL
+        assert session.process.pid != wedged.pid
+
     def test_load_into_dead_engine_raises_load_error(self, open_session, tpch_catalog_inferred):
         session = open_session()
         session.process.kill()
@@ -327,136 +353,129 @@ class TestEngineProcess:
         assert (first.process.returncode, second.process.returncode) == (0, 0)
 
 
-class _FakeCursor:
-    def __init__(self, rows, fail=False):
-        self._rows = list(rows)
-        self._fail = fail
+#: A fake PEP 249 driver, written to disk and imported in the engine process.
+FAKE_DRIVER = """
+import json
+import time
+
+HANG = "SELECT 'hang'"
+
+
+def connect(log, rows=3, fail=False, refuse=False, **kwargs):
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(kwargs) + "\\n")
+    if refuse:
+        raise ConnectionError("connection refused")
+    return Connection(rows, fail)
+
+
+class Connection:
+    def __init__(self, rows, fail):
+        self.rows, self.fail = rows, fail
+
+    def cursor(self):
+        return Cursor(self.rows, self.fail)
+
+    def cancel(self):
+        pass  # a hung statement ignores cancel and close
+
+    def close(self):
+        pass
+
+
+class Cursor:
+    def __init__(self, rows, fail):
+        self.rows, self.fail, self.pending = rows, fail, []
 
     def execute(self, sql):
-        if self._fail:
+        if self.fail:
             raise RuntimeError("fake engine rejected the query")
+        if sql == HANG:
+            time.sleep(3600)
+        self.pending = [(1,)] * self.rows
 
     def fetchmany(self, n):
-        chunk, self._rows = self._rows[:n], self._rows[n:]
+        chunk, self.pending = self.pending[:n], self.pending[n:]
         return chunk
+"""
+
+HANG = "SELECT 'hang'"
 
 
-class _FakeConn:
-    def __init__(self, rows, fail=False):
-        self.rows = rows
-        self.fail = fail
-        self.closed = False
+@pytest.fixture
+def fake_driver(tmp_path, monkeypatch):
+    """Writes the module ``fakedb`` to a directory on the engine process's
+    ``PYTHONPATH``. Returns a function that opens a DB-API session on it
+    with the given ``connect_args``, and the file to which each ``connect``
+    call appends its arguments (``log``, ``rows``, ``fail`` and ``refuse``
+    apart). Every session is closed after the test."""
+    (tmp_path / "fakedb.py").write_text(FAKE_DRIVER, encoding="utf-8")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    log = tmp_path / "connects.jsonl"
+    opened = []
 
-    def cursor(self):
-        return _FakeCursor(self.rows, self.fail)
+    def open_(**connect_args):
+        engine = EngineSpec(
+            engine_id="fake-w1",
+            driver="dbapi",
+            options={"module": "fakedb", "connect_args": {"log": str(log), **connect_args}},
+        )
+        opened.append(connect(engine))
+        return engine, opened[-1]
 
-    def close(self):
-        self.closed = True
-
-
-class _FakeDbApi:
-    def __init__(self, rows, fail=False, refuse=False):
-        self.rows = rows
-        self.fail = fail
-        self.refuse = refuse
-
-    def connect(self, **kwargs):
-        if self.refuse:
-            raise ConnectionError("connection refused")
-        return _FakeConn(self.rows, self.fail)
-
-
-class _HangingDbApi:
-    """A DB-API module whose connections hang on ``HANG`` until closed and
-    refuse every statement once closed, as a server-side session does."""
-
-    HANG = "SELECT 'hang'"
-
-    def __init__(self):
-        self.connect_calls = []
-
-    def connect(self, **kwargs):
-        self.connect_calls.append(kwargs)
-        return _HangingConn()
-
-
-class _HangingConn:
-    def __init__(self):
-        self.closed = threading.Event()
-
-    def cursor(self):
-        if self.closed.is_set():
-            raise RuntimeError("connection closed")
-        return _HangingCursor(self)
-
-    def close(self):
-        self.closed.set()
-
-
-class _HangingCursor:
-    def __init__(self, conn):
-        self.conn = conn
-        self.rows = []
-
-    def execute(self, sql):
-        if sql == _HangingDbApi.HANG:
-            self.conn.closed.wait(10)
-            raise RuntimeError("connection closed")
-        self.rows = [(1,)] * 3
-
-    def fetchmany(self, n):
-        chunk, self.rows = self.rows[:n], self.rows[n:]
-        return chunk
+    yield open_, log
+    for session in opened:
+        session.close()
 
 
 class TestDbApiDriver:
-    def test_timeout_reconnects_for_the_next_queries(self):
-        module = _HangingDbApi()
-        engine = EngineSpec(
-            engine_id="presto-w1",
-            driver="dbapi",
-            options={"module": "fake", "module_obj": module, "connect_args": {"host": "h"}},
-        )
-        sqls = ["SELECT 1", _HangingDbApi.HANG, "SELECT 2", "SELECT 3"]
-        records = [make_record(sql, "mechanical", "s") for sql in sqls]
-        labels = execute_batch(records, engine, timeout_ms=200)
+    """A DB-API engine runs in its own process like a SQLite one; a hung
+    statement is timed out by killing that process."""
+
+    def test_timeout_reconnects_for_the_next_queries(self, fake_driver, monkeypatch):
+        monkeypatch.setattr(SqliteSession, "_REPLY_GRACE_S", 0.2)
+        open_, log = fake_driver
+        engine, session = open_(host="h")
+        records = _records("SELECT 1", HANG, "SELECT 2", "SELECT 3")
+        labels = execute_batch(records, engine, timeout_ms=200, session=session)
         assert labels[1].timed_out and labels[1].runtime_ms == 200
         assert labels[1].row_count is None and labels[1].error is None
         for label in labels[:1] + labels[2:]:
             assert (label.row_count, label.timed_out, label.error) == (3, False, None)
-        assert module.connect_calls == [{"host": "h"}, {"host": "h"}]
+        connects = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert connects == [{"host": "h"}, {"host": "h"}]
 
-    def test_row_counting(self):
-        engine = EngineSpec(
-            engine_id="presto-w1",
-            driver="dbapi",
-            options={"module": "fake", "module_obj": _FakeDbApi(rows=[(1,)] * 7)},
-        )
+    def test_driver_ignoring_cancel_leaves_no_thread_or_process(self, fake_driver, monkeypatch):
+        monkeypatch.setattr(SqliteSession, "_REPLY_GRACE_S", 0.2)
+        open_, _ = fake_driver
+        threads = threading.active_count()
+        engine, session = open_()
+        hung = session.process
         labels = execute_batch(
-            [make_record("SELECT 1", "mechanical", "s")], engine, timeout_ms=2_000
+            _records(HANG, "SELECT 1", "SELECT 2"), engine, timeout_ms=100, session=session
         )
+        assert (labels[0].timed_out, labels[0].runtime_ms) == (True, 100)
+        assert [label.row_count for label in labels[1:]] == [3, 3]
+        assert hung.returncode == -signal.SIGKILL
+        assert _wait_exit_code(hung.pid) is None  # the session reaped it
+        session.close()
+        assert session.process.returncode == 0
+        assert threading.active_count() == threads
+
+    def test_row_counting(self, fake_driver):
+        engine, session = fake_driver[0](rows=7)
+        labels = execute_batch(_records("SELECT 1"), engine, timeout_ms=2_000, session=session)
         assert labels[0].row_count == 7
         assert isinstance(labels[0].runtime_ms, float) and labels[0].runtime_ms > 0
 
-    def test_query_error_captured(self):
-        engine = EngineSpec(
-            engine_id="presto-w1",
-            driver="dbapi",
-            options={"module": "fake", "module_obj": _FakeDbApi(rows=[], fail=True)},
-        )
-        labels = execute_batch(
-            [make_record("SELECT 1", "mechanical", "s")], engine, timeout_ms=2_000
-        )
+    def test_query_error_captured(self, fake_driver):
+        engine, session = fake_driver[0](fail=True)
+        labels = execute_batch(_records("SELECT 1"), engine, timeout_ms=2_000, session=session)
         assert "rejected" in labels[0].error
 
-    def test_connect_failure(self):
-        engine = EngineSpec(
-            engine_id="presto-w1",
-            driver="dbapi",
-            options={"module": "fake", "module_obj": _FakeDbApi(rows=[], refuse=True)},
-        )
-        with pytest.raises(EngineConnectionError):
-            execute_batch([make_record("SELECT 1", "mechanical", "s")], engine)
+    def test_connect_failure(self, fake_driver):
+        with pytest.raises(EngineConnectionError, match="cannot connect via fakedb: .*refused"):
+            fake_driver[0](refuse=True)
 
 
 class TestRestrictDataset:

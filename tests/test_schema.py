@@ -4,7 +4,7 @@ import sqlite3
 
 import pytest
 
-from sqlsynth import sqlite_engine
+from sqlsynth import engine
 from sqlsynth.errors import DdlSyntaxError, DuplicateObjectError, UnknownObjectError
 from sqlsynth.schema import (
     CsvDirSampler,
@@ -289,7 +289,7 @@ class TestProfiling:
         conn = sqlite3.connect(":memory:")
         conn.execute("CREATE TABLE region (r_regionkey, r_name)")
         columns = ["r_regionkey", "r_name"]
-        assert sqlite_engine.load(conn, "region", str(tmp_path), columns, 10) == 1
+        assert engine.load(conn, "region", str(tmp_path), columns, 10) == 1
         loaded = conn.execute("SELECT r_regionkey, r_name FROM region").fetchall()
         assert loaded == [("0", "FROMTBL")]
         sampler = CsvDirSampler(tmp_path, tiny_catalog)
@@ -304,7 +304,7 @@ class TestProfiling:
         (tmp_path / "region.csv").write_text("R_RegionKey,R_NAME\n0,AFRICA\n", encoding="utf-8")
         assert CsvDirSampler(tmp_path, tiny_catalog).sample("region", "r_name", 10) == ["AFRICA"]
         (tmp_path / "region.csv").write_text("r_name,r_regionkey\nAFRICA,0\n", encoding="utf-8")
-        with pytest.raises(sqlite_engine.DataFileError, match="region.csv: header"):
+        with pytest.raises(engine.DataFileError, match="region.csv: header"):
             CsvDirSampler(tmp_path, tiny_catalog).sample("region", "r_name", 10)
         profiled = profile_columns(tiny_catalog, CsvDirSampler(tmp_path, tiny_catalog))
         assert profiled.require_table("region").column("r_name").metadata.enumerated_values is None
@@ -319,7 +319,7 @@ class TestProfiling:
 
         def counted(data_dir, table, columns, cap):
             tables.append(table)
-            return sqlite_engine.read_rows(data_dir, table, columns, cap)
+            return engine.read_rows(data_dir, table, columns, cap)
 
         monkeypatch.setattr(schema_mod, "read_rows", counted)
         sample_dir = TPCH_DDL_PATH.parent / "tpch_sample"
@@ -345,7 +345,7 @@ class TestProfiling:
     def test_csv_row_field_count_checked(self, tmp_path, tiny_catalog):
         (tmp_path / "region.csv").write_text("r_regionkey,r_name\n0\n", encoding="utf-8")
         sampler = CsvDirSampler(tmp_path, tiny_catalog)
-        with pytest.raises(sqlite_engine.DataFileError, match="region.csv: expected 2 fields"):
+        with pytest.raises(engine.DataFileError, match="region.csv: expected 2 fields"):
             sampler.sample("region", "r_name", 10)
 
 
