@@ -129,13 +129,18 @@ class SqliteSession:
     which keeps the loaded data. A statement that has not replied
     ``_REPLY_GRACE_S`` after its timeout, as a DB-API one may not, is timed
     out by killing the process; the next statement then starts a fresh one
-    from the same open request. The process exits when its input closes: on
+    from the same open request. An engine that has not opened its connection
+    ``_OPEN_WAIT_S`` after it was started, as a driver whose ``connect``
+    hangs on an unreachable host may not, is killed too, and the open fails
+    with EngineConnectionError; a reopen that fails so labels its statement
+    with the error. The process exits when its input closes: on
     ``close()``, or when an unclosed session is dropped.
     """
 
     _ENGINE = Path(__file__).with_name("engine.py")
     _CLOSE_GRACE_S = 5.0  # a busy engine is killed after this long
     _REPLY_GRACE_S = 5.0  # a statement's reply may come this long after its timeout
+    _OPEN_WAIT_S = 60.0  # an engine that has not opened after this long is killed
 
     def __init__(self, database=":memory:", module: str | None = None, connect_args=None):
         # -I -S start a stdlib-only SQLite engine in about 30 ms; -P keeps
@@ -151,12 +156,18 @@ class SqliteSession:
         self.process = subprocess.Popen(
             self._command, stdin=subprocess.PIPE, stdout=subprocess.PIPE
         )
-        reply = self._request(*self._open)
-        if reply is None or reply[0] != "ok":
-            detail = self._exited() if reply is None else reply[1]
-            self.close()
-            raise EngineConnectionError(detail)
         self._killed = False
+        reply = self._request(*self._open, wait_s=self._OPEN_WAIT_S)
+        if reply is None or reply[0] != "ok":
+            if reply is not None:
+                detail = reply[1]
+            elif self._killed:
+                detail = f"engine did not open within {self._OPEN_WAIT_S:g} s"
+            else:
+                detail = self._exited()
+            self.close()
+            self._killed = True  # the next statement starts a fresh process
+            raise EngineConnectionError(detail)
 
     def _request(self, *request, wait_s: float | None = None):
         """Send ``request`` and return the engine's reply; None once the

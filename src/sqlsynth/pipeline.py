@@ -39,14 +39,24 @@ as: its SQL is the text :func:`~sqlsynth.sqltree.to_sql` writes of that
 tree and its forms are what :func:`~sqlsynth.sqltree.to_forms` prints of
 it, so it is never scanned, tokenized or parsed. An LLM candidate, or a
 record read from a file, is scanned once for its forms and parsed once.
-:func:`mechanical_batch` and :func:`_llm_batch` yield candidates one
-subschema or one prompt at a time (:func:`_llm_batch` once every prompt's
-completions are in, so the analysis never competes with the backend's
-threads), and :func:`validate_record` analyses each at once: it takes the
-record's tree or parses its SQL, resolves the references in the one walk
-over the tree, derives the relevance codes from them, profiles an accepted
-candidate from the counts that walk took and takes its dedup key from the
-record's forms; the forms and the tree are dropped there. At batch end
+:func:`mechanical_batch` yields candidates one subschema at a time and
+:func:`_llm_batch` one prompt at a time, and :func:`validate_record`
+analyses each: it takes the record's tree or parses its SQL, resolves the
+references in the one walk over the tree, derives the relevance codes from
+them, profiles an accepted candidate from the counts that walk took and
+takes its dedup key from the record's forms; the forms and the tree are
+dropped there. An LLM prompt's completions are analysed together
+(:func:`analyse_completions`: extract the SQL, make the records, validate
+them). With the HTTP backend that runs in one forked child process per
+:func:`run_pipeline` call (:class:`ChildAnalysis`), each prompt's as soon
+as its completions arrive, so the analysis overlaps the batch's requests
+on another core and the parent, which only waits on the requests, holds
+the interpreter lock neither from the backend's threads nor from an
+in-process server. With the stub backend there is no wait to hide the
+analysis behind, and forking would only add its cost, so it runs in the
+parent (:class:`InlineAnalysis`) once every completion is in. Either way
+the records come back in prompt order, so the outputs are the same. At
+batch end
 :func:`settle_batch` counts the batch and deduplicates its accepted
 candidates against the set of normalized forms already kept, which it
 extends with the batch's new records only, so no batch re-parses,
@@ -75,9 +85,14 @@ instead of recomputed.
 from __future__ import annotations
 
 import logging
+import os
 import random
-from concurrent.futures import ThreadPoolExecutor
+import signal
+import threading
+import time
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .config import PipelineConfig, config_snapshot
@@ -322,41 +337,45 @@ def _generate(config, catalog, subschemas, backend, paths):
     batches: list[BatchAccounting] = []
     directives = RegenDirectives()
 
-    batch = 0
-    while True:
-        accounting = BatchAccounting(batch=batch)
-        candidates: list[QueryRecord] = []
-        for record in mechanical_batch(config, catalog, subschemas, batch):
-            mech_pools.setdefault(record.subschema_id, []).append(SeedExample.from_record(record))
-            validate_record(record, catalog, subschema_by_id, config.validators)
-            candidates.append(record)
-        if backend is not None:
-            for record in _llm_batch(
-                config, catalog, subschemas, mech_pools, directives, backend, batch, accounting
-            ):
-                validate_record(record, catalog, subschema_by_id, config.validators)
+    check = (catalog, subschema_by_id, config.validators)
+    remote = backend is not None and config.llm.backend == "http"
+    with (ChildAnalysis if remote else InlineAnalysis)(check) as analysis:
+        batch = 0
+        while True:
+            accounting = BatchAccounting(batch=batch)
+            candidates: list[QueryRecord] = []
+            for record in mechanical_batch(config, catalog, subschemas, batch):
+                mech_pools.setdefault(record.subschema_id, []).append(
+                    SeedExample.from_record(record)
+                )
+                validate_record(record, *check)
                 candidates.append(record)
-        new_kept = settle_batch(config, candidates, seen_forms, accounting)
-        kept_records += new_kept
-        dropped_records += not_kept(candidates, new_kept)
-        coverage.add(record.profile for record in new_kept)
-        batches.append(accounting)
+            if backend is not None:
+                candidates += _llm_batch(
+                    config, catalog, subschemas, mech_pools, directives, backend, batch,
+                    accounting, analysis,
+                )
+            new_kept = settle_batch(config, candidates, seen_forms, accounting)
+            kept_records += new_kept
+            dropped_records += not_kept(candidates, new_kept)
+            coverage.add(record.profile for record in new_kept)
+            batches.append(accounting)
 
-        # the overall coverage of the cumulative kept corpus steers the next batch
-        gaps_remaining = 0
-        overall = None
-        if kept_records:
-            overall = coverage.report("all", catalog, config.coverage)
-            gaps_remaining = len(overall.gap_list)
-            directives = plan_regeneration(overall, subschemas, catalog)
+            # the overall coverage of the cumulative kept corpus steers the next batch
+            gaps_remaining = 0
+            overall = None
+            if kept_records:
+                overall = coverage.report("all", catalog, config.coverage)
+                gaps_remaining = len(overall.gap_list)
+                directives = plan_regeneration(overall, subschemas, catalog)
 
-        batch += 1
-        if batch > config.loop_limit:
-            break
-        if gaps_remaining == 0:
-            break
-        if config.kept_target is not None and len(kept_records) >= config.kept_target:
-            break
+            batch += 1
+            if batch > config.loop_limit:
+                break
+            if gaps_remaining == 0:
+                break
+            if config.kept_target is not None and len(kept_records) >= config.kept_target:
+                break
 
     save_records(dropped_records, paths["records"])
     save_records(kept_records, paths["kept"])
@@ -470,7 +489,130 @@ def validate_batch(config, catalog, subschema_by_id, candidates, seen_forms, acc
     return settle_batch(config, candidates, seen_forms, accounting)
 
 
-def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, batch, accounting):
+def analyse_completions(completions, draft: dict, check=None) -> list[QueryRecord]:
+    """The records of one prompt's ``completions``: each SQL statement
+    :func:`~sqlsynth.llmgen.extract_sql` finds, made a record with the
+    :func:`~sqlsynth.records.make_record` arguments ``draft`` and, given
+    ``check`` (the catalog, subschemas by id and validator settings of
+    :func:`validate_record`), validated. A pure function of its arguments,
+    so it gives the same records in the analysis child as in the parent."""
+    records = []
+    for completion in completions:
+        for sql in extract_sql(completion):
+            record = make_record(sql, ORIGIN_LLM, **draft)
+            if check is not None:
+                validate_record(record, *check)
+            records.append(record)
+    return records
+
+
+class InlineAnalysis:
+    """Analyses each prompt's completions in the calling thread, when its
+    records are read: :meth:`submit` returns a deferred call with the
+    ``result()`` of a future. This is the stub backend's path and
+    ``gen-llm``'s; with ``check`` None the records are not validated."""
+
+    def __init__(self, check=None):
+        self.check = check
+
+    def submit(self, completions, draft: dict):
+        return _Deferred(partial(analyse_completions, completions, draft, self.check))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
+class _Deferred:
+    """A call that runs when its ``result()`` is asked for."""
+
+    def __init__(self, call):
+        self.result = call
+
+
+class ChildAnalysis:
+    """Analyses each prompt's completions in one child process, with the
+    submit interface of :class:`InlineAnalysis`: :meth:`submit` returns a
+    future of the prompt's finished records, validated and profiled, their
+    forms and trees dropped. The HTTP backend's path.
+
+    The child is forked (``multiprocessing`` start method ``fork``) when the
+    pool is made, before the first batch's request threads start. spawn
+    and forkserver would import the package afresh in every call, about
+    150-200 ms on a shared 2-core host, which a short run cannot hide. The child holds ``check``
+    from its start, so the catalog is not pickled with every prompt. It
+    ignores SIGINT: a Ctrl-C stops the parent, whose ``__exit__`` then
+    stops the child; and it exits by itself within a second of its parent's
+    death. It neither logs nor draws random numbers. Python 3.12 and later
+    warn when a process with live threads forks, as one running an
+    in-process completion server does. Leaving the ``with`` block shuts
+    the child down, whatever ended the block; a child that dies makes the
+    batch raise SqlsynthError (see :func:`_llm_batch`)."""
+
+    def __init__(self, check):
+        self._pool = _fork_pool(check)
+        self._pool.submit(int)  # a fork pool forks at its first submit
+
+    def submit(self, completions, draft: dict):
+        return self._pool.submit(_analyse_in_child, completions, draft)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._pool.shutdown(cancel_futures=True)
+
+
+def _fork_pool(check):
+    """A pool of one forked process that starts holding ``check``."""
+    # multiprocessing is imported here, so that only the HTTP path loads it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=1,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_enter_child,
+        initargs=(check,),
+    )
+
+
+_child_check = None  # the analysis child's ``check``, set when it starts
+
+
+def _enter_child(check) -> None:
+    global _child_check
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),), daemon=True).start()
+    _child_check = check
+
+
+def _exit_with_parent(parent: int) -> None:
+    """End the analysis child once its parent is gone, as when the parent
+    is killed: the child would otherwise wait for work forever."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
+def _analyse_in_child(completions, draft: dict) -> list[QueryRecord]:
+    return analyse_completions(completions, draft, _child_check)
+
+
+def _llm_batch(
+    config, catalog, subschemas, mech_pools, directives, backend, batch, accounting,
+    analysis=None,
+):
+    """Prompt ``backend`` once per chosen subschema and setting, and yield
+    the records of each prompt's completions in prompt order, as
+    ``analysis`` (:class:`ChildAnalysis`, or by default an
+    :class:`InlineAnalysis` that leaves them unvalidated) made them. Counts
+    the calls and failures into ``accounting``. SqlsynthError names the
+    batch if the analysis child dies."""
+    if analysis is None:
+        analysis = InlineAnalysis()
     chosen = _choose_subschemas(config, subschemas, directives, batch)
     settings = _batch_settings(config, directives)
     tasks = []
@@ -510,31 +652,38 @@ def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, bat
                     return exc
         return BackendError("unreachable")  # pragma: no cover
 
-    # every prompt's completions are in before the first candidate is
-    # yielded: analysing candidates while the backend's threads still run
-    # makes them contend for the interpreter, and the batch's time then
-    # varies with thread scheduling
-    with ThreadPoolExecutor(max_workers=max(1, config.llm.concurrency)) as pool:
-        results = list(pool.map(call, tasks))
+    # each prompt's completions go to the analysis as they arrive; the
+    # records are read back in prompt order once every request is done
+    outcomes: list = [None] * len(tasks)
+    try:
+        with ThreadPoolExecutor(max_workers=max(1, config.llm.concurrency)) as pool:
+            requests = {pool.submit(call, task): index for index, task in enumerate(tasks)}
+            for request in as_completed(requests):
+                index = requests[request]
+                result = request.result()
+                if not isinstance(result, BackendError):
+                    subschema, setting, prompt = tasks[index]
+                    result = analysis.submit(result, {
+                        "subschema_id": subschema.id,
+                        "batch": batch,
+                        "prompt_setting": setting,
+                        "prompt_hash": prompt_hash(prompt),
+                        "model_name": config.llm.model,
+                        "generation_params": config.llm.params,
+                    })
+                outcomes[index] = result
 
-    for (subschema, setting, prompt), result in zip(tasks, results):
-        accounting.llm_calls += 1
-        if isinstance(result, BackendError):
-            accounting.llm_failures += 1
-            logger.warning("backend failure for %s on %s: %s", setting.label, subschema.id, result)
-            continue
-        for completion in result:
-            for sql in extract_sql(completion):
-                yield make_record(
-                    sql,
-                    ORIGIN_LLM,
-                    subschema.id,
-                    batch=batch,
-                    prompt_setting=setting,
-                    prompt_hash=prompt_hash(prompt),
-                    model_name=config.llm.model,
-                    generation_params=config.llm.params,
+        for (subschema, setting, _), outcome in zip(tasks, outcomes):
+            accounting.llm_calls += 1
+            if isinstance(outcome, BackendError):
+                accounting.llm_failures += 1
+                logger.warning(
+                    "backend failure for %s on %s: %s", setting.label, subschema.id, outcome
                 )
+                continue
+            yield from outcome.result()
+    except BrokenExecutor as exc:
+        raise SqlsynthError(f"LLM batch {batch}: the analysis process died ({exc})") from exc
 
 
 def _choose_subschemas(config, subschemas, directives, batch):

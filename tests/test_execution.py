@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import signal
+import subprocess
 import threading
 import time
 from pathlib import Path
@@ -361,11 +362,14 @@ import time
 HANG = "SELECT 'hang'"
 
 
-def connect(log, rows=3, fail=False, refuse=False, **kwargs):
+def connect(log, rows=3, fail=False, refuse=False, hang_on=None, **kwargs):
     with open(log, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(kwargs) + "\\n")
     if refuse:
         raise ConnectionError("connection refused")
+    with open(log, encoding="utf-8") as fh:
+        if sum(1 for _ in fh) == hang_on:  # the hang_on-th connect hangs
+            time.sleep(3600)
     return Connection(rows, fail)
 
 
@@ -407,8 +411,8 @@ def fake_driver(tmp_path, monkeypatch):
     """Writes the module ``fakedb`` to a directory on the engine process's
     ``PYTHONPATH``. Returns a function that opens a DB-API session on it
     with the given ``connect_args``, and the file to which each ``connect``
-    call appends its arguments (``log``, ``rows``, ``fail`` and ``refuse``
-    apart). Every session is closed after the test."""
+    call appends its arguments (``log``, ``rows``, ``fail``, ``refuse`` and
+    ``hang_on`` apart). Every session is closed after the test."""
     (tmp_path / "fakedb.py").write_text(FAKE_DRIVER, encoding="utf-8")
     monkeypatch.setenv("PYTHONPATH", str(tmp_path))
     log = tmp_path / "connects.jsonl"
@@ -476,6 +480,37 @@ class TestDbApiDriver:
     def test_connect_failure(self, fake_driver):
         with pytest.raises(EngineConnectionError, match="cannot connect via fakedb: .*refused"):
             fake_driver[0](refuse=True)
+
+    def test_hanging_connect_times_out_and_leaves_no_process(self, fake_driver, monkeypatch):
+        monkeypatch.setattr(SqliteSession, "_OPEN_WAIT_S", 1.0)
+        processes = []
+        popen = subprocess.Popen
+        monkeypatch.setattr(
+            subprocess, "Popen", lambda *a, **kw: processes.append(popen(*a, **kw)) or processes[-1]
+        )
+        started = time.monotonic()
+        with pytest.raises(EngineConnectionError, match="engine did not open within 1 s"):
+            fake_driver[0](hang_on=1)
+        # the engine's start and the driver's import count within the wait
+        assert time.monotonic() - started < 3.0
+        [engine] = processes
+        assert engine.returncode == -signal.SIGKILL
+        assert _wait_exit_code(engine.pid) is None  # the session reaped it
+
+    def test_hanging_reopen_labels_its_statement(self, fake_driver, monkeypatch):
+        monkeypatch.setattr(SqliteSession, "_REPLY_GRACE_S", 0.2)
+        monkeypatch.setattr(SqliteSession, "_OPEN_WAIT_S", 1.0)
+        open_, log = fake_driver
+        engine, session = open_(hang_on=2)
+        labels = execute_batch(
+            _records(HANG, "SELECT 1", "SELECT 2"), engine, timeout_ms=100, session=session
+        )
+        assert labels[0].timed_out
+        assert labels[1].row_count is None
+        assert labels[1].error == "engine did not open within 1 s"
+        # the next statement opens afresh, and the third connect does not hang
+        assert (labels[2].row_count, labels[2].error) == (3, None)
+        assert len(log.read_text(encoding="utf-8").splitlines()) == 3
 
 
 class TestRestrictDataset:

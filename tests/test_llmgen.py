@@ -2,8 +2,13 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
@@ -11,7 +16,9 @@ from pathlib import Path
 import pytest
 
 from sqlsynth.config import load_config
-from sqlsynth.errors import ArityError, BackendError
+import sqlsynth.pipeline as pipeline_mod
+from sqlsynth.cli import main as cli_main
+from sqlsynth.errors import ArityError, BackendError, SqlsynthError
 from sqlsynth.llmgen import (
     BIAS_SENTENCES,
     CANONICAL_SETTINGS,
@@ -25,7 +32,8 @@ from sqlsynth.llmgen import (
     prompt_hash,
 )
 from sqlsynth.mechgen import SeedExample
-from sqlsynth.pipeline import run_pipeline
+from sqlsynth.pipeline import InlineAnalysis, run_pipeline
+from sqlsynth.records import load_records
 from sqlsynth.subschema import build_join_graph, enumerate_subschemas
 from sqlsynth.util import decode, fields_of
 
@@ -389,6 +397,201 @@ class TestHttpPipeline:
                 outputs.append(Path(config.out_dir))
         for name in ("records.jsonl", "kept.jsonl"):
             assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+
+    def test_child_analysis_writes_what_inline_analysis_writes(self, tmp_path, monkeypatch):
+        # steering on: three batches whose prompts follow the coverage gaps
+        server_module = _completion_server_module(monkeypatch)
+        config = _steered_http_config()
+        parent_validations = []
+        validate = pipeline_mod.validate_record
+
+        def counted_validate(record, *check):
+            parent_validations.append(record.origin)
+            validate(record, *check)
+
+        monkeypatch.setattr(pipeline_mod, "validate_record", counted_validate)
+        outputs, requests = {}, {}
+        with server_module.CompletionServer(seed=3) as server:
+            config.llm.url = server.url
+            for run in ("child", "inline"):
+                if run == "inline":  # the stub path's analysis, forced through the seam
+                    monkeypatch.setattr(pipeline_mod, "ChildAnalysis", InlineAnalysis)
+                parent_validations.clear()
+                config.out_dir = str(tmp_path / run)
+                manifest = run_pipeline(config)
+                requests[run] = server.reset()["requests"]
+                outputs[run] = Path(config.out_dir)
+                assert multiprocessing.active_children() == []
+                origins = set(parent_validations)
+                # the child validated every LLM candidate, the parent none
+                assert origins == ({"mechanical"} if run == "child" else {"mechanical", "llm"})
+        counts = manifest["counts"]
+        assert counts["batches"] == 3 and counts["llm_calls"] > 0
+        assert counts["llm_failures"] == 0 and counts["rejected"] > 0
+        assert requests["child"] == requests["inline"]
+        names = sorted(path.name for path in outputs["child"].iterdir())
+        assert names == sorted(path.name for path in outputs["inline"].iterdir())
+        for name in names:
+            child, inline = (outputs[run] / name for run in ("child", "inline"))
+            if name == "manifest.json":  # the server's URL apart
+                assert _without_url(child) == _without_url(inline)
+            else:
+                assert child.read_bytes() == inline.read_bytes(), name
+
+
+def _steered_http_config():
+    config = load_config(REPO_ROOT / "data" / "demo" / "demo.toml")
+    config.loop_limit = 2
+    config.coverage.min_clause_freq = 0.99  # the gaps stay open: every batch runs
+    config.execution.enabled = False
+    config.llm.backend = "http"
+    config.llm.concurrency = 2
+    return config
+
+
+def _without_url(path):
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    assert manifest["config"]["llm"].pop("url").startswith("http://127.0.0.1:")
+    return manifest
+
+
+class ScriptedBackend:
+    """Answers every prompt with one fixed completion, and on its
+    ``at``-th call runs ``act`` first. Records the analysis children alive
+    at each call."""
+
+    def __init__(self, at, act):
+        self.at, self.act = at, act
+        self.calls = 0
+        self.children = []
+        self.lock = threading.Lock()
+
+    def complete(self, prompt, params):
+        with self.lock:
+            self.calls += 1
+            call = self.calls
+            self.children.append(len(multiprocessing.active_children()))
+        if call == self.at:
+            self.act()
+        return ["```sql\nSELECT r_name FROM region WHERE r_regionkey = %d\n```" % call]
+
+    def close(self):
+        pass
+
+
+PARENT_KILLED = """
+import multiprocessing, time
+import sqlsynth.pipeline as pipeline_mod
+from tests.test_llmgen import ScriptedBackend, _steered_http_config
+
+def block():
+    [child] = multiprocessing.active_children()
+    print(child.pid, flush=True)
+    time.sleep(600)
+
+pipeline_mod.make_backend = lambda config: ScriptedBackend(at=1, act=block)
+config = _steered_http_config()
+config.llm.url = "http://127.0.0.1:9/v1/completions"
+config.out_dir = {out!r}
+pipeline_mod.run_pipeline(config)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestAnalysisChild:
+    """With the HTTP backend the analysis runs in one child process, which
+    never outlives ``run_pipeline``, whatever ends it."""
+
+    def _run(self, tmp_path, monkeypatch, backend):
+        config = _steered_http_config()
+        config.llm.url = "http://127.0.0.1:9/v1/completions"  # never contacted
+        config.out_dir = str(tmp_path / "out")
+        monkeypatch.setattr(pipeline_mod, "make_backend", lambda config: backend)
+        try:
+            return run_pipeline(config)
+        finally:
+            assert multiprocessing.active_children() == []
+
+    def test_normal_return(self, tmp_path, monkeypatch):
+        backend = ScriptedBackend(at=0, act=None)
+        manifest = self._run(tmp_path, monkeypatch, backend)
+        assert backend.children and set(backend.children) == {1}
+        assert manifest["counts"]["llm_calls"] == backend.calls
+        # one candidate per prompt, every one accounted for
+        kept = load_records(tmp_path / "out" / "kept.jsonl")
+        rows = kept + load_records(tmp_path / "out" / "records.jsonl")
+        assert sum(record.origin == "llm" for record in rows) == backend.calls
+        assert all(record.validation is not None for record in rows)
+
+    def test_interrupt_mid_batch(self, tmp_path, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        backend = ScriptedBackend(at=5, act=interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            self._run(tmp_path, monkeypatch, backend)
+        assert backend.children[0] == 1
+        assert not (tmp_path / "out" / "kept.jsonl").exists()
+
+    def test_child_killed_mid_batch(self, tmp_path, monkeypatch):
+        def kill_child():
+            [child] = multiprocessing.active_children()
+            os.kill(child.pid, signal.SIGKILL)
+
+        backend = ScriptedBackend(at=5, act=kill_child)
+        with pytest.raises(SqlsynthError, match="LLM batch 0: the analysis process died"):
+            self._run(tmp_path, monkeypatch, backend)
+        assert backend.children[0] == 1
+        assert not (tmp_path / "out" / "kept.jsonl").exists()
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
+    def test_child_exits_when_its_parent_is_killed(self, tmp_path):
+        # the parent prints its analysis child's pid, then blocks in a request
+        script = PARENT_KILLED.format(out=str(tmp_path / "out"))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True,
+            cwd=REPO_ROOT, env=dict(os.environ, PYTHONPATH=f"{REPO_ROOT / 'src'}:{REPO_ROOT}"),
+        )
+        child = int(parent.stdout.readline())
+        parent.kill()
+        parent.wait(10)
+        parent.stdout.close()
+        deadline = time.monotonic() + 10
+        while _running(child) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if _running(child):
+            os.kill(child, signal.SIGKILL)
+            pytest.fail("the analysis child outlived its parent")
+
+    def test_stub_backend_starts_no_process(self, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the stub path started a process pool")
+
+        monkeypatch.setattr(pipeline_mod, "_fork_pool", no_pool)
+        demo = REPO_ROOT / "data" / "demo" / "demo.toml"
+        config = load_config(demo)
+        out = tmp_path / "out"
+        config.out_dir = str(out)
+        config.execution.enabled = False
+        manifest = run_pipeline(config)
+        assert manifest["counts"]["llm_calls"] > 0
+        # gen-llm writes its candidates unvalidated
+        llm = tmp_path / "llm.jsonl"
+        assert cli_main([
+            "gen-llm", "--config", str(demo), "--catalog", str(out / "catalog.json"),
+            "--subschemas", str(out / "subschemas.jsonl"), "--pool", str(out / "kept.jsonl"),
+            "--out", str(llm),
+        ]) == 0
+        records = load_records(llm)
+        assert records and all(record.validation is None for record in records)
 
 
 class TestExtractSql:
