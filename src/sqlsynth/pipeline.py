@@ -39,7 +39,7 @@ as: its SQL is the text :func:`~sqlsynth.sqltree.to_sql` writes of that
 tree and its forms are what :func:`~sqlsynth.sqltree.to_forms` prints of
 it, so it is never scanned, tokenized or parsed. An LLM candidate, or a
 record read from a file, is scanned once for its forms and parsed once.
-:func:`mechanical_batch` yields candidates one subschema at a time and
+:func:`mechanical_batch` makes candidates one subschema at a time and
 :func:`_llm_batch` one prompt at a time, and :func:`validate_record`
 analyses each: it takes the record's tree or parses its SQL, resolves the
 references in the one walk over the tree, derives the relevance codes from
@@ -52,12 +52,16 @@ them). With the HTTP backend that runs in one forked child process per
 as its completions arrive, so the analysis overlaps the batch's requests
 on another core and the parent, which only waits on the requests, holds
 the interpreter lock neither from the backend's threads nor from an
-in-process server. With the stub backend there is no wait to hide the
-analysis behind, and forking would only add its cost, so it runs in the
-parent (:class:`InlineAnalysis`) once every completion is in. Either way
-the records come back in prompt order, so the outputs are the same. At
-batch end
-:func:`settle_batch` counts the batch and deduplicates its accepted
+in-process server. The same child makes and validates the queries of the
+last subschemas of each mechanical batch while the parent makes those of
+the first :data:`PARENT_MECH_SHARE` (:func:`make_mechanical` on both
+sides), so mechanical generation runs on two cores too. With the stub
+backend there is no wait to hide the analysis behind, and forking would
+only add its cost, so everything runs in the parent
+(:class:`InlineAnalysis`), in one process: each mechanical batch whole,
+and the analysis once every completion is in. Either way the records come
+back in subschema and prompt order, so the outputs are the same. At batch
+end :func:`settle_batch` counts the batch and deduplicates its accepted
 candidates against the set of normalized forms already kept, which it
 extends with the batch's new records only, so no batch re-parses,
 re-normalizes or re-profiles what an earlier batch kept. Mechanical
@@ -85,6 +89,7 @@ instead of recomputed.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import random
 import signal
@@ -343,13 +348,11 @@ def _generate(config, catalog, subschemas, backend, paths):
         batch = 0
         while True:
             accounting = BatchAccounting(batch=batch)
-            candidates: list[QueryRecord] = []
-            for record in mechanical_batch(config, catalog, subschemas, batch):
+            candidates = mechanical_batch(config, catalog, subschemas, batch, analysis)
+            for record in candidates:
                 mech_pools.setdefault(record.subschema_id, []).append(
                     SeedExample.from_record(record)
                 )
-                validate_record(record, *check)
-                candidates.append(record)
             if backend is not None:
                 candidates += _llm_batch(
                     config, catalog, subschemas, mech_pools, directives, backend, batch,
@@ -383,18 +386,57 @@ def _generate(config, catalog, subschemas, backend, paths):
     return kept_records, batches, gaps_remaining
 
 
-def mechanical_batch(config, catalog, subschemas, batch: int):
+#: The share of each mechanical batch's subschemas, from the first, that
+#: :func:`mechanical_batch` makes in the parent while the analysis child
+#: makes the rest. The demo's later subschemas join more tables, so 60% of
+#: them is 55-57% of the work, which leaves the child time to receive its
+#: share and send its records back. On ``steer_loop``, in alternating calls
+#: on a shared 2-core host (seeds 602 and 603, 12 calls each), the median
+#: call took 1.435 and 1.380 s at 60%, 1.511 and 1.403 s at 50%, 1.480 and
+#: 1.381 s at 67%. A constant, not a measured split, so each side's share,
+#: and the counts a trace takes of it, repeat from call to call.
+PARENT_MECH_SHARE = 0.6
+
+
+def mechanical_batch(config, catalog, subschemas, batch: int, analysis=None):
     """One batch of mechanical queries, ``mech_per_subschema`` per subschema,
-    yielded as each subschema's queries are made."""
+    in subschema order. Given ``analysis`` (:class:`ChildAnalysis` or
+    :class:`InlineAnalysis`, holding a check), the caller makes and
+    validates the queries of the first :data:`PARENT_MECH_SHARE` of the
+    subschemas while the analysis does the rest, and SqlsynthError names the
+    batch if the analysis child dies. Without, the caller makes every query
+    and validates none."""
     if config.mech_per_subschema == 0:
-        return
-    seed = derive_seed(config.seed, "mechanical-batch", batch)
+        return []
+    args = (config.mechanical, config.mech_per_subschema,
+            derive_seed(config.seed, "mechanical-batch", batch), batch)
+    if analysis is None:
+        return make_mechanical(subschemas, catalog, *args)
+    split = math.ceil(PARENT_MECH_SHARE * len(subschemas))
+    tail = analysis.submit_mechanical(subschemas[split:], *args)
+    records = make_mechanical(subschemas[:split], catalog, *args, analysis.check)
+    try:
+        return records + tail.result()
+    except BrokenExecutor as exc:
+        raise SqlsynthError(
+            f"mechanical batch {batch}: the analysis process died ({exc})"
+        ) from exc
+
+
+def make_mechanical(subschemas, catalog, mech, n: int, seed: int, batch: int, check=None):
+    """``n`` mechanical queries over each of ``subschemas`` in turn
+    (:func:`~sqlsynth.mechgen.generate_mechanical` with ``mech`` and
+    ``seed``), marked with ``batch`` and, given ``check``, validated
+    (:func:`validate_record`). A pure function of its arguments, so it
+    gives the same records in the analysis child as in the parent."""
+    records = []
     for subschema in subschemas:
-        for record in generate_mechanical(
-            subschema, catalog, config.mechanical, config.mech_per_subschema, seed=seed
-        ):
+        for record in generate_mechanical(subschema, catalog, mech, n, seed=seed):
             record.batch = batch
-            yield record
+            if check is not None:
+                validate_record(record, *check)
+            records.append(record)
+    return records
 
 
 def validate_record(record, catalog, subschema_by_id, validators) -> None:
@@ -507,16 +549,26 @@ def analyse_completions(completions, draft: dict, check=None) -> list[QueryRecor
 
 
 class InlineAnalysis:
-    """Analyses each prompt's completions in the calling thread, when its
-    records are read: :meth:`submit` returns a deferred call with the
-    ``result()`` of a future. This is the stub backend's path and
-    ``gen-llm``'s; with ``check`` None the records are not validated."""
+    """Analyses each prompt's completions, and makes the analysis's share of
+    each mechanical batch, in the calling thread when the records are read:
+    :meth:`submit` and :meth:`submit_mechanical` return a deferred call with
+    the ``result()`` of a future. So the parent makes each mechanical batch
+    whole, in subschema order. This is the stub backend's path and
+    ``gen-llm``'s; with ``check`` None, as there, the records are not
+    validated, and :meth:`submit_mechanical`, which needs the check's
+    catalog, is not called."""
 
     def __init__(self, check=None):
         self.check = check
 
     def submit(self, completions, draft: dict):
         return _Deferred(partial(analyse_completions, completions, draft, self.check))
+
+    def submit_mechanical(self, subschemas, mech, n: int, seed: int, batch: int):
+        catalog = self.check[0]
+        return _Deferred(partial(
+            make_mechanical, subschemas, catalog, mech, n, seed, batch, self.check
+        ))
 
     def __enter__(self):
         return self
@@ -533,10 +585,13 @@ class _Deferred:
 
 
 class ChildAnalysis:
-    """Analyses each prompt's completions in one child process, with the
-    submit interface of :class:`InlineAnalysis`: :meth:`submit` returns a
-    future of the prompt's finished records, validated and profiled, their
-    forms and trees dropped. The HTTP backend's path.
+    """Analyses each prompt's completions, and makes the analysis's share of
+    each mechanical batch (the subschemas after the first
+    :data:`PARENT_MECH_SHARE`), in one child process, with the submit
+    interface of :class:`InlineAnalysis`: :meth:`submit` and
+    :meth:`submit_mechanical` return a future of finished records,
+    validated and profiled, their forms and trees dropped and a mechanical
+    record's clause tags kept. The HTTP backend's path.
 
     The child is forked (``multiprocessing`` start method ``fork``) when the
     pool is made, before the first batch's request threads start. spawn
@@ -549,14 +604,19 @@ class ChildAnalysis:
     warn when a process with live threads forks, as one running an
     in-process completion server does. Leaving the ``with`` block shuts
     the child down, whatever ended the block; a child that dies makes the
-    batch raise SqlsynthError (see :func:`_llm_batch`)."""
+    batch raise SqlsynthError (see :func:`mechanical_batch` and
+    :func:`_llm_batch`)."""
 
     def __init__(self, check):
+        self.check = check
         self._pool = _fork_pool(check)
         self._pool.submit(int)  # a fork pool forks at its first submit
 
     def submit(self, completions, draft: dict):
         return self._pool.submit(_analyse_in_child, completions, draft)
+
+    def submit_mechanical(self, subschemas, mech, n: int, seed: int, batch: int):
+        return self._pool.submit(_make_mechanical_in_child, subschemas, mech, n, seed, batch)
 
     def __enter__(self):
         return self
@@ -601,6 +661,10 @@ def _analyse_in_child(completions, draft: dict) -> list[QueryRecord]:
     return analyse_completions(completions, draft, _child_check)
 
 
+def _make_mechanical_in_child(subschemas, mech, n: int, seed: int, batch: int):
+    return make_mechanical(subschemas, _child_check[0], mech, n, seed, batch, _child_check)
+
+
 def _llm_batch(
     config, catalog, subschemas, mech_pools, directives, backend, batch, accounting,
     analysis=None,
@@ -610,7 +674,8 @@ def _llm_batch(
     ``analysis`` (:class:`ChildAnalysis`, or by default an
     :class:`InlineAnalysis` that leaves them unvalidated) made them. Counts
     the calls and failures into ``accounting``. SqlsynthError names the
-    batch if the analysis child dies."""
+    batch if the analysis child dies; on any error the requests not yet
+    sent are dropped."""
     if analysis is None:
         analysis = InlineAnalysis()
     chosen = _choose_subschemas(config, subschemas, directives, batch)
@@ -656,7 +721,8 @@ def _llm_batch(
     # records are read back in prompt order once every request is done
     outcomes: list = [None] * len(tasks)
     try:
-        with ThreadPoolExecutor(max_workers=max(1, config.llm.concurrency)) as pool:
+        pool = ThreadPoolExecutor(max_workers=max(1, config.llm.concurrency))
+        try:
             requests = {pool.submit(call, task): index for index, task in enumerate(tasks)}
             for request in as_completed(requests):
                 index = requests[request]
@@ -672,6 +738,8 @@ def _llm_batch(
                         "generation_params": config.llm.params,
                     })
                 outcomes[index] = result
+        finally:
+            pool.shutdown(cancel_futures=True)  # after an error, send no queued request
 
         for (subschema, setting, _), outcome in zip(tasks, outcomes):
             accounting.llm_calls += 1

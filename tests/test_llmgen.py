@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -32,7 +33,7 @@ from sqlsynth.llmgen import (
     prompt_hash,
 )
 from sqlsynth.mechgen import SeedExample
-from sqlsynth.pipeline import InlineAnalysis, run_pipeline
+from sqlsynth.pipeline import ChildAnalysis, InlineAnalysis, run_pipeline
 from sqlsynth.records import load_records
 from sqlsynth.subschema import build_join_graph, enumerate_subschemas
 from sqlsynth.util import decode, fields_of
@@ -399,44 +400,60 @@ class TestHttpPipeline:
             assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
 
     def test_child_analysis_writes_what_inline_analysis_writes(self, tmp_path, monkeypatch):
-        # steering on: three batches whose prompts follow the coverage gaps
+        # steering on: three batches whose prompts follow the coverage gaps.
+        # The parent makes none, its default share twice, then all of each
+        # mechanical batch; the inline run makes and analyses everything.
         server_module = _completion_server_module(monkeypatch)
         config = _steered_http_config()
         parent_validations = []
         validate = pipeline_mod.validate_record
 
         def counted_validate(record, *check):
-            parent_validations.append(record.origin)
+            parent_validations.append(record.origin)  # the child appends to its own copy
             validate(record, *check)
 
         monkeypatch.setattr(pipeline_mod, "validate_record", counted_validate)
-        outputs, requests = {}, {}
+        default = pipeline_mod.PARENT_MECH_SHARE
+        runs = {"inline": default, "none": 0.0, "default": default,
+                "default again": default, "all": 1.0}
+        outputs, requests, validated = {}, {}, {}
         with server_module.CompletionServer(seed=3) as server:
             config.llm.url = server.url
-            for run in ("child", "inline"):
-                if run == "inline":  # the stub path's analysis, forced through the seam
-                    monkeypatch.setattr(pipeline_mod, "ChildAnalysis", InlineAnalysis)
+            for run, share in runs.items():
+                monkeypatch.setattr(pipeline_mod, "PARENT_MECH_SHARE", share)
+                # the inline run forces the stub path's analysis through the seam
+                monkeypatch.setattr(pipeline_mod, "ChildAnalysis",
+                                    InlineAnalysis if run == "inline" else ChildAnalysis)
                 parent_validations.clear()
                 config.out_dir = str(tmp_path / run)
                 manifest = run_pipeline(config)
                 requests[run] = server.reset()["requests"]
                 outputs[run] = Path(config.out_dir)
+                validated[run] = (parent_validations.count("mechanical"),
+                                  parent_validations.count("llm"))
                 assert multiprocessing.active_children() == []
-                origins = set(parent_validations)
-                # the child validated every LLM candidate, the parent none
-                assert origins == ({"mechanical"} if run == "child" else {"mechanical", "llm"})
         counts = manifest["counts"]
         assert counts["batches"] == 3 and counts["llm_calls"] > 0
         assert counts["llm_failures"] == 0 and counts["rejected"] > 0
-        assert requests["child"] == requests["inline"]
-        names = sorted(path.name for path in outputs["child"].iterdir())
-        assert names == sorted(path.name for path in outputs["inline"].iterdir())
-        for name in names:
-            child, inline = (outputs[run] / name for run in ("child", "inline"))
-            if name == "manifest.json":  # the server's URL apart
-                assert _without_url(child) == _without_url(inline)
-            else:
-                assert child.read_bytes() == inline.read_bytes(), name
+        # the parent validated exactly its share of the mechanical candidates,
+        # the child every LLM candidate
+        per_subschema = config.mech_per_subschema * counts["batches"]
+        mechanical = counts["subschemas"] * per_subschema
+        assert validated["inline"] == (mechanical, counts["generated"] - mechanical)
+        assert validated["none"] == (0, 0)
+        assert validated["all"] == (mechanical, 0)
+        share = math.ceil(default * counts["subschemas"]) * per_subschema
+        assert validated["default"] == validated["default again"] == (share, 0)
+        assert len(set(requests.values())) == 1
+        for run in runs:
+            names = sorted(path.name for path in outputs[run].iterdir())
+            assert names == sorted(path.name for path in outputs["inline"].iterdir())
+            for name in names:
+                got, inline = (outputs[side] / name for side in (run, "inline"))
+                if name == "manifest.json":  # the server's URL apart
+                    assert _without_url(got) == _without_url(inline)
+                else:
+                    assert got.read_bytes() == inline.read_bytes(), (run, name)
 
 
 def _steered_http_config():
@@ -456,12 +473,12 @@ def _without_url(path):
 
 
 class ScriptedBackend:
-    """Answers every prompt with one fixed completion, and on its
-    ``at``-th call runs ``act`` first. Records the analysis children alive
-    at each call."""
+    """Answers every prompt with one fixed completion after ``latency``
+    seconds, a request's round trip, and on its ``at``-th call runs ``act``
+    first. Records the analysis children alive at each call."""
 
-    def __init__(self, at, act):
-        self.at, self.act = at, act
+    def __init__(self, at, act, latency=0.0):
+        self.at, self.act, self.latency = at, act, latency
         self.calls = 0
         self.children = []
         self.lock = threading.Lock()
@@ -473,6 +490,7 @@ class ScriptedBackend:
             self.children.append(len(multiprocessing.active_children()))
         if call == self.at:
             self.act()
+        time.sleep(self.latency)
         return ["```sql\nSELECT r_name FROM region WHERE r_regionkey = %d\n```" % call]
 
     def close(self):
@@ -535,11 +553,13 @@ class TestAnalysisChild:
         def interrupt():
             raise KeyboardInterrupt
 
-        backend = ScriptedBackend(at=5, act=interrupt)
+        backend = ScriptedBackend(at=2, act=interrupt, latency=0.05)
         with pytest.raises(KeyboardInterrupt):
             self._run(tmp_path, monkeypatch, backend)
         assert backend.children[0] == 1
         assert not (tmp_path / "out" / "kept.jsonl").exists()
+        # the requests in flight end; the batch's queued ones are never sent
+        assert backend.calls <= _steered_http_config().llm.concurrency + 1
 
     def test_child_killed_mid_batch(self, tmp_path, monkeypatch):
         def kill_child():
@@ -550,6 +570,26 @@ class TestAnalysisChild:
         with pytest.raises(SqlsynthError, match="LLM batch 0: the analysis process died"):
             self._run(tmp_path, monkeypatch, backend)
         assert backend.children[0] == 1
+        assert not (tmp_path / "out" / "kept.jsonl").exists()
+        assert not (tmp_path / "out" / "records.jsonl").exists()
+
+    def test_child_killed_during_mechanical_share(self, tmp_path, monkeypatch):
+        # the parent kills the child as it starts its own share of batch 0
+        parent, killed = os.getpid(), []
+        generate = pipeline_mod.generate_mechanical
+
+        def kill_child_first(*args, **kwargs):
+            if os.getpid() == parent and not killed:
+                [child] = multiprocessing.active_children()
+                os.kill(child.pid, signal.SIGKILL)
+                killed.append(child.pid)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "generate_mechanical", kill_child_first)
+        backend = ScriptedBackend(at=0, act=None)
+        with pytest.raises(SqlsynthError, match="mechanical batch 0: the analysis process died"):
+            self._run(tmp_path, monkeypatch, backend)
+        assert killed and backend.calls == 0
         assert not (tmp_path / "out" / "kept.jsonl").exists()
         assert not (tmp_path / "out" / "records.jsonl").exists()
 
