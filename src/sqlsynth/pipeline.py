@@ -47,19 +47,21 @@ them, profiles an accepted candidate from the counts that walk took and
 takes its dedup key from the record's forms; the forms and the tree are
 dropped there. An LLM prompt's completions are analysed together
 (:func:`analyse_completions`: extract the SQL, make the records, validate
-them). With the HTTP backend that runs in one forked child process per
-:func:`run_pipeline` call (:class:`ChildAnalysis`), each prompt's as soon
-as its completions arrive, so the analysis overlaps the batch's requests
-on another core and the parent, which only waits on the requests, holds
-the interpreter lock neither from the backend's threads nor from an
-in-process server. The same child makes and validates the queries of the
-last subschemas of each mechanical batch while the parent makes those of
-the first :data:`PARENT_MECH_SHARE` (:func:`make_mechanical` on both
-sides), so mechanical generation runs on two cores too. With the stub
-backend there is no wait to hide the analysis behind, and forking would
-only add its cost, so everything runs in the parent
-(:class:`InlineAnalysis`), in one process: each mechanical batch whole,
-and the analysis once every completion is in. Either way the records come
+them). With the HTTP backend each batch overlaps its requests with its
+generation (:func:`_overlapped_batch`): the parent first makes the queries
+of the subschemas the batch prompts for, sending each one's prompts as
+soon as its seed pool is filled (:class:`PromptRequests`), then makes its
+share (:data:`PARENT_MECH_SHARE`) of the other subschemas while the
+requests are in flight. One forked child process per :func:`run_pipeline`
+call (:class:`ChildAnalysis`) makes the rest of the batch's queries, then
+analyses each prompt's completions, which the request threads hand it as
+they arrive (:func:`make_mechanical` and :func:`analyse_completions` on
+either side). So generation, requests and analysis run on two cores, and
+no request waits for the queries its prompt does not draw on. With the stub
+backend there is no wait to hide, and forking would only add its cost,
+so everything runs in the parent (:class:`InlineAnalysis`), in one
+process and in series: each mechanical batch whole, then its prompts,
+analysed once every completion is in. Either way the records come
 back in subschema and prompt order, so the outputs are the same. At batch
 end :func:`settle_batch` counts the batch and deduplicates its accepted
 candidates against the set of normalized forms already kept, which it
@@ -95,7 +97,7 @@ import random
 import signal
 import threading
 import time
-from concurrent.futures import BrokenExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import BrokenExecutor, CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -348,16 +350,19 @@ def _generate(config, catalog, subschemas, backend, paths):
         batch = 0
         while True:
             accounting = BatchAccounting(batch=batch)
-            candidates = mechanical_batch(config, catalog, subschemas, batch, analysis)
-            for record in candidates:
-                mech_pools.setdefault(record.subschema_id, []).append(
-                    SeedExample.from_record(record)
-                )
-            if backend is not None:
-                candidates += _llm_batch(
+            if remote:
+                candidates = _overlapped_batch(
                     config, catalog, subschemas, mech_pools, directives, backend, batch,
                     accounting, analysis,
                 )
+            else:
+                candidates = mechanical_batch(config, catalog, subschemas, batch, analysis)
+                _add_seeds(mech_pools, candidates)
+                if backend is not None:
+                    candidates += _llm_batch(
+                        config, catalog, subschemas, mech_pools, directives, backend, batch,
+                        accounting, analysis,
+                    )
             new_kept = settle_batch(config, candidates, seen_forms, accounting)
             kept_records += new_kept
             dropped_records += not_kept(candidates, new_kept)
@@ -386,41 +391,59 @@ def _generate(config, catalog, subschemas, backend, paths):
     return kept_records, batches, gaps_remaining
 
 
-#: The share of each mechanical batch's subschemas, from the first, that
-#: :func:`mechanical_batch` makes in the parent while the analysis child
-#: makes the rest. The demo's later subschemas join more tables, so 60% of
-#: them is 55-57% of the work, which leaves the child time to receive its
-#: share and send its records back. On ``steer_loop``, in alternating calls
-#: on a shared 2-core host (seeds 602 and 603, 12 calls each), the median
-#: call took 1.435 and 1.380 s at 60%, 1.511 and 1.403 s at 50%, 1.480 and
-#: 1.381 s at 67%. A constant, not a measured split, so each side's share,
-#: and the counts a trace takes of it, repeat from call to call.
-PARENT_MECH_SHARE = 0.6
+#: The share of each mechanical batch's subschemas that no prompt draws on,
+#: from the first, that :func:`mechanical_batch` makes in the parent while
+#: the analysis child makes the others; on the HTTP path the parent makes
+#: the prompted subschemas too, first, so it makes 3 + 12 of the demo's 32
+#: and the child 17. A constant, not a measured split, so each side's
+#: share, and the counts a trace takes of it, repeat from call to call. On
+#: ``steer_loop``, in alternating in-process calls on a shared 2-core host
+#: (seeds 902-905, 12 calls per share), the median call took 1.124, 1.013,
+#: 0.949 and 1.069 s at 40%; 1.135, 1.028, 1.003 and 1.064 s at 50%; 1.210
+#: and 1.085 s at 60% and 1.349 and 1.155 s at 70% (seeds 902-903); 0.967
+#: and 1.057 s at 35% (seeds 904-905).
+PARENT_MECH_SHARE = 0.4
 
 
-def mechanical_batch(config, catalog, subschemas, batch: int, analysis=None):
+def mechanical_batch(
+    config, catalog, subschemas, batch: int, analysis=None, first=(), then=None
+):
     """One batch of mechanical queries, ``mech_per_subschema`` per subschema,
-    in subschema order. Given ``analysis`` (:class:`ChildAnalysis` or
+    in subschema order. Without ``analysis`` the caller makes every query
+    and validates none. Given ``analysis`` (:class:`ChildAnalysis` or
     :class:`InlineAnalysis`, holding a check), the caller makes and
-    validates the queries of the first :data:`PARENT_MECH_SHARE` of the
-    subschemas while the analysis does the rest, and SqlsynthError names the
-    batch if the analysis child dies. Without, the caller makes every query
-    and validates none."""
+    validates the queries of the ``first`` subschemas, each in turn,
+    calling ``then(subschema, records)`` as each is done, then those of the
+    first :data:`PARENT_MECH_SHARE` of the others, while the analysis makes
+    the rest; SqlsynthError names the batch if the analysis child dies."""
     if config.mech_per_subschema == 0:
+        for subschema in first:
+            then(subschema, [])
         return []
     args = (config.mechanical, config.mech_per_subschema,
             derive_seed(config.seed, "mechanical-batch", batch), batch)
     if analysis is None:
         return make_mechanical(subschemas, catalog, *args)
-    split = math.ceil(PARENT_MECH_SHARE * len(subschemas))
-    tail = analysis.submit_mechanical(subschemas[split:], *args)
-    records = make_mechanical(subschemas[:split], catalog, *args, analysis.check)
+    first_ids = {subschema.id for subschema in first}
+    others = [subschema for subschema in subschemas if subschema.id not in first_ids]
+    split = math.ceil(PARENT_MECH_SHARE * len(others))
+    tail = analysis.submit_mechanical(others[split:], *args)
+    records = []
+    for subschema in first:
+        made = make_mechanical([subschema], catalog, *args, analysis.check)
+        then(subschema, made)
+        records += made
+    records += make_mechanical(others[:split], catalog, *args, analysis.check)
     try:
-        return records + tail.result()
+        records += tail.result()
     except BrokenExecutor as exc:
         raise SqlsynthError(
             f"mechanical batch {batch}: the analysis process died ({exc})"
         ) from exc
+    by_subschema: dict[str, list[QueryRecord]] = {}
+    for record in records:
+        by_subschema.setdefault(record.subschema_id, []).append(record)
+    return [record for subschema in subschemas for record in by_subschema.get(subschema.id, ())]
 
 
 def make_mechanical(subschemas, catalog, mech, n: int, seed: int, batch: int, check=None):
@@ -585,13 +608,14 @@ class _Deferred:
 
 
 class ChildAnalysis:
-    """Analyses each prompt's completions, and makes the analysis's share of
-    each mechanical batch (the subschemas after the first
-    :data:`PARENT_MECH_SHARE`), in one child process, with the submit
-    interface of :class:`InlineAnalysis`: :meth:`submit` and
-    :meth:`submit_mechanical` return a future of finished records,
-    validated and profiled, their forms and trees dropped and a mechanical
-    record's clause tags kept. The HTTP backend's path.
+    """Makes the analysis's share of each mechanical batch (the subschemas
+    no prompt draws on, after the parent's :data:`PARENT_MECH_SHARE` of
+    them), then analyses each prompt's completions, in one child process,
+    with the submit interface of :class:`InlineAnalysis`: :meth:`submit`,
+    which the request threads call, and :meth:`submit_mechanical` return a
+    future of finished records, validated and profiled, their forms and
+    trees dropped and a mechanical record's clause tags kept. The HTTP
+    backend's path.
 
     The child is forked (``multiprocessing`` start method ``fork``) when the
     pool is made, before the first batch's request threads start. spawn
@@ -605,7 +629,7 @@ class ChildAnalysis:
     in-process completion server does. Leaving the ``with`` block shuts
     the child down, whatever ended the block; a child that dies makes the
     batch raise SqlsynthError (see :func:`mechanical_batch` and
-    :func:`_llm_batch`)."""
+    :meth:`PromptRequests.records`)."""
 
     def __init__(self, check):
         self.check = check
@@ -665,6 +689,36 @@ def _make_mechanical_in_child(subschemas, mech, n: int, seed: int, batch: int):
     return make_mechanical(subschemas, _child_check[0], mech, n, seed, batch, _child_check)
 
 
+def _add_seeds(mech_pools, records) -> None:
+    """Add mechanical ``records`` to the seed pools of their subschemas."""
+    for record in records:
+        mech_pools.setdefault(record.subschema_id, []).append(SeedExample.from_record(record))
+
+
+def _overlapped_batch(
+    config, catalog, subschemas, mech_pools, directives, backend, batch, accounting, analysis,
+):
+    """One batch on the HTTP path: :func:`mechanical_batch` makes the
+    subschemas the batch prompts for first, and each one's prompts are sent
+    as soon as its seed pool is filled, so the requests are in flight while
+    the rest of the batch is made. The records, mechanical in subschema
+    order then LLM in prompt order, and the seed pools are those of
+    :func:`mechanical_batch` followed by :func:`_llm_batch`."""
+    prompted = _choose_subschemas(config, subschemas, directives, batch)
+    prompted_ids = {subschema.id for subschema in prompted}
+
+    def send(subschema, records):
+        _add_seeds(mech_pools, records)
+        requests.send(subschema, mech_pools.get(subschema.id, []))
+
+    with PromptRequests(config, catalog, directives, backend, batch, analysis) as requests:
+        candidates = mechanical_batch(
+            config, catalog, subschemas, batch, analysis, first=prompted, then=send
+        )
+        _add_seeds(mech_pools, (r for r in candidates if r.subschema_id not in prompted_ids))
+        return candidates + list(requests.records(accounting))
+
+
 def _llm_batch(
     config, catalog, subschemas, mech_pools, directives, backend, batch, accounting,
     analysis=None,
@@ -672,18 +726,40 @@ def _llm_batch(
     """Prompt ``backend`` once per chosen subschema and setting, and yield
     the records of each prompt's completions in prompt order, as
     ``analysis`` (:class:`ChildAnalysis`, or by default an
-    :class:`InlineAnalysis` that leaves them unvalidated) made them. Counts
-    the calls and failures into ``accounting``. SqlsynthError names the
-    batch if the analysis child dies; on any error the requests not yet
-    sent are dropped."""
-    if analysis is None:
-        analysis = InlineAnalysis()
-    chosen = _choose_subschemas(config, subschemas, directives, batch)
-    settings = _batch_settings(config, directives)
-    tasks = []
-    for subschema in chosen:
-        for setting in settings:
-            pool = mech_pools.get(subschema.id, [])
+    :class:`InlineAnalysis` that leaves them unvalidated) made them (see
+    :class:`PromptRequests`). Counts the calls and failures into
+    ``accounting``."""
+    with PromptRequests(
+        config, catalog, directives, backend, batch, analysis or InlineAnalysis()
+    ) as requests:
+        for subschema in _choose_subschemas(config, subschemas, directives, batch):
+            requests.send(subschema, mech_pools.get(subschema.id, []))
+        yield from requests.records(accounting)
+
+
+class PromptRequests:
+    """One batch's prompts to ``backend``. Each prompt is sent as soon as it
+    is made, ``llm.concurrency`` at a time, and its completions go to
+    ``analysis`` from the request's thread as they arrive, so neither waits
+    for the caller, which may be making mechanical queries meanwhile. An
+    exception in a request (other than a BackendError, which counts as the
+    prompt's failure) sends no queued request, and neither does leaving the
+    ``with`` block: at most the requests in flight end."""
+
+    def __init__(self, config, catalog, directives, backend, batch: int, analysis):
+        self.config, self.catalog, self.directives = config, catalog, directives
+        self.backend, self.batch, self.analysis = backend, batch, analysis
+        self.settings = _batch_settings(config, directives)
+        self._pool = ThreadPoolExecutor(max_workers=max(1, config.llm.concurrency))
+        self._failed = threading.Event()
+        self._sent: list = []  # (subschema, setting, request future) in prompt order
+
+    def send(self, subschema, pool) -> None:
+        """Prompt for ``subschema`` once per setting, with seed examples
+        drawn from ``pool``; a setting wanting more shots than ``pool``
+        holds is skipped."""
+        config, batch = self.config, self.batch
+        for setting in self.settings:
             if len(pool) < setting.shots:
                 logger.warning(
                     "skipping %s on %s: pool of %d can't seed %d shots",
@@ -699,59 +775,67 @@ def _llm_batch(
             )
             prompt = build_prompt(
                 subschema,
-                catalog,
+                self.catalog,
                 setting,
                 examples,
-                column_filter=directives.column_filters or None,
+                column_filter=self.directives.column_filters or None,
             )
-            tasks.append((subschema, setting, prompt))
+            draft = {
+                "subschema_id": subschema.id,
+                "batch": batch,
+                "prompt_setting": setting,
+                "prompt_hash": prompt_hash(prompt),
+                "model_name": config.llm.model,
+                "generation_params": config.llm.params,
+            }
+            request = self._pool.submit(self._request, prompt, draft)
+            self._sent.append((subschema, setting, request))
 
-    def call(task):
-        _, _, prompt = task
-        attempts = config.llm.retries + 1
-        for attempt in range(attempts):
-            try:
-                return generate_llm(prompt, backend, config.llm.params)
-            except BackendError as exc:
-                if not exc.retryable or attempt == attempts - 1:
-                    return exc
-        return BackendError("unreachable")  # pragma: no cover
-
-    # each prompt's completions go to the analysis as they arrive; the
-    # records are read back in prompt order once every request is done
-    outcomes: list = [None] * len(tasks)
-    try:
-        pool = ThreadPoolExecutor(max_workers=max(1, config.llm.concurrency))
+    def _request(self, prompt, draft):
+        """Runs in a request thread: the analysis's future of the prompt's
+        records, or the BackendError of its last attempt."""
+        if self._failed.is_set():
+            raise CancelledError  # an earlier request failed the batch
         try:
-            requests = {pool.submit(call, task): index for index, task in enumerate(tasks)}
-            for request in as_completed(requests):
-                index = requests[request]
-                result = request.result()
-                if not isinstance(result, BackendError):
-                    subschema, setting, prompt = tasks[index]
-                    result = analysis.submit(result, {
-                        "subschema_id": subschema.id,
-                        "batch": batch,
-                        "prompt_setting": setting,
-                        "prompt_hash": prompt_hash(prompt),
-                        "model_name": config.llm.model,
-                        "generation_params": config.llm.params,
-                    })
-                outcomes[index] = result
-        finally:
-            pool.shutdown(cancel_futures=True)  # after an error, send no queued request
+            attempts = self.config.llm.retries + 1
+            for attempt in range(attempts):
+                try:
+                    completions = generate_llm(prompt, self.backend, self.config.llm.params)
+                except BackendError as exc:
+                    if not exc.retryable or attempt == attempts - 1:
+                        return exc
+                else:
+                    return self.analysis.submit(completions, draft)
+            return BackendError("unreachable")  # pragma: no cover
+        except BaseException:
+            self._failed.set()
+            raise
 
-        for (subschema, setting, _), outcome in zip(tasks, outcomes):
-            accounting.llm_calls += 1
-            if isinstance(outcome, BackendError):
-                accounting.llm_failures += 1
-                logger.warning(
-                    "backend failure for %s on %s: %s", setting.label, subschema.id, outcome
-                )
-                continue
-            yield from outcome.result()
-    except BrokenExecutor as exc:
-        raise SqlsynthError(f"LLM batch {batch}: the analysis process died ({exc})") from exc
+    def records(self, accounting):
+        """Yield the records of each prompt's completions, in prompt order,
+        counting the calls and failures into ``accounting``. SqlsynthError
+        names the batch if the analysis child dies."""
+        try:
+            for subschema, setting, request in self._sent:
+                accounting.llm_calls += 1
+                outcome = request.result()
+                if isinstance(outcome, BackendError):
+                    accounting.llm_failures += 1
+                    logger.warning(
+                        "backend failure for %s on %s: %s", setting.label, subschema.id, outcome
+                    )
+                    continue
+                yield from outcome.result()
+        except BrokenExecutor as exc:
+            raise SqlsynthError(
+                f"LLM batch {self.batch}: the analysis process died ({exc})"
+            ) from exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._pool.shutdown(cancel_futures=True)  # send no queued request
 
 
 def _choose_subschemas(config, subschemas, directives, batch):

@@ -74,10 +74,11 @@ def dump_json(obj, path: str | Path) -> None:
 def write_jsonl(path: str | Path, kind: str, rows) -> None:
     """Write a JSONL file headed by a schema-version line."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
+    encode = json.JSONEncoder(default=fields_of).encode  # one encoder for every row
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind}) + "\n")
+        fh.write(encode({"schema_version": SCHEMA_VERSION, "kind": kind}) + "\n")
         for row in rows:
-            fh.write(json.dumps(row, default=fields_of) + "\n")
+            fh.write(encode(row) + "\n")
 
 
 # ---------------------------------------------------------------------------

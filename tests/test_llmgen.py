@@ -401,8 +401,9 @@ class TestHttpPipeline:
 
     def test_child_analysis_writes_what_inline_analysis_writes(self, tmp_path, monkeypatch):
         # steering on: three batches whose prompts follow the coverage gaps.
-        # The parent makes none, its default share twice, then all of each
-        # mechanical batch; the inline run makes and analyses everything.
+        # The parent makes each batch's prompted subschemas and none of the
+        # others, its default share of them twice, then all of them; the
+        # inline run makes and analyses everything.
         server_module = _completion_server_module(monkeypatch)
         config = _steered_http_config()
         parent_validations = []
@@ -436,13 +437,16 @@ class TestHttpPipeline:
         assert counts["batches"] == 3 and counts["llm_calls"] > 0
         assert counts["llm_failures"] == 0 and counts["rejected"] > 0
         # the parent validated exactly its share of the mechanical candidates,
-        # the child every LLM candidate
+        # the prompted subschemas' and its share of the others', and the
+        # child every LLM candidate
         per_subschema = config.mech_per_subschema * counts["batches"]
         mechanical = counts["subschemas"] * per_subschema
         assert validated["inline"] == (mechanical, counts["generated"] - mechanical)
-        assert validated["none"] == (0, 0)
+        prompted = config.subschema.llm_sample_count
+        others = counts["subschemas"] - prompted
+        assert validated["none"] == (prompted * per_subschema, 0)
         assert validated["all"] == (mechanical, 0)
-        share = math.ceil(default * counts["subschemas"]) * per_subschema
+        share = (prompted + math.ceil(default * others)) * per_subschema
         assert validated["default"] == validated["default again"] == (share, 0)
         assert len(set(requests.values())) == 1
         for run in runs:
@@ -454,6 +458,32 @@ class TestHttpPipeline:
                     assert _without_url(got) == _without_url(inline)
                 else:
                     assert got.read_bytes() == inline.read_bytes(), (run, name)
+
+    def test_overlapped_batches_under_thread_stress(self, tmp_path, monkeypatch):
+        # more request threads than cores, switching often, hand completions
+        # to the child while the main thread makes mechanical queries
+        server_module = _completion_server_module(monkeypatch)
+        config = _steered_http_config()
+        config.llm.concurrency = 8
+        outputs = {}
+        interval = sys.getswitchinterval()
+        with server_module.CompletionServer(seed=4) as server:
+            config.llm.url = server.url
+            for run in ("inline", "child"):
+                monkeypatch.setattr(pipeline_mod, "ChildAnalysis",
+                                    InlineAnalysis if run == "inline" else ChildAnalysis)
+                config.out_dir = str(tmp_path / run)
+                sys.setswitchinterval(1e-5)
+                try:
+                    run_pipeline(config)
+                finally:
+                    sys.setswitchinterval(interval)
+                server.reset()  # each run meets every prompt afresh
+                outputs[run] = Path(config.out_dir)
+        assert multiprocessing.active_children() == []
+        for name in ("records.jsonl", "kept.jsonl", "coverage.json"):
+            got, inline = (outputs[run] / name for run in ("child", "inline"))
+            assert got.read_bytes() == inline.read_bytes(), name
 
 
 def _steered_http_config():
@@ -562,10 +592,22 @@ class TestAnalysisChild:
         assert backend.calls <= _steered_http_config().llm.concurrency + 1
 
     def test_child_killed_mid_batch(self, tmp_path, monkeypatch):
+        # the child dies once batch 0's mechanical queries are all in, while
+        # it analyses the batch's completions
+        mechanical_done = threading.Event()
+        mechanical_batch = pipeline_mod.mechanical_batch
+
+        def signalled(*args, **kwargs):
+            records = mechanical_batch(*args, **kwargs)
+            mechanical_done.set()
+            return records
+
         def kill_child():
+            assert mechanical_done.wait(10)
             [child] = multiprocessing.active_children()
             os.kill(child.pid, signal.SIGKILL)
 
+        monkeypatch.setattr(pipeline_mod, "mechanical_batch", signalled)
         backend = ScriptedBackend(at=5, act=kill_child)
         with pytest.raises(SqlsynthError, match="LLM batch 0: the analysis process died"):
             self._run(tmp_path, monkeypatch, backend)
@@ -574,7 +616,8 @@ class TestAnalysisChild:
         assert not (tmp_path / "out" / "records.jsonl").exists()
 
     def test_child_killed_during_mechanical_share(self, tmp_path, monkeypatch):
-        # the parent kills the child as it starts its own share of batch 0
+        # the parent kills the child as it starts its own share of batch 0,
+        # before the batch's first prompt is sent
         parent, killed = os.getpid(), []
         generate = pipeline_mod.generate_mechanical
 
@@ -589,9 +632,67 @@ class TestAnalysisChild:
         backend = ScriptedBackend(at=0, act=None)
         with pytest.raises(SqlsynthError, match="mechanical batch 0: the analysis process died"):
             self._run(tmp_path, monkeypatch, backend)
-        assert killed and backend.calls == 0
+        # no request of a later batch is sent
+        config = _steered_http_config()
+        assert killed
+        assert backend.calls <= config.subschema.llm_sample_count * len(config.llm.settings)
         assert not (tmp_path / "out" / "kept.jsonl").exists()
         assert not (tmp_path / "out" / "records.jsonl").exists()
+
+    def test_error_in_mechanical_share_sends_no_queued_request(self, tmp_path, monkeypatch):
+        # the parent fails in its share of batch 0's other subschemas once
+        # the batch's first request is in flight
+        parent, calls, requested = os.getpid(), [], threading.Event()
+        prompted = _steered_http_config().subschema.llm_sample_count
+        generate = pipeline_mod.generate_mechanical
+
+        def fail_in_share(*args, **kwargs):
+            if os.getpid() == parent:
+                calls.append(args[0].id)
+                if len(calls) == prompted + 2:
+                    assert requested.wait(10)
+                    raise RuntimeError("mechanical share failed")
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "generate_mechanical", fail_in_share)
+        backend = ScriptedBackend(at=1, act=requested.set, latency=0.05)
+        with pytest.raises(RuntimeError, match="mechanical share failed"):
+            self._run(tmp_path, monkeypatch, backend)
+        assert not (tmp_path / "out" / "kept.jsonl").exists()
+        # the requests in flight end; the batch's queued ones are never sent
+        assert 1 <= backend.calls <= _steered_http_config().llm.concurrency + 1
+
+    @pytest.mark.parametrize("share", [pipeline_mod.PARENT_MECH_SHARE, 1.0])
+    def test_requests_overlap_the_parents_share(self, tmp_path, monkeypatch, share):
+        # the parent's last generate_mechanical call of each batch waits for
+        # the batch's first request, which is sent before the parent's share
+        # of the mechanical queries is done
+        monkeypatch.setattr(pipeline_mod, "PARENT_MECH_SHARE", share)
+        config = _steered_http_config()
+        subschemas = pipeline_mod.build_subschemas(config, pipeline_mod.build_catalog(config))
+        prompted = config.subschema.llm_sample_count
+        parent_calls = prompted + math.ceil(share * (len(subschemas) - prompted))
+        parent, requested, waited = os.getpid(), threading.Event(), []
+        calls: dict[int, int] = {}
+        generate = pipeline_mod.generate_mechanical
+
+        def last_waits(*args, seed, **kwargs):
+            if os.getpid() == parent:
+                calls[seed] = calls.get(seed, 0) + 1  # one seed per batch
+                if calls[seed] == 1:
+                    requested.clear()  # the previous batch's requests are all done
+                if calls[seed] == parent_calls:
+                    waited.append(requested.wait(10))
+            return generate(*args, seed=seed, **kwargs)
+
+        class SignallingBackend(ScriptedBackend):
+            def complete(self, prompt, params):
+                requested.set()
+                return super().complete(prompt, params)
+
+        monkeypatch.setattr(pipeline_mod, "generate_mechanical", last_waits)
+        manifest = self._run(tmp_path, monkeypatch, SignallingBackend(at=0, act=None))
+        assert waited == [True] * manifest["counts"]["batches"]
 
     def test_child_exits_when_its_parent_is_killed(self, tmp_path):
         # the parent prints its analysis child's pid, then blocks in a request
