@@ -40,29 +40,31 @@ tree and its forms are what :func:`~sqlsynth.sqltree.to_forms` prints of
 it, so it is never scanned, tokenized or parsed. An LLM candidate, or a
 record read from a file, is scanned once for its forms and parsed once.
 :func:`mechanical_batch` makes candidates one subschema at a time and
-:func:`_llm_batch` one prompt at a time, and :func:`validate_record`
+:class:`PromptRequests` one prompt at a time, and :func:`validate_record`
 analyses each: it takes the record's tree or parses its SQL, resolves the
 references in the one walk over the tree, derives the relevance codes from
 them, profiles an accepted candidate from the counts that walk took and
 takes its dedup key from the record's forms; the forms and the tree are
 dropped there. An LLM prompt's completions are analysed together
 (:func:`analyse_completions`: extract the SQL, make the records, validate
-them). With the HTTP backend each batch overlaps its requests with its
-generation (:func:`_overlapped_batch`): the parent first makes the queries
-of the subschemas the batch prompts for, sending each one's prompts as
-soon as its seed pool is filled (:class:`PromptRequests`), then makes its
-share (:data:`PARENT_MECH_SHARE`) of the other subschemas while the
-requests are in flight. One forked child process per :func:`run_pipeline`
-call (:class:`ChildAnalysis`) makes the rest of the batch's queries, then
-analyses each prompt's completions, which the request threads hand it as
-they arrive (:func:`make_mechanical` and :func:`analyse_completions` on
-either side). So generation, requests and analysis run on two cores, and
-no request waits for the queries its prompt does not draw on. With the stub
-backend there is no wait to hide, and forking would only add its cost,
-so everything runs in the parent (:class:`InlineAnalysis`), in one
-process and in series: each mechanical batch whole, then its prompts,
-analysed once every completion is in. Either way the records come
-back in subschema and prompt order, so the outputs are the same. At batch
+them). Every backend runs each batch through one driver,
+:func:`_overlapped_batch`, which overlaps the batch's requests with its
+generation: the parent first makes the queries of the subschemas the batch
+prompts for (none with the LLM off), sending each one's prompts as soon as
+its seed pool is filled (:class:`PromptRequests`), then makes the other
+subschemas' queries while the requests are in flight. Only the analysis
+that holds the batch depends on the backend. With the HTTP backend one
+forked child process per :func:`run_pipeline` call (:class:`ChildAnalysis`)
+makes all but the parent's share (:data:`PARENT_MECH_SHARE`) of those
+other subschemas, then analyses each prompt's completions, which the
+request threads hand it as they arrive (:func:`make_mechanical` and
+:func:`analyse_completions` on either side). So generation, requests and
+analysis run on two cores, and no request waits for the queries its prompt
+does not draw on. With the stub backend or the LLM off there is no wait to
+hide, and forking would only add its cost, so everything runs in the parent
+(:class:`InlineAnalysis`), which analyses each prompt's completions once
+every request is in. Either way the records come back in subschema and
+prompt order, so the outputs are the same. At batch
 end :func:`settle_batch` counts the batch and deduplicates its accepted
 candidates against the set of normalized forms already kept, which it
 extends with the batch's new records only, so no batch re-parses,
@@ -350,19 +352,10 @@ def _generate(config, catalog, subschemas, backend, paths):
         batch = 0
         while True:
             accounting = BatchAccounting(batch=batch)
-            if remote:
-                candidates = _overlapped_batch(
-                    config, catalog, subschemas, mech_pools, directives, backend, batch,
-                    accounting, analysis,
-                )
-            else:
-                candidates = mechanical_batch(config, catalog, subschemas, batch, analysis)
-                _add_seeds(mech_pools, candidates)
-                if backend is not None:
-                    candidates += _llm_batch(
-                        config, catalog, subschemas, mech_pools, directives, backend, batch,
-                        accounting, analysis,
-                    )
+            candidates = _overlapped_batch(
+                config, catalog, subschemas, mech_pools, directives, backend, batch,
+                accounting, analysis,
+            )
             new_kept = settle_batch(config, candidates, seen_forms, accounting)
             kept_records += new_kept
             dropped_records += not_kept(candidates, new_kept)
@@ -575,10 +568,11 @@ class InlineAnalysis:
     """Analyses each prompt's completions, and makes the analysis's share of
     each mechanical batch, in the calling thread when the records are read:
     :meth:`submit` and :meth:`submit_mechanical` return a deferred call with
-    the ``result()`` of a future. So the parent makes each mechanical batch
-    whole, in subschema order. This is the stub backend's path and
-    ``gen-llm``'s; with ``check`` None, as there, the records are not
-    validated, and :meth:`submit_mechanical`, which needs the check's
+    the ``result()`` of a future. So the parent makes every query of a
+    batch and analyses each prompt's completions once every request is in.
+    This is the analysis of the stub backend, of a run with the LLM off and
+    of ``gen-llm``; with ``check`` None, as in ``gen-llm``, the records are
+    not validated, and :meth:`submit_mechanical`, which needs the check's
     catalog, is not called."""
 
     def __init__(self, check=None):
@@ -698,13 +692,18 @@ def _add_seeds(mech_pools, records) -> None:
 def _overlapped_batch(
     config, catalog, subschemas, mech_pools, directives, backend, batch, accounting, analysis,
 ):
-    """One batch on the HTTP path: :func:`mechanical_batch` makes the
-    subschemas the batch prompts for first, and each one's prompts are sent
-    as soon as its seed pool is filled, so the requests are in flight while
-    the rest of the batch is made. The records, mechanical in subschema
-    order then LLM in prompt order, and the seed pools are those of
-    :func:`mechanical_batch` followed by :func:`_llm_batch`."""
-    prompted = _choose_subschemas(config, subschemas, directives, batch)
+    """One batch of a run, whatever its ``backend`` (None when the LLM is
+    off) and ``analysis`` (:class:`ChildAnalysis` or
+    :class:`InlineAnalysis`): :func:`mechanical_batch` makes the subschemas
+    the batch prompts for first, none without a backend, and each one's
+    prompts are sent as soon as its seed pool is filled, so the requests
+    are in flight while the rest of the batch is made. The records,
+    mechanical in subschema order then LLM in prompt order, and the seed
+    pools are those of :func:`mechanical_batch` followed by
+    :func:`_llm_batch`."""
+    prompted = []
+    if backend is not None:
+        prompted = _choose_subschemas(config, subschemas, directives, batch)
     prompted_ids = {subschema.id for subschema in prompted}
 
     def send(subschema, records):
@@ -719,19 +718,13 @@ def _overlapped_batch(
         return candidates + list(requests.records(accounting))
 
 
-def _llm_batch(
-    config, catalog, subschemas, mech_pools, directives, backend, batch, accounting,
-    analysis=None,
-):
-    """Prompt ``backend`` once per chosen subschema and setting, and yield
-    the records of each prompt's completions in prompt order, as
-    ``analysis`` (:class:`ChildAnalysis`, or by default an
-    :class:`InlineAnalysis` that leaves them unvalidated) made them (see
-    :class:`PromptRequests`). Counts the calls and failures into
-    ``accounting``."""
-    with PromptRequests(
-        config, catalog, directives, backend, batch, analysis or InlineAnalysis()
-    ) as requests:
+def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, batch, accounting):
+    """``gen-llm``'s batch: prompt ``backend`` once per chosen subschema and
+    setting, and yield the unvalidated records of each prompt's completions
+    in prompt order (see :class:`PromptRequests`). Counts the calls and
+    failures into ``accounting``. A run's batches prompt through
+    :func:`_overlapped_batch`."""
+    with PromptRequests(config, catalog, directives, backend, batch, InlineAnalysis()) as requests:
         for subschema in _choose_subschemas(config, subschemas, directives, batch):
             requests.send(subschema, mech_pools.get(subschema.id, []))
         yield from requests.records(accounting)

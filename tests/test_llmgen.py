@@ -485,6 +485,33 @@ class TestHttpPipeline:
             got, inline = (outputs[run] / name for run in ("child", "inline"))
             assert got.read_bytes() == inline.read_bytes(), name
 
+    def test_stub_backend_replays_what_http_wrote(self, tmp_path, monkeypatch):
+        # the HTTP run stores each prompt's completions as a stub file; the
+        # stub backend replaying them writes the same bytes
+        server_module = _completion_server_module(monkeypatch)
+        config = load_config(REPO_ROOT / "data" / "demo" / "demo.toml")
+        config.loop_limit = 2
+        config.execution.enabled = False
+        stub_dir = tmp_path / "stub"
+        make_backend = pipeline_mod.make_backend
+        with server_module.CompletionServer(seed=5) as server:
+            config.llm.backend, config.llm.url = "http", server.url
+            config.out_dir = str(tmp_path / "http")
+            backend = StoringBackend(make_backend(config), stub_dir)
+            monkeypatch.setattr(pipeline_mod, "make_backend", lambda config: backend)
+            http_manifest = run_pipeline(config)
+        monkeypatch.setattr(pipeline_mod, "make_backend", make_backend)
+        # a repeated prompt would be answered afresh and overwrite its file
+        assert len(backend.hashes) == len(set(backend.hashes)) > 0
+        config.llm.backend, config.llm.stub_dir = "stub", str(stub_dir)
+        config.out_dir = str(tmp_path / "stub_out")
+        stub_manifest = run_pipeline(config)
+        assert stub_manifest["counts"] == http_manifest["counts"]
+        for name in ("kept.jsonl", "records.jsonl", "coverage.json",
+                     "coverage_facets.csv", "coverage_clauses.csv"):
+            got, http = (tmp_path / run / name for run in ("stub_out", "http"))
+            assert got.read_bytes() == http.read_bytes(), name
+
 
 def _steered_http_config():
     config = load_config(REPO_ROOT / "data" / "demo" / "demo.toml")
@@ -500,6 +527,26 @@ def _without_url(path):
     manifest = json.loads(path.read_text(encoding="utf-8"))
     assert manifest["config"]["llm"].pop("url").startswith("http://127.0.0.1:")
     return manifest
+
+
+class StoringBackend:
+    """Wraps ``backend`` and stores each prompt's completions as the stub
+    backend's file for it in ``directory``; records each prompt's hash."""
+
+    def __init__(self, backend, directory):
+        self.backend, self.directory = backend, directory
+        self.hashes = []
+        self.lock = threading.Lock()
+
+    def complete(self, prompt, params):
+        completions = self.backend.complete(prompt, params)
+        with self.lock:
+            self.hashes.append(prompt_hash(prompt))
+            StubBackend.store(self.directory, prompt, completions)
+        return completions
+
+    def close(self):
+        self.backend.close()
 
 
 class ScriptedBackend:
@@ -558,8 +605,8 @@ class TestAnalysisChild:
     """With the HTTP backend the analysis runs in one child process, which
     never outlives ``run_pipeline``, whatever ends it."""
 
-    def _run(self, tmp_path, monkeypatch, backend):
-        config = _steered_http_config()
+    def _run(self, tmp_path, monkeypatch, backend, config=None):
+        config = config or _steered_http_config()
         config.llm.url = "http://127.0.0.1:9/v1/completions"  # never contacted
         config.out_dir = str(tmp_path / "out")
         monkeypatch.setattr(pipeline_mod, "make_backend", lambda config: backend)
@@ -662,16 +709,23 @@ class TestAnalysisChild:
         # the requests in flight end; the batch's queued ones are never sent
         assert 1 <= backend.calls <= _steered_http_config().llm.concurrency + 1
 
-    @pytest.mark.parametrize("share", [pipeline_mod.PARENT_MECH_SHARE, 1.0])
-    def test_requests_overlap_the_parents_share(self, tmp_path, monkeypatch, share):
+    @pytest.mark.parametrize("share, analysis", [
+        pytest.param(share, "child", id=str(share))
+        for share in (pipeline_mod.PARENT_MECH_SHARE, 1.0)
+    ] + [pytest.param(pipeline_mod.PARENT_MECH_SHARE, "inline", id="inline")])
+    def test_requests_overlap_the_parents_share(self, tmp_path, monkeypatch, share, analysis):
         # the parent's last generate_mechanical call of each batch waits for
         # the batch's first request, which is sent before the parent's share
-        # of the mechanical queries is done
+        # of the mechanical queries is done. With the stub backend the
+        # analysis is inline, so the parent's share is every subschema.
         monkeypatch.setattr(pipeline_mod, "PARENT_MECH_SHARE", share)
         config = _steered_http_config()
         subschemas = pipeline_mod.build_subschemas(config, pipeline_mod.build_catalog(config))
         prompted = config.subschema.llm_sample_count
         parent_calls = prompted + math.ceil(share * (len(subschemas) - prompted))
+        if analysis == "inline":
+            config.llm.backend = "stub"  # make_backend is patched: no file is read
+            parent_calls = len(subschemas)
         parent, requested, waited = os.getpid(), threading.Event(), []
         calls: dict[int, int] = {}
         generate = pipeline_mod.generate_mechanical
@@ -691,7 +745,7 @@ class TestAnalysisChild:
                 return super().complete(prompt, params)
 
         monkeypatch.setattr(pipeline_mod, "generate_mechanical", last_waits)
-        manifest = self._run(tmp_path, monkeypatch, SignallingBackend(at=0, act=None))
+        manifest = self._run(tmp_path, monkeypatch, SignallingBackend(at=0, act=None), config)
         assert waited == [True] * manifest["counts"]["batches"]
 
     def test_child_exits_when_its_parent_is_killed(self, tmp_path):
