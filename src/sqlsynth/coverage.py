@@ -169,6 +169,28 @@ class CoverageFold:
             self.table_hits.update(profile.referenced_tables.keys())
             self.column_hits.update(profile.referenced_columns.keys())
 
+    def merge(self, other: CoverageFold) -> None:
+        """Fold in ``other``'s totals, as if its profiles were added here.
+        The totals are exact, so the report is the same whatever the order
+        of the profiles and of the merges."""
+        if not other.n:
+            return
+        first = self.n == 0
+        self.n += other.n
+        for facet in FACET_KEYS:
+            self.facet_sums[facet] += other.facet_sums[facet]
+            self.facet_squares[facet] += other.facet_squares[facet]
+            if first or other.facet_mins[facet] < self.facet_mins[facet]:
+                self.facet_mins[facet] = other.facet_mins[facet]
+            if first or other.facet_maxes[facet] > self.facet_maxes[facet]:
+                self.facet_maxes[facet] = other.facet_maxes[facet]
+        for clause in PRESENCE_CLAUSES:
+            self.clause_hits[clause] += other.clause_hits[clause]
+        self.table_occurrences.update(other.table_occurrences)
+        self.column_occurrences.update(other.column_occurrences)
+        self.table_hits.update(other.table_hits)
+        self.column_hits.update(other.column_hits)
+
     def report(
         self, setting: str, catalog: SchemaCatalog, targets: CoverageTargets | None = None
     ) -> CoverageReport:

@@ -30,14 +30,18 @@ from the same config:
 So ``run`` with ``loop_limit = 0`` and that chain of commands write the same
 bytes, runtimes apart.
 
-Each candidate is analysed as it arrives, and its row is written once:
-``kept.jsonl`` holds the kept ones and ``records.jsonl`` the rest
-(:func:`not_kept`). :func:`~sqlsynth.records.make_record` derives each
-candidate's id from its literal normalized form, and the record holds both
-forms as strings. A mechanical candidate holds the syntax tree it was built
-as: its SQL is the text :func:`~sqlsynth.sqltree.to_sql` writes of that
-tree and its forms are what :func:`~sqlsynth.sqltree.to_forms` prints of
-it, so it is never scanned, tokenized or parsed. An LLM candidate, or a
+Each candidate is analysed as it arrives, and its row is written once, as
+its batch settles: ``kept.jsonl`` holds the kept ones and ``records.jsonl``
+the rest (:func:`not_kept`). Each batch's rows are appended to the two
+files under the names ``kept.jsonl.part`` and ``records.jsonl.part``, which
+are moved onto their names when the loop ends and deleted if it raises, so
+a run that fails publishes neither.
+:func:`~sqlsynth.records.make_record` derives each candidate's id from its
+literal normalized form, and the record holds both forms as strings. A
+mechanical candidate holds the syntax tree it was built as: its SQL is the
+text :func:`~sqlsynth.sqltree.to_sql` writes of that tree and its forms are
+what :func:`~sqlsynth.sqltree.to_forms` prints of it, so it is never
+scanned, tokenized or parsed. An LLM candidate, or a
 record read from a file, is scanned once for its forms and parsed once.
 :func:`mechanical_batch` makes candidates one subschema at a time and
 :class:`PromptRequests` one prompt at a time, and :func:`validate_record`
@@ -71,10 +75,14 @@ extends with the batch's new records only, so no batch re-parses,
 re-normalizes or re-profiles what an earlier batch kept. Mechanical
 candidates carry the clause tags of their construction into the seed pools
 (:class:`~sqlsynth.mechgen.SeedExample`), so seed selection parses nothing.
-Only the overall coverage report steers: one
-:class:`~sqlsynth.coverage.CoverageFold` adds each batch's newly kept
-profiles, and each batch reads its report off the running totals. The
-per-setting reports are built once, for ``coverage.json``.
+One :class:`~sqlsynth.coverage.CoverageFold` per setting label adds each
+batch's newly kept profiles. Only the overall coverage report steers: each
+batch reads it off the merge of those folds, and ``coverage.json``'s
+per-setting reports are read off them once, at the end. So between batches
+the loop holds no record: only the kept corpus's normalized forms, the seed
+pools, the batches' accounting and the folds, and the batch being made is
+the only one in memory. The stages after generation read the kept corpus
+back from ``kept.jsonl``, as ``--resume`` does.
 
 Every file is written and read through the typed codec of
 :mod:`sqlsynth.util`: a row's keys are its dataclass's fields, in
@@ -100,17 +108,16 @@ import signal
 import threading
 import time
 from concurrent.futures import BrokenExecutor, CancelledError, ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 from .config import PipelineConfig, config_snapshot
 from .coverage import (
-    ComplexityProfile,
     CoverageFold,
     CoverageReport,
     RegenDirectives,
-    aggregate_coverage,
     clause_presence_rows,
     facet_stats_rows,
     plan_regeneration,
@@ -141,7 +148,16 @@ from .schema import (
 )
 from .subschema import build_join_graph, enumerate_subschemas, load_subschemas, save_subschemas
 from .sqltree import normalized_forms
-from .util import SCHEMA_VERSION, decode_in, derive_seed, dump_json, fields_of, load_json
+from .util import (
+    SCHEMA_VERSION,
+    append_jsonl,
+    decode_in,
+    derive_seed,
+    dump_json,
+    fields_of,
+    load_json,
+    open_jsonl,
+)
 from .validation import (
     REJECT_SYNTAX,
     VERDICT_ACCEPTED,
@@ -221,7 +237,6 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
         paths[key].exists() for key in ("kept", "records", "manifest")
     )
     if generation_done:
-        kept_records = load_records(paths["kept"])
         manifest_prev = load_json(paths["manifest"])
         batches = decode_in(
             list[BatchAccounting], manifest_prev.get("batches", []), paths["manifest"],
@@ -231,7 +246,7 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
     else:
         backend = make_backend(config) if config.llm.enabled else None
         try:
-            kept_records, batches, gaps_remaining = _generate(
+            batches, gaps_remaining = _generate(
                 config, catalog, subschemas, backend, paths
             )
         finally:
@@ -257,7 +272,7 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
             "subschemas": len(subschemas),
             "batches": len(batches),
             "generated": sum(b.generated for b in batches),
-            "kept": len(kept_records),
+            "kept": sum(b.kept for b in batches),
             "rejected": sum(b.rejected for b in batches),
             "dedup_dropped": sum(b.dedup_dropped for b in batches),
             "llm_calls": sum(b.llm_calls for b in batches),
@@ -269,6 +284,10 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
 
     # manifest reflects completed stages even if a later stage fails
     dump_json(manifest, paths["manifest"])
+
+    # the later stages read the kept corpus back from its file
+    if config.selection.size is not None or config.execution.enabled:
+        kept_records = load_records(paths["kept"])
 
     # -- training-subset selection ----------------------------------------------
     if config.selection.size is not None:
@@ -335,20 +354,21 @@ def build_subschemas(config: PipelineConfig, catalog):
 
 def _generate(config, catalog, subschemas, backend, paths):
     """Generate, validate and steer batch by batch, prompting ``backend``
-    (None when the LLM is off); writes the candidates not kept, the kept
-    corpus and coverage."""
+    (None when the LLM is off). Appends each batch's rows to the candidates
+    not kept and the kept corpus as the batch settles, and writes coverage
+    at the end. Returns the batches' accounting and the gaps left open."""
     subschema_by_id = {s.id: s for s in subschemas}
-    dropped_records: list[QueryRecord] = []
-    kept_records: list[QueryRecord] = []
     mech_pools: dict[str, list[SeedExample]] = {}
     seen_forms: set[str] = set()  # normalized forms of the kept corpus
-    coverage = CoverageFold()  # the kept corpus's totals, extended batch by batch
+    folds: dict[str, CoverageFold] = {}  # the kept corpus's totals per setting label
     batches: list[BatchAccounting] = []
     directives = RegenDirectives()
 
     check = (catalog, subschema_by_id, config.validators)
     remote = backend is not None and config.llm.backend == "http"
-    with (ChildAnalysis if remote else InlineAnalysis)(check) as analysis:
+    # the files open once the analysis child is forked, so it inherits neither
+    with (ChildAnalysis if remote else InlineAnalysis)(check) as analysis, \
+            _appending(paths["records"], paths["kept"]) as (records_file, kept_file):
         batch = 0
         while True:
             accounting = BatchAccounting(batch=batch)
@@ -357,16 +377,16 @@ def _generate(config, catalog, subschemas, backend, paths):
                 accounting, analysis,
             )
             new_kept = settle_batch(config, candidates, seen_forms, accounting)
-            kept_records += new_kept
-            dropped_records += not_kept(candidates, new_kept)
-            coverage.add(record.profile for record in new_kept)
+            append_jsonl(records_file, not_kept(candidates, new_kept))
+            append_jsonl(kept_file, new_kept)
+            _fold_by_setting(folds, new_kept)
+            del candidates, new_kept  # the next batch is made without this one
             batches.append(accounting)
 
             # the overall coverage of the cumulative kept corpus steers the next batch
             gaps_remaining = 0
-            overall = None
-            if kept_records:
-                overall = coverage.report("all", catalog, config.coverage)
+            if folds:
+                overall = _merged(folds).report("all", catalog, config.coverage)
                 gaps_remaining = len(overall.gap_list)
                 directives = plan_regeneration(overall, subschemas, catalog)
 
@@ -375,13 +395,30 @@ def _generate(config, catalog, subschemas, backend, paths):
                 break
             if gaps_remaining == 0:
                 break
-            if config.kept_target is not None and len(kept_records) >= config.kept_target:
+            kept = sum(b.kept for b in batches)
+            if config.kept_target is not None and kept >= config.kept_target:
                 break
 
-    save_records(dropped_records, paths["records"])
-    save_records(kept_records, paths["kept"])
-    write_coverage(coverage_reports(config, catalog, kept_records, overall), paths["coverage"])
-    return kept_records, batches, gaps_remaining
+    write_coverage(_setting_reports(folds, catalog, config.coverage), paths["coverage"])
+    return batches, gaps_remaining
+
+
+@contextmanager
+def _appending(*paths):
+    """The JSONL files of query records at ``paths``, each open under the
+    name ``<name>.part`` to append rows to. When the block ends they are
+    moved onto ``paths``, in order; if it raises they are deleted, so a
+    file at one of ``paths`` is always whole."""
+    parts = [path.with_name(path.name + ".part") for path in paths]
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(open_jsonl(part, "query_records")) for part in parts]
+    except BaseException:
+        for part in parts:
+            part.unlink(missing_ok=True)
+        raise
+    for part, path in zip(parts, paths):
+        os.replace(part, path)
 
 
 #: The share of each mechanical batch's subschemas that no prompt draws on,
@@ -857,23 +894,40 @@ def _batch_settings(config, directives):
     return settings
 
 
-def coverage_reports(config, catalog, kept_records, overall=None) -> list[CoverageReport]:
+def coverage_reports(config, catalog, kept_records) -> list[CoverageReport]:
     """Coverage of a profiled kept corpus: one report per setting label, in
-    label order, then the overall report ``"all"`` last (``overall``, when
-    the caller already holds it). No reports for an empty corpus."""
-    if not kept_records:
-        return []
-    by_setting: dict[str, list[ComplexityProfile]] = {}
+    label order, then the overall report ``"all"`` last. No reports for an
+    empty corpus."""
+    folds: dict[str, CoverageFold] = {}
+    _fold_by_setting(folds, kept_records)
+    return _setting_reports(folds, catalog, config.coverage)
+
+
+def _fold_by_setting(folds, kept_records) -> None:
+    """Add each kept record's profile to the fold of its setting label in
+    ``folds``, making the fold of a label not seen before."""
     for record in kept_records:
-        by_setting.setdefault(record.setting_label, []).append(record.profile)
-    reports = [
-        aggregate_coverage(group, label, catalog, config.coverage)
-        for label, group in sorted(by_setting.items())
-    ]
-    if overall is None:
-        profiles = [record.profile for record in kept_records]
-        overall = aggregate_coverage(profiles, "all", catalog, config.coverage)
-    return reports + [overall]
+        fold = folds.get(record.setting_label)
+        if fold is None:
+            fold = folds[record.setting_label] = CoverageFold()
+        fold.add((record.profile,))
+
+
+def _merged(folds) -> CoverageFold:
+    """The fold of the whole corpus whose setting labels' ``folds`` these are."""
+    overall = CoverageFold()
+    for fold in folds.values():
+        overall.merge(fold)
+    return overall
+
+
+def _setting_reports(folds, catalog, targets) -> list[CoverageReport]:
+    """The reports of :func:`coverage_reports`, read off the corpus's
+    ``folds`` (setting label -> fold)."""
+    if not folds:
+        return []
+    reports = [folds[label].report(label, catalog, targets) for label in sorted(folds)]
+    return reports + [_merged(folds).report("all", catalog, targets)]
 
 
 def write_coverage(reports, path) -> None:

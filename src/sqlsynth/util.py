@@ -3,7 +3,9 @@ JSON codec every artifact and the config go through.
 
 Writing: :func:`dump_json` and :func:`write_jsonl` serialize a dataclass as
 the object of its fields, in declaration order, at any depth. So a file's
-keys are its dataclass's fields, declared once.
+keys are its dataclass's fields, declared once. A JSONL file can also be
+written in parts: :func:`open_jsonl`, then :func:`append_jsonl` for each
+part, through the row encoder :func:`write_jsonl` uses.
 
 Reading: :func:`decode` builds an annotated type from parsed JSON or TOML,
 checking every value against its field's annotation. A dataclass reads
@@ -71,14 +73,28 @@ def dump_json(obj, path: str | Path) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
+_encode_row = json.JSONEncoder(default=fields_of).encode  # one encoder for every row
+
+
 def write_jsonl(path: str | Path, kind: str, rows) -> None:
     """Write a JSONL file headed by a schema-version line."""
+    with open_jsonl(path, kind) as fh:
+        append_jsonl(fh, rows)
+
+
+def open_jsonl(path: str | Path, kind: str):
+    """Open ``path`` as a new JSONL file of ``kind``: a text file holding
+    its schema-version line, to which :func:`append_jsonl` adds rows."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    encode = json.JSONEncoder(default=fields_of).encode  # one encoder for every row
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(encode({"schema_version": SCHEMA_VERSION, "kind": kind}) + "\n")
-        for row in rows:
-            fh.write(encode(row) + "\n")
+    fh = open(path, "w", encoding="utf-8")
+    append_jsonl(fh, ({"schema_version": SCHEMA_VERSION, "kind": kind},))
+    return fh
+
+
+def append_jsonl(fh, rows) -> None:
+    """Write each of ``rows`` as one line to the JSONL file open as ``fh``."""
+    for row in rows:
+        fh.write(_encode_row(row) + "\n")
 
 
 # ---------------------------------------------------------------------------

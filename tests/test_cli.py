@@ -553,6 +553,26 @@ class TestStagesMatchRun:
         )
 
 
+    def test_coverage_of_kept_file_matches_the_runs(self, tmp_path):
+        # the run reads coverage off per-setting folds of each batch's kept
+        # rows; the coverage command aggregates the whole kept file at once
+        config = str(demo_config_copy(tmp_path, loop_limit=2))
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", config, "--out", str(run_dir)]) == 0
+        manifest = load_json(run_dir / "manifest.json")
+        assert manifest["counts"]["batches"] == 3
+        labels = {record.setting_label for record in load_records(run_dir / "kept.jsonl")}
+        assert len(labels) > 1
+        assert {record.batch for record in load_records(run_dir / "kept.jsonl")} == {0, 1, 2}
+
+        cli = tmp_path / "cli"
+        assert main(["coverage", "--config", config, "--catalog", str(run_dir / "catalog.json"),
+                     "--records", str(run_dir / "kept.jsonl"),
+                     "--out", str(cli / "coverage.json")]) == 0
+        for name in ("coverage.json", "coverage_facets.csv", "coverage_clauses.csv"):
+            assert (cli / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
 class TestReadmeStageByStage:
     def test_every_command_of_the_block_runs(self, tmp_path, monkeypatch):
         readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")

@@ -626,17 +626,32 @@ class TestAnalysisChild:
         assert sum(record.origin == "llm" for record in rows) == backend.calls
         assert all(record.validation is not None for record in rows)
 
-    def test_interrupt_mid_batch(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("batch", [0, 1], ids=["batch0", "batch1"])
+    def test_interrupt_mid_batch(self, tmp_path, monkeypatch, batch):
+        # in batch 1 the interrupt comes after batch 0's rows were appended
+        config = _steered_http_config()
+        earlier = batch * config.subschema.llm_sample_count * len(config.llm.settings)
+        append_jsonl, appended, appended_at_interrupt = pipeline_mod.append_jsonl, [], []
+
+        def counted(fh, rows):
+            rows = list(rows)
+            appended.append(len(rows))
+            append_jsonl(fh, rows)
+
         def interrupt():
+            appended_at_interrupt.append(sum(appended))
             raise KeyboardInterrupt
 
-        backend = ScriptedBackend(at=2, act=interrupt, latency=0.05)
+        monkeypatch.setattr(pipeline_mod, "append_jsonl", counted)
+        backend = ScriptedBackend(at=earlier + 2, act=interrupt, latency=0.05)
         with pytest.raises(KeyboardInterrupt):
             self._run(tmp_path, monkeypatch, backend)
         assert backend.children[0] == 1
+        assert (appended_at_interrupt[0] > 0) == (batch > 0)
         assert not (tmp_path / "out" / "kept.jsonl").exists()
+        assert not list((tmp_path / "out").glob("*.part"))
         # the requests in flight end; the batch's queued ones are never sent
-        assert backend.calls <= _steered_http_config().llm.concurrency + 1
+        assert backend.calls <= earlier + config.llm.concurrency + 1
 
     def test_child_killed_mid_batch(self, tmp_path, monkeypatch):
         # the child dies once batch 0's mechanical queries are all in, while
@@ -661,6 +676,7 @@ class TestAnalysisChild:
         assert backend.children[0] == 1
         assert not (tmp_path / "out" / "kept.jsonl").exists()
         assert not (tmp_path / "out" / "records.jsonl").exists()
+        assert not list((tmp_path / "out").glob("*.part"))
 
     def test_child_killed_during_mechanical_share(self, tmp_path, monkeypatch):
         # the parent kills the child as it starts its own share of batch 0,
@@ -685,6 +701,7 @@ class TestAnalysisChild:
         assert backend.calls <= config.subschema.llm_sample_count * len(config.llm.settings)
         assert not (tmp_path / "out" / "kept.jsonl").exists()
         assert not (tmp_path / "out" / "records.jsonl").exists()
+        assert not list((tmp_path / "out").glob("*.part"))
 
     def test_error_in_mechanical_share_sends_no_queued_request(self, tmp_path, monkeypatch):
         # the parent fails in its share of batch 0's other subschemas once
@@ -708,6 +725,7 @@ class TestAnalysisChild:
         assert not (tmp_path / "out" / "kept.jsonl").exists()
         # the requests in flight end; the batch's queued ones are never sent
         assert 1 <= backend.calls <= _steered_http_config().llm.concurrency + 1
+        assert not list((tmp_path / "out").glob("*.part"))
 
     @pytest.mark.parametrize("share, analysis", [
         pytest.param(share, "child", id=str(share))

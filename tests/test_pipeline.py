@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from collections import Counter
@@ -16,7 +17,7 @@ from sqlsynth.config import config_from_dict, load_config
 from sqlsynth.coverage import aggregate_coverage, profile_query
 from sqlsynth.llmgen import PromptSetting, StubBackend, prompt_hash
 from sqlsynth.pipeline import run_pipeline
-from sqlsynth.records import load_records
+from sqlsynth.records import QueryRecord, load_records
 from sqlsynth.schema import load_catalog
 from sqlsynth.util import SCHEMA_VERSION, dump_json
 
@@ -323,6 +324,17 @@ class TestResume:
         run_pipeline(config, resume=True)
         for name, data in finished.items():
             assert (out / name).read_bytes() == data, name
+
+    def test_kept_count_is_the_batches_and_the_file(self, tmp_path):
+        # the kept rows are streamed out batch by batch; the count adds the
+        # batches up, on a fresh run and on a resumed one
+        config = multi_batch_demo_config(tmp_path / "out")
+        kept = Path(config.out_dir) / "kept.jsonl"
+        for resume in (False, True):
+            manifest = run_pipeline(config, resume=resume)
+            assert manifest["counts"]["batches"] == 4
+            assert manifest["counts"]["kept"] == sum(b["kept"] for b in manifest["batches"])
+            assert manifest["counts"]["kept"] == len(load_records(kept)) > 0
 
     def test_fresh_run_fails_without_ddl(self, tmp_path):
         config = base_config(tmp_path)
@@ -649,6 +661,35 @@ class TestIncrementalAnalysis:
         # seed pools hold the mechanical generator's own clause tags
         assert calls["clause_tags"] == 0
         assert calls["profile"] == 0
+
+
+class TestStreamedBatches:
+    def test_run_holds_one_batch_at_a_time(self, tmp_path, monkeypatch):
+        # when batch k settles, every record made during the run is one of
+        # batch k's: the earlier batches' rows are on disk, not in memory
+        config = demo_config(tmp_path / "out")
+        config.loop_limit = 4
+        config.coverage.min_clause_freq = 0.99  # the gaps stay open: every batch runs
+        gc.collect()
+        earlier = [o for o in gc.get_objects() if isinstance(o, QueryRecord)]
+        earlier_ids = {id(o) for o in earlier}
+        settle_batch, live = pipeline_mod.settle_batch, []
+
+        def counted(config, candidates, seen_forms, accounting):
+            gc.collect()
+            live.append((accounting.batch, Counter(
+                o.batch for o in gc.get_objects()
+                if isinstance(o, QueryRecord) and id(o) not in earlier_ids
+            )))
+            return settle_batch(config, candidates, seen_forms, accounting)
+
+        monkeypatch.setattr(pipeline_mod, "settle_batch", counted)
+        manifest = run_pipeline(config)
+        assert manifest["counts"]["batches"] == 5
+        assert [batch for batch, _ in live] == [0, 1, 2, 3, 4]
+        for batch, by_batch in live:
+            assert set(by_batch) == {batch}, (batch, by_batch)
+            assert by_batch[batch] == manifest["batches"][batch]["generated"]
 
 
 class TestDemoLabelsScore:
