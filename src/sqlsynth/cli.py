@@ -162,7 +162,11 @@ def cmd_subschemas(args) -> int:
 def cmd_gen_mech(args) -> int:
     config = load_config(args.config)
     subs = load_subschemas(args.subschemas)
-    records = list(pipeline.mechanical_batch(config, load_catalog(args.catalog), subs, batch=0))
+    records = [
+        record
+        for made in pipeline.mechanical_batch(config, load_catalog(args.catalog), subs, batch=0)
+        for record in made
+    ]
     save_records(records, args.out)
     print(f"{len(records)} mechanical queries over {len(subs)} subschemas -> {args.out}")
     return 0
@@ -199,12 +203,9 @@ def cmd_validate(args) -> int:
     config = load_config(args.config)
     subschema_by_id = {s.id: s for s in load_subschemas(args.subschemas)}
     records = [record for path in args.records for record in load_records(path)]
-    accounting = pipeline.BatchAccounting(batch=0)
-    kept = pipeline.validate_batch(
-        config, load_catalog(args.catalog), subschema_by_id, records, set(), accounting
+    accounting = pipeline.validate_batch(
+        config, load_catalog(args.catalog), subschema_by_id, records, (args.out, args.kept)
     )
-    save_records(pipeline.not_kept(records, kept), args.out)
-    save_records(kept, args.kept)
     print(
         f"{len(records)} records: {accounting.kept} kept -> {args.kept}, "
         f"{accounting.rejected} rejected and {accounting.dedup_dropped} duplicates -> {args.out}"

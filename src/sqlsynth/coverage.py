@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -145,29 +144,43 @@ class CoverageFold:
         self.facet_mins: dict[str, int] = {}
         self.facet_maxes: dict[str, int] = {}
         self.clause_hits = dict.fromkeys(PRESENCE_CLAUSES, 0)
-        self.table_occurrences: Counter = Counter()
-        self.column_occurrences: Counter = Counter()
-        self.table_hits: Counter = Counter()
-        self.column_hits: Counter = Counter()
+        # name -> references, and name -> profiles referencing it
+        self.table_occurrences: dict[str, int] = {}
+        self.column_occurrences: dict[str, int] = {}
+        self.table_hits: dict[str, int] = {}
+        self.column_hits: dict[str, int] = {}
 
     def add(self, profiles) -> None:
+        sums, squares = self.facet_sums, self.facet_squares
+        mins, maxes, clause_hits = self.facet_mins, self.facet_maxes, self.clause_hits
+        table_occurrences, table_hits = self.table_occurrences, self.table_hits
+        column_occurrences, column_hits = self.column_occurrences, self.column_hits
         for profile in profiles:
             first = self.n == 0
             self.n += 1
-            for facet, value in profile.facet_totals().items():
-                self.facet_sums[facet] += value
-                self.facet_squares[facet] += value * value
-                if first or value < self.facet_mins[facet]:
-                    self.facet_mins[facet] = value
-                if first or value > self.facet_maxes[facet]:
-                    self.facet_maxes[facet] = value
+            values = (  # the facet totals, in FACET_KEYS order
+                profile.join_count,
+                sum(profile.clause_counts.values()),
+                sum(profile.operator_counts.values()),
+                sum(profile.function_counts.values()),
+            )
+            for facet, value in zip(FACET_KEYS, values):
+                sums[facet] += value
+                squares[facet] += value * value
+                if first or value < mins[facet]:
+                    mins[facet] = value
+                if first or value > maxes[facet]:
+                    maxes[facet] = value
+            clauses = profile.clause_counts
             for clause in PRESENCE_CLAUSES:
-                if profile.clause_counts.get(clause, 0) > 0:
-                    self.clause_hits[clause] += 1
-            self.table_occurrences.update(profile.referenced_tables)
-            self.column_occurrences.update(profile.referenced_columns)
-            self.table_hits.update(profile.referenced_tables.keys())
-            self.column_hits.update(profile.referenced_columns.keys())
+                if clauses.get(clause, 0) > 0:
+                    clause_hits[clause] += 1
+            for table, count in profile.referenced_tables.items():
+                table_occurrences[table] = table_occurrences.get(table, 0) + count
+                table_hits[table] = table_hits.get(table, 0) + 1
+            for column, count in profile.referenced_columns.items():
+                column_occurrences[column] = column_occurrences.get(column, 0) + count
+                column_hits[column] = column_hits.get(column, 0) + 1
 
     def merge(self, other: CoverageFold) -> None:
         """Fold in ``other``'s totals, as if its profiles were added here.
@@ -186,10 +199,10 @@ class CoverageFold:
                 self.facet_maxes[facet] = other.facet_maxes[facet]
         for clause in PRESENCE_CLAUSES:
             self.clause_hits[clause] += other.clause_hits[clause]
-        self.table_occurrences.update(other.table_occurrences)
-        self.column_occurrences.update(other.column_occurrences)
-        self.table_hits.update(other.table_hits)
-        self.column_hits.update(other.column_hits)
+        for name in ("table_occurrences", "column_occurrences", "table_hits", "column_hits"):
+            totals = getattr(self, name)
+            for key, count in getattr(other, name).items():
+                totals[key] = totals.get(key, 0) + count
 
     def report(
         self, setting: str, catalog: SchemaCatalog, targets: CoverageTargets | None = None

@@ -21,12 +21,11 @@ no tree of its own: it reads the clause, join and function counts that
 :func:`~sqlsynth.validation.resolve_references` takes in the library's one
 walk over a syntax tree.
 
-Each query is built as a syntax tree only, and its SQL is the text
-:func:`~sqlsynth.sqltree.to_sql` writes of that tree, so the spelling,
-spacing and quoting of mechanical SQL live in :mod:`sqlsynth.sqltree`. Its
-normalized forms, which give the record its id and later its dedup key, are
-printed from the same tree by :func:`~sqlsynth.sqltree.to_forms`, so no
-mechanical candidate is ever scanned. Every record carries the tree as
+Each query is built as a syntax tree only, and one walk of the printer
+:func:`~sqlsynth.sqltree.print_sql` writes its SQL and its normalized forms,
+which give the record its id and later its dedup key. So the spelling,
+spacing and quoting of mechanical SQL live in :mod:`sqlsynth.sqltree`, and
+no mechanical candidate is ever scanned. Every record carries the tree as
 ``tree``, which is what :func:`~sqlsynth.sqltree.parse_select` makes of its
 SQL, so the validator parses no mechanical candidate and nothing tokenizes
 one. A sampled value becomes a literal through
@@ -60,8 +59,7 @@ from .sqltree import (
     TableName,
     literal_node,
     parse_select,
-    to_forms,
-    to_sql,
+    print_sql,
 )
 from .subschema import Subschema
 from .util import derive_seed
@@ -162,9 +160,8 @@ def generate_mechanical(
     records = []
     for _ in range(n):
         tree, tags = _build_query(rng, columns, from_clause, config)
-        record = make_record(
-            to_sql(tree), ORIGIN_MECHANICAL, subschema.id, forms=to_forms(tree)
-        )
+        sql, literal, placeholder = print_sql(tree)
+        record = make_record(sql, ORIGIN_MECHANICAL, subschema.id, forms=(literal, placeholder))
         record.tags = tags
         record.tree = tree
         records.append(record)

@@ -32,17 +32,17 @@ bytes, runtimes apart.
 
 Each candidate is analysed as it arrives, and its row is written once, as
 its batch settles: ``kept.jsonl`` holds the kept ones and ``records.jsonl``
-the rest (:func:`not_kept`). Each batch's rows are appended to the two
+the rest (:func:`settle_chunk`). Each batch's rows are appended to the two
 files under the names ``kept.jsonl.part`` and ``records.jsonl.part``, which
 are moved onto their names when the loop ends and deleted if it raises, so
 a run that fails publishes neither.
 :func:`~sqlsynth.records.make_record` derives each candidate's id from its
 literal normalized form, and the record holds both forms as strings. A
-mechanical candidate holds the syntax tree it was built as: its SQL is the
-text :func:`~sqlsynth.sqltree.to_sql` writes of that tree and its forms are
-what :func:`~sqlsynth.sqltree.to_forms` prints of it, so it is never
-scanned, tokenized or parsed. An LLM candidate, or a
-record read from a file, is scanned once for its forms and parsed once.
+mechanical candidate holds the syntax tree it was built as: one walk of
+:func:`~sqlsynth.sqltree.print_sql` over that tree writes its SQL and
+prints its forms, so it is never scanned, tokenized or parsed. An LLM
+candidate, or a record read from a file, is scanned once for its forms and
+parsed once.
 :func:`mechanical_batch` makes candidates one subschema at a time and
 :class:`PromptRequests` one prompt at a time, and :func:`validate_record`
 analyses each: it takes the record's tree or parses its SQL, resolves the
@@ -68,21 +68,31 @@ does not draw on. With the stub backend or the LLM off there is no wait to
 hide, and forking would only add its cost, so everything runs in the parent
 (:class:`InlineAnalysis`), which analyses each prompt's completions once
 every request is in. Either way the records come back in subschema and
-prompt order, so the outputs are the same. At batch
-end :func:`settle_batch` counts the batch and deduplicates its accepted
-candidates against the set of normalized forms already kept, which it
-extends with the batch's new records only, so no batch re-parses,
-re-normalizes or re-profiles what an earlier batch kept. Mechanical
-candidates carry the clause tags of their construction into the seed pools
-(:class:`~sqlsynth.mechgen.SeedExample`), so seed selection parses nothing.
-One :class:`~sqlsynth.coverage.CoverageFold` per setting label adds each
-batch's newly kept profiles. Only the overall coverage report steers: each
-batch reads it off the merge of those folds, and ``coverage.json``'s
-per-setting reports are read off them once, at the end. So between batches
-the loop holds no record: only the kept corpus's normalized forms, the seed
-pools, the batches' accounting and the folds, and the batch being made is
-the only one in memory. The stages after generation read the kept corpus
-back from ``kept.jsonl``, as ``--resume`` does.
+prompt order, so the outputs are the same.
+
+A batch settles as its candidates arrive, not once it is all made:
+:func:`_overlapped_batch` yields them in candidate order as lists of
+consecutive candidates, each list as soon as it and every candidate before
+it exist, and :func:`settle_batch` settles each list in turn
+(:func:`settle_chunk`). It counts the candidates, deduplicates the accepted
+ones against the set of normalized forms already kept, which it extends
+with the new records only, appends their rows and folds the newly kept
+profiles. So the parent settles its own share of the mechanical queries
+while the analysis child makes the rest, and the child's share and each
+prompt's records while the later requests are in flight; when the batch's
+last candidate arrives, only its own list and the coverage report are left.
+No batch re-parses, re-normalizes or re-profiles what an earlier batch
+kept. Mechanical candidates carry the clause tags of their construction
+into the seed pools (:class:`~sqlsynth.mechgen.SeedExample`), so seed
+selection parses nothing. One :class:`~sqlsynth.coverage.CoverageFold` per
+setting label adds the newly kept profiles. Only the overall coverage
+report steers: each batch reads it off the merge of those folds, and
+``coverage.json``'s per-setting reports are read off them once, at the
+end. So between batches the loop holds no record: only the kept corpus's
+normalized forms, the seed pools, the batches' accounting and the folds,
+and the only records in memory are those of the batch being made that are
+not yet settled. The stages after generation read the kept corpus back
+from ``kept.jsonl``, as ``--resume`` does.
 
 Every file is written and read through the typed codec of
 :mod:`sqlsynth.util`: a row's keys are its dataclass's fields, in
@@ -108,7 +118,7 @@ import signal
 import threading
 import time
 from concurrent.futures import BrokenExecutor, CancelledError, ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -368,19 +378,16 @@ def _generate(config, catalog, subschemas, backend, paths):
     remote = backend is not None and config.llm.backend == "http"
     # the files open once the analysis child is forked, so it inherits neither
     with (ChildAnalysis if remote else InlineAnalysis)(check) as analysis, \
-            _appending(paths["records"], paths["kept"]) as (records_file, kept_file):
+            _appending(paths["records"], paths["kept"]) as files:
         batch = 0
         while True:
             accounting = BatchAccounting(batch=batch)
-            candidates = _overlapped_batch(
+            # closed on any error, so that the batch's queued requests are not sent
+            with closing(_overlapped_batch(
                 config, catalog, subschemas, mech_pools, directives, backend, batch,
                 accounting, analysis,
-            )
-            new_kept = settle_batch(config, candidates, seen_forms, accounting)
-            append_jsonl(records_file, not_kept(candidates, new_kept))
-            append_jsonl(kept_file, new_kept)
-            _fold_by_setting(folds, new_kept)
-            del candidates, new_kept  # the next batch is made without this one
+            )) as chunks:
+                settle_batch(config, chunks, seen_forms, accounting, files, folds)
             batches.append(accounting)
 
             # the overall coverage of the cumulative kept corpus steers the next batch
@@ -439,41 +446,53 @@ def mechanical_batch(
     config, catalog, subschemas, batch: int, analysis=None, first=(), then=None
 ):
     """One batch of mechanical queries, ``mech_per_subschema`` per subschema,
-    in subschema order. Without ``analysis`` the caller makes every query
-    and validates none. Given ``analysis`` (:class:`ChildAnalysis` or
-    :class:`InlineAnalysis`, holding a check), the caller makes and
-    validates the queries of the ``first`` subschemas, each in turn,
-    calling ``then(subschema, records)`` as each is done, then those of the
-    first :data:`PARENT_MECH_SHARE` of the others, while the analysis makes
-    the rest; SqlsynthError names the batch if the analysis child dies."""
+    yielded in subschema order as lists of consecutive records.
+
+    Without ``analysis`` the caller makes every query, one subschema's list
+    at a time, and validates none. Given ``analysis``
+    (:class:`ChildAnalysis` or :class:`InlineAnalysis`, holding a check),
+    the caller makes and validates the queries of the ``first`` subschemas,
+    each in turn, calling ``then(subschema, records)`` as each is done, then
+    those of the first :data:`PARENT_MECH_SHARE` of the others, while the
+    analysis makes the rest. Each list is yielded as soon as its records and
+    every record before them exist: once the caller's share is made, the
+    records of its subschemas up to the first of the analysis's, before it
+    waits for the analysis's share, and the rest when that share is in.
+    SqlsynthError names the batch if the analysis child dies."""
     if config.mech_per_subschema == 0:
         for subschema in first:
             then(subschema, [])
-        return []
+        return
     args = (config.mechanical, config.mech_per_subschema,
             derive_seed(config.seed, "mechanical-batch", batch), batch)
     if analysis is None:
-        return make_mechanical(subschemas, catalog, *args)
+        for subschema in subschemas:
+            yield make_mechanical([subschema], catalog, *args)
+        return
     first_ids = {subschema.id for subschema in first}
     others = [subschema for subschema in subschemas if subschema.id not in first_ids]
     split = math.ceil(PARENT_MECH_SHARE * len(others))
     tail = analysis.submit_mechanical(others[split:], *args)
-    records = []
+    made: dict[str, list[QueryRecord]] = {}  # subschema id -> its records
     for subschema in first:
-        made = make_mechanical([subschema], catalog, *args, analysis.check)
-        then(subschema, made)
-        records += made
-    records += make_mechanical(others[:split], catalog, *args, analysis.check)
+        made[subschema.id] = make_mechanical([subschema], catalog, *args, analysis.check)
+        then(subschema, made[subschema.id])
+    for subschema in others[:split]:
+        made[subschema.id] = make_mechanical([subschema], catalog, *args, analysis.check)
+    # the caller's subschemas up to the analysis's first, then the rest
+    ahead = next((i for i, s in enumerate(subschemas) if s.id not in made), len(subschemas))
+    if ahead:
+        yield [record for subschema in subschemas[:ahead] for record in made[subschema.id]]
     try:
-        records += tail.result()
+        records = tail.result()
     except BrokenExecutor as exc:
         raise SqlsynthError(
             f"mechanical batch {batch}: the analysis process died ({exc})"
         ) from exc
-    by_subschema: dict[str, list[QueryRecord]] = {}
     for record in records:
-        by_subschema.setdefault(record.subschema_id, []).append(record)
-    return [record for subschema in subschemas for record in by_subschema.get(subschema.id, ())]
+        made.setdefault(record.subschema_id, []).append(record)
+    if ahead < len(subschemas):
+        yield [record for subschema in subschemas[ahead:] for record in made[subschema.id]]
 
 
 def make_mechanical(subschemas, catalog, mech, n: int, seed: int, batch: int, check=None):
@@ -535,14 +554,30 @@ def validate_record(record, catalog, subschema_by_id, validators) -> None:
     record.profile = profile_tree(refs)
 
 
-def settle_batch(config, candidates, seen_forms, accounting):
-    """Count one batch of validated candidates into ``accounting`` and
-    deduplicate the accepted ones against ``seen_forms`` (the kept corpus's
-    normalized forms, extended in place). A duplicate loses its profile.
-    Returns the newly kept records."""
-    accounting.generated = len(candidates)
+def settle_batch(config, chunks, seen_forms, accounting, files, folds) -> None:
+    """Settle one batch of validated candidates, which come as ``chunks``,
+    lists of consecutive candidates in candidate order: each chunk as it
+    arrives (:func:`settle_chunk`), so that a batch still being made is
+    settled as far as it exists. The batch's duplicates are counted into
+    ``accounting.rejected_by_reason`` last, after every validator reason."""
+    for chunk in chunks:
+        settle_chunk(config, chunk, seen_forms, accounting, files, folds)
+    if accounting.dedup_dropped:
+        accounting.rejected_by_reason["duplicate"] = accounting.dedup_dropped
+
+
+def settle_chunk(config, chunk, seen_forms, accounting, files, folds) -> None:
+    """Settle consecutive validated candidates of a batch: count them into
+    ``accounting``, deduplicate the accepted ones against ``seen_forms``
+    (the kept corpus's normalized forms, extended in place; a duplicate
+    loses its profile), append the rows of the candidates not kept
+    (rejected or duplicates) to ``files[0]`` and those of the newly kept to
+    ``files[1]``, each in candidate order, and fold the newly kept profiles
+    into ``folds`` (:func:`_fold_by_setting`). So each candidate's row is
+    written once."""
+    accounting.generated += len(chunk)
     accepted: list[QueryRecord] = []
-    for record in candidates:
+    for record in chunk:
         if record.validation.verdict == VERDICT_ACCEPTED:
             accepted.append(record)
         else:
@@ -551,37 +586,30 @@ def settle_batch(config, candidates, seen_forms, accounting):
                 accounting.rejected_by_reason[reason] = (
                     accounting.rejected_by_reason.get(reason, 0) + 1
                 )
-
-    new_kept, dropped = deduplicate(
+    kept, dropped = deduplicate(
         accepted, literal_placeholders=config.validators.literal_placeholder_dedup, seen=seen_forms
     )
-    accounting.kept = len(new_kept)
-    accounting.dedup_dropped = len(dropped)
-    if dropped:
-        accounting.rejected_by_reason["duplicate"] = (
-            accounting.rejected_by_reason.get("duplicate", 0) + len(dropped)
-        )
+    accounting.kept += len(kept)
+    accounting.dedup_dropped += len(dropped)
     for record in dropped:
         record.profile = None  # a duplicate is not part of the corpus
-    return new_kept
+    append_jsonl(files[0], [r for r in chunk if r.validation.verdict != VERDICT_ACCEPTED])
+    append_jsonl(files[1], kept)
+    _fold_by_setting(folds, kept)
 
 
-def not_kept(candidates, kept) -> list[QueryRecord]:
-    """The ``candidates`` not in ``kept`` (rejected or duplicates), in
-    candidate order: the rows of ``records.jsonl``, which with the kept rows
-    make every candidate, each written once."""
-    kept_ids = {id(record) for record in kept}
-    return [record for record in candidates if id(record) not in kept_ids]
-
-
-def validate_batch(config, catalog, subschema_by_id, candidates, seen_forms, accounting):
-    """Validate one batch of candidates (:func:`validate_record`), then
-    settle it (:func:`settle_batch`). Sets ``record.validation`` on every
-    candidate and ``record.profile`` on each newly kept one. Returns the
-    newly kept records."""
+def validate_batch(config, catalog, subschema_by_id, candidates, paths) -> BatchAccounting:
+    """The ``validate`` stage: validate each of ``candidates``
+    (:func:`validate_record`), then settle them as one batch
+    (:func:`settle_batch`), writing the rows of those not kept to
+    ``paths[0]`` and of the kept ones to ``paths[1]``. Returns the batch's
+    accounting."""
     for record in candidates:
         validate_record(record, catalog, subschema_by_id, config.validators)
-    return settle_batch(config, candidates, seen_forms, accounting)
+    accounting = BatchAccounting(batch=0)
+    with _appending(*map(Path, paths)) as files:
+        settle_batch(config, [candidates], set(), accounting, files, {})
+    return accounting
 
 
 def analyse_completions(completions, draft: dict, check=None) -> list[QueryRecord]:
@@ -734,10 +762,16 @@ def _overlapped_batch(
     :class:`InlineAnalysis`): :func:`mechanical_batch` makes the subschemas
     the batch prompts for first, none without a backend, and each one's
     prompts are sent as soon as its seed pool is filled, so the requests
-    are in flight while the rest of the batch is made. The records,
-    mechanical in subschema order then LLM in prompt order, and the seed
-    pools are those of :func:`mechanical_batch` followed by
-    :func:`_llm_batch`."""
+    are in flight while the rest of the batch is made.
+
+    Yields the batch's validated candidates in candidate order, mechanical
+    in subschema order then LLM in prompt order, as lists of consecutive
+    candidates, each list as soon as its candidates and every one before
+    them exist: the parent's own subschemas before it waits for the
+    analysis's share, that share when it is in, and each prompt's records
+    as its request and their analysis end. So the caller settles the batch
+    while the rest of it is made. The candidates and the seed pools are
+    those of :func:`mechanical_batch` followed by :func:`_llm_batch`."""
     prompted = []
     if backend is not None:
         prompted = _choose_subschemas(config, subschemas, directives, batch)
@@ -748,11 +782,12 @@ def _overlapped_batch(
         requests.send(subschema, mech_pools.get(subschema.id, []))
 
     with PromptRequests(config, catalog, directives, backend, batch, analysis) as requests:
-        candidates = mechanical_batch(
+        for records in mechanical_batch(
             config, catalog, subschemas, batch, analysis, first=prompted, then=send
-        )
-        _add_seeds(mech_pools, (r for r in candidates if r.subschema_id not in prompted_ids))
-        return candidates + list(requests.records(accounting))
+        ):
+            _add_seeds(mech_pools, (r for r in records if r.subschema_id not in prompted_ids))
+            yield records
+        yield from requests.records(accounting)
 
 
 def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, batch, accounting):
@@ -764,7 +799,8 @@ def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, bat
     with PromptRequests(config, catalog, directives, backend, batch, InlineAnalysis()) as requests:
         for subschema in _choose_subschemas(config, subschemas, directives, batch):
             requests.send(subschema, mech_pools.get(subschema.id, []))
-        yield from requests.records(accounting)
+        for records in requests.records(accounting):
+            yield from records
 
 
 class PromptRequests:
@@ -842,9 +878,10 @@ class PromptRequests:
             raise
 
     def records(self, accounting):
-        """Yield the records of each prompt's completions, in prompt order,
-        counting the calls and failures into ``accounting``. SqlsynthError
-        names the batch if the analysis child dies."""
+        """Yield the list of records of each prompt's completions, in prompt
+        order, as soon as the prompt's request and analysis end, counting
+        the calls and failures into ``accounting``. SqlsynthError names the
+        batch if the analysis child dies."""
         try:
             for subschema, setting, request in self._sent:
                 accounting.llm_calls += 1
@@ -855,7 +892,7 @@ class PromptRequests:
                         "backend failure for %s on %s: %s", setting.label, subschema.id, outcome
                     )
                     continue
-                yield from outcome.result()
+                yield outcome.result()
         except BrokenExecutor as exc:
             raise SqlsynthError(
                 f"LLM batch {self.batch}: the analysis process died ({exc})"

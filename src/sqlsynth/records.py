@@ -13,7 +13,7 @@ with a missing or mistyped field fails to load.
 is the hash of the literal form, and the record holds both strings as
 ``forms`` until the pipeline's validator has taken the dedup key from them
 and dropped them. A mechanical query's forms are printed from its syntax
-tree (:func:`~sqlsynth.sqltree.to_forms`), so it is never scanned; an LLM
+tree (:func:`~sqlsynth.sqltree.print_sql`), so it is never scanned; an LLM
 query's come from one scan (:func:`~sqlsynth.sqltree.normalized_forms`). A
 mechanical record also carries the clauses its generator used as ``tags``,
 which go with it into a seed pool, and the syntax tree it was built as,

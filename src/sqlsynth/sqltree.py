@@ -16,16 +16,16 @@ parse: :func:`parse_select` (and the DDL reader) tokenize the text they are
 given and drop the list when they return. :func:`normalized_forms` scans a
 candidate once for its two canonical forms, the literal form its record id
 hashes and the placeholder form that is its dedup key, and builds no token.
-A mechanical candidate is built as a tree: its SQL is the text :func:`to_sql`
-writes of it, and its two forms are what :func:`to_forms` prints of the same
-tree, so it is never scanned, tokenized or parsed. An LLM candidate is
-scanned once and parsed at most once. :func:`to_sql` is this module's one
-writer of SQL surface syntax; every name it writes goes through
-:func:`sql_name`.
+A mechanical candidate is built as a tree, and one walk of the printer,
+:func:`print_sql`, writes its SQL and prints its two forms, so it is never
+scanned, tokenized or parsed. An LLM candidate is scanned once and parsed at
+most once. :func:`print_sql` is this module's one writer of SQL surface
+syntax (:func:`to_sql` and :func:`to_forms` are views of it); every name it
+writes goes through :func:`sql_name`.
 
 This module offers no generic tree walk. Besides the parser that builds a
-tree and the printers :func:`to_sql` and :func:`to_forms`, the one walk
-over a tree is the reference resolver,
+tree and the printer :func:`print_sql`, the one walk over a tree is the
+reference resolver,
 :func:`~sqlsynth.validation.resolve_references`, which visits each node once
 and counts the shape that coverage profiles and clause tags read.
 """
@@ -935,132 +935,142 @@ def literal_node(text: str) -> Node | None:
 
 
 def to_sql(node: Node) -> str:
-    """SQL text that :func:`parse_select` reads back as ``node``, for the
-    node kinds the mechanical generator builds and the fields it sets.
-
-    Keywords and function names are upper case, names go through
-    :func:`sql_name` and literals are written as their text. AND and OR get
-    no parentheses: the tree must nest them as the parser does (left-deep,
-    OR over runs of AND). Any other node kind raises TypeError.
-    """
-    kind = type(node)
-    if kind is ColumnRef:
-        return f"{sql_name(node.table)}.{sql_name(node.name)}"
-    if kind is Literal:
-        return node.text
-    if kind is Binary:
-        return f"{to_sql(node.left)} {node.op.upper()} {to_sql(node.right)}"
-    if kind is FuncCall:
-        args = "*" if node.star else ", ".join(map(to_sql, node.args))
-        return f"{node.name.upper()}({args})"
-    if kind is Between:
-        return f"{to_sql(node.expr)} BETWEEN {to_sql(node.low)} AND {to_sql(node.high)}"
-    if kind is InList:
-        return f"{to_sql(node.expr)} IN ({', '.join(map(to_sql, node.items))})"
-    if kind is Like:
-        return f"{to_sql(node.expr)} LIKE {to_sql(node.pattern)}"
-    if kind is IsNull:
-        return f"{to_sql(node.expr)} IS {'NOT NULL' if node.negated else 'NULL'}"
-    if kind is Unary and node.op == "-":
-        return f"-{to_sql(node.operand)}"
-    if kind is TableName:
-        return sql_name(node.name)
-    if kind is Join and node.kind == "inner":
-        return f"{to_sql(node.left)} INNER JOIN {to_sql(node.right)} ON {to_sql(node.condition)}"
-    if kind is Query and type(node.body) is SelectCore:
-        core = node.body
-        sql = f"SELECT {', '.join(to_sql(item.expr) for item in core.items)}"
-        sql += f" FROM {', '.join(map(to_sql, core.from_refs))}"
-        if core.where is not None:
-            sql += f" WHERE {to_sql(core.where)}"
-        if core.group_by:
-            sql += f" GROUP BY {', '.join(map(to_sql, core.group_by))}"
-        if core.having is not None:
-            sql += f" HAVING {to_sql(core.having)}"
-        if node.order_by:
-            items = (
-                to_sql(item.expr) + (" DESC" if item.direction == "desc" else "")
-                for item in node.order_by
-            )
-            sql += f" ORDER BY {', '.join(items)}"
-        return sql
-    raise TypeError(f"to_sql does not print {kind.__name__} nodes")
+    """SQL text that :func:`parse_select` reads back as ``node``: the text
+    :func:`print_sql` prints."""
+    return print_sql(node)[0]
 
 
 def to_forms(node: Node) -> tuple[str, str]:
-    """The two :func:`normalized_forms` of ``to_sql(node)``, printed from the
-    tree without writing or scanning that text: the literal form and the
-    placeholder form.
+    """The two :func:`normalized_forms` of ``to_sql(node)``, the literal
+    form and the placeholder form: the forms :func:`print_sql` prints."""
+    return print_sql(node)[1:]
 
-    It prints the node kinds :func:`to_sql` prints, each token as the word
+
+def print_sql(node: Node) -> tuple[str, str, str]:
+    """``node`` printed in one walk: SQL text that :func:`parse_select` reads
+    back as ``node``, then the two :func:`normalized_forms` of that text,
+    the literal form and the placeholder form, printed without scanning it.
+    For the node kinds the mechanical generator builds and the fields it
+    sets.
+
+    In the text, keywords and function names are upper case, names go
+    through :func:`sql_name` and literals are written as their text. AND
+    and OR get no parentheses: the tree must nest them as the parser does
+    (left-deep, OR over runs of AND). The forms hold each token as the word
     the scan would make of it: keywords, operators and function names lower
     case, tokens one space apart. A name's word is ``name.lower()``: what
     the scan makes of ``sql_name(name)``, bare or double-quoted alike (see
     :func:`_unquote`). Number, string, TRUE/FALSE and NULL literals are
     printed; any other node kind, or literal kind, raises TypeError.
     """
-    return _form(node, False), _form(node, True)
-
-
-def _form(node: Node, placeholders: bool) -> str:
-    """One of :func:`to_forms`, the placeholder form when ``placeholders``."""
     kind = type(node)
     if kind is ColumnRef:
-        return f"{node.table.lower()} . {node.name.lower()}"
+        form = f"{node.table.lower()} . {node.name.lower()}"
+        return f"{sql_name(node.table)}.{sql_name(node.name)}", form, form
     if kind is Literal:
+        text = node.text
         if node.kind == "number":
-            return ":num" if placeholders else node.text.lower()
+            return text, text.lower(), ":num"
         if node.kind == "string":
-            return ":str" if placeholders else node.text
+            return text, text, ":str"
         if node.kind in ("boolean", "null"):
-            return node.text.lower()
-        raise TypeError(f"to_forms does not print {node.kind} literals")
+            word = text.lower()
+            return text, word, word
+        raise TypeError(f"print_sql does not print {node.kind} literals")
     if kind is Binary:
-        left, right = _form(node.left, placeholders), _form(node.right, placeholders)
-        return f"{left} {node.op.lower()} {right}"
-    if kind is FuncCall:
-        args = "*" if node.star else " , ".join([_form(arg, placeholders) for arg in node.args])
-        return f"{node.name.lower()} ( {args} )"
-    if kind is Between:
+        left, right = print_sql(node.left), print_sql(node.right)
+        op = node.op.lower()
         return (
-            f"{_form(node.expr, placeholders)} between {_form(node.low, placeholders)}"
-            f" and {_form(node.high, placeholders)}"
+            f"{left[0]} {op.upper()} {right[0]}",
+            f"{left[1]} {op} {right[1]}",
+            f"{left[2]} {op} {right[2]}",
+        )
+    if kind is FuncCall:
+        name = node.name.lower()
+        args = ("*", "*", "*") if node.star else _print_list(node.args)
+        return (
+            f"{name.upper()}({args[0]})",
+            f"{name} ( {args[1]} )",
+            f"{name} ( {args[2]} )",
+        )
+    if kind is Between:
+        expr, low, high = print_sql(node.expr), print_sql(node.low), print_sql(node.high)
+        return (
+            f"{expr[0]} BETWEEN {low[0]} AND {high[0]}",
+            f"{expr[1]} between {low[1]} and {high[1]}",
+            f"{expr[2]} between {low[2]} and {high[2]}",
         )
     if kind is InList:
-        items = " , ".join([_form(item, placeholders) for item in node.items])
-        return f"{_form(node.expr, placeholders)} in ( {items} )"
-    if kind is Like:
-        return f"{_form(node.expr, placeholders)} like {_form(node.pattern, placeholders)}"
-    if kind is IsNull:
-        return f"{_form(node.expr, placeholders)} is {'not null' if node.negated else 'null'}"
-    if kind is Unary and node.op == "-":
-        return f"- {_form(node.operand, placeholders)}"
-    if kind is TableName:
-        return node.name.lower()
-    if kind is Join and node.kind == "inner":
+        expr, items = print_sql(node.expr), _print_list(node.items)
         return (
-            f"{_form(node.left, placeholders)} inner join {_form(node.right, placeholders)}"
-            f" on {_form(node.condition, placeholders)}"
+            f"{expr[0]} IN ({items[0]})",
+            f"{expr[1]} in ( {items[1]} )",
+            f"{expr[2]} in ( {items[2]} )",
+        )
+    if kind is Like:
+        expr, pattern = print_sql(node.expr), print_sql(node.pattern)
+        return (
+            f"{expr[0]} LIKE {pattern[0]}",
+            f"{expr[1]} like {pattern[1]}",
+            f"{expr[2]} like {pattern[2]}",
+        )
+    if kind is IsNull:
+        sql, literal, placeholder = print_sql(node.expr)
+        test = "not null" if node.negated else "null"
+        return f"{sql} IS {test.upper()}", f"{literal} is {test}", f"{placeholder} is {test}"
+    if kind is Unary and node.op == "-":
+        sql, literal, placeholder = print_sql(node.operand)
+        return f"-{sql}", f"- {literal}", f"- {placeholder}"
+    if kind is TableName:
+        word = node.name.lower()
+        return sql_name(node.name), word, word
+    if kind is Join and node.kind == "inner":
+        left, right, on = print_sql(node.left), print_sql(node.right), print_sql(node.condition)
+        return (
+            f"{left[0]} INNER JOIN {right[0]} ON {on[0]}",
+            f"{left[1]} inner join {right[1]} on {on[1]}",
+            f"{left[2]} inner join {right[2]} on {on[2]}",
         )
     if kind is Query and type(node.body) is SelectCore:
         core = node.body
-        items = " , ".join([_form(item.expr, placeholders) for item in core.items])
-        refs = " , ".join([_form(ref, placeholders) for ref in core.from_refs])
-        text = f"select {items} from {refs}"
+        clauses = [
+            ("select", _print_list([item.expr for item in core.items])),
+            ("from", _print_list(core.from_refs)),
+        ]
         if core.where is not None:
-            text += f" where {_form(core.where, placeholders)}"
+            clauses.append(("where", print_sql(core.where)))
         if core.group_by:
-            text += f" group by {' , '.join([_form(e, placeholders) for e in core.group_by])}"
+            clauses.append(("group by", _print_list(core.group_by)))
         if core.having is not None:
-            text += f" having {_form(core.having, placeholders)}"
+            clauses.append(("having", print_sql(core.having)))
         if node.order_by:
-            terms = " , ".join([
-                _form(item.expr, placeholders) + (" desc" if item.direction == "desc" else "")
-                for item in node.order_by
-            ])
-            text += f" order by {terms}"
-        return text
-    raise TypeError(f"to_forms does not print {kind.__name__} nodes")
+            terms = []
+            for item in node.order_by:
+                sql, literal, placeholder = print_sql(item.expr)
+                if item.direction == "desc":
+                    sql += " DESC"
+                    literal += " desc"
+                    placeholder += " desc"
+                terms.append((sql, literal, placeholder))
+            clauses.append(("order by", _joined(terms)))
+        return (
+            " ".join([f"{keyword.upper()} {printed[0]}" for keyword, printed in clauses]),
+            " ".join([f"{keyword} {printed[1]}" for keyword, printed in clauses]),
+            " ".join([f"{keyword} {printed[2]}" for keyword, printed in clauses]),
+        )
+    raise TypeError(f"print_sql does not print {kind.__name__} nodes")
+
+
+def _print_list(nodes) -> tuple[str, str, str]:
+    """``nodes`` printed by :func:`print_sql` as a comma-separated list."""
+    return _joined([print_sql(node) for node in nodes])
+
+
+def _joined(printed) -> tuple[str, str, str]:
+    """Printed nodes, (text, literal form, placeholder form) each, joined
+    as a comma-separated list."""
+    sqls, literals, placeholders = zip(*printed) if printed else ((), (), ())
+    return ", ".join(sqls), " , ".join(literals), " , ".join(placeholders)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ columns, enumerated columns filtered only with their known literals, and,
 when a subschema is given, no references outside its tables.
 
 The resolver is the library's one walk over a syntax tree (apart from the
-parser that builds it and :func:`~sqlsynth.sqltree.to_sql` that prints it).
+parser that builds it and :func:`~sqlsynth.sqltree.print_sql` that prints it).
 It visits every node once and, as it goes, counts the query's shape:
 SELECT cores, joins, clauses, operators and function calls. So one
 :class:`ResolvedReferences` holds the verdict, the reference multisets and

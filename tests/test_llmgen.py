@@ -32,7 +32,7 @@ from sqlsynth.llmgen import (
     generate_llm,
     prompt_hash,
 )
-from sqlsynth.mechgen import SeedExample
+from sqlsynth.mechgen import MechConfig, SeedExample
 from sqlsynth.pipeline import ChildAnalysis, InlineAnalysis, run_pipeline
 from sqlsynth.records import load_records
 from sqlsynth.subschema import build_join_graph, enumerate_subschemas
@@ -628,10 +628,16 @@ class TestAnalysisChild:
 
     @pytest.mark.parametrize("batch", [0, 1], ids=["batch0", "batch1"])
     def test_interrupt_mid_batch(self, tmp_path, monkeypatch, batch):
-        # in batch 1 the interrupt comes after batch 0's rows were appended
+        # in batch 1 the interrupt comes after batch 0's rows were appended.
+        # Rows are appended as a batch settles, from the parent's share of
+        # its mechanical queries on, so in batch 0 the parent starts its
+        # share once the interrupt has come, after its prompted subschemas
         config = _steered_http_config()
-        earlier = batch * config.subschema.llm_sample_count * len(config.llm.settings)
+        prompted = config.subschema.llm_sample_count
+        earlier = batch * prompted * len(config.llm.settings)
         append_jsonl, appended, appended_at_interrupt = pipeline_mod.append_jsonl, [], []
+        parent, generate, made = os.getpid(), pipeline_mod.generate_mechanical, []
+        interrupted = threading.Event()
 
         def counted(fh, rows):
             rows = list(rows)
@@ -640,9 +646,18 @@ class TestAnalysisChild:
 
         def interrupt():
             appended_at_interrupt.append(sum(appended))
+            interrupted.set()
             raise KeyboardInterrupt
 
+        def share_after_interrupt(*args, **kwargs):
+            if os.getpid() == parent:
+                made.append(args[0].id)
+                if batch == 0 and len(made) == prompted + 1:
+                    assert interrupted.wait(10)
+            return generate(*args, **kwargs)
+
         monkeypatch.setattr(pipeline_mod, "append_jsonl", counted)
+        monkeypatch.setattr(pipeline_mod, "generate_mechanical", share_after_interrupt)
         backend = ScriptedBackend(at=earlier + 2, act=interrupt, latency=0.05)
         with pytest.raises(KeyboardInterrupt):
             self._run(tmp_path, monkeypatch, backend)
@@ -660,9 +675,8 @@ class TestAnalysisChild:
         mechanical_batch = pipeline_mod.mechanical_batch
 
         def signalled(*args, **kwargs):
-            records = mechanical_batch(*args, **kwargs)
+            yield from mechanical_batch(*args, **kwargs)
             mechanical_done.set()
-            return records
 
         def kill_child():
             assert mechanical_done.wait(10)
@@ -805,6 +819,117 @@ class TestAnalysisChild:
         ]) == 0
         records = load_records(llm)
         assert records and all(record.validation is None for record in records)
+
+
+SETTLED_FILES = ("kept.jsonl", "records.jsonl", "coverage.json",
+                 "coverage_facets.csv", "coverage_clauses.csv", "manifest.json")
+
+
+def _settled_whole(overlapped_batch):
+    """``_overlapped_batch`` as one chunk: the batch settles once it is all made."""
+    def whole(*args, **kwargs):
+        yield [record for chunk in overlapped_batch(*args, **kwargs) for record in chunk]
+    return whole
+
+
+class TestStreamedSettle:
+    """Each batch settles chunk by chunk as its candidates arrive, and writes
+    what settling the whole batch at once writes."""
+
+    @pytest.mark.parametrize("path", ["http", "stub", "llm_off"])
+    def test_streamed_settle_writes_what_a_whole_batch_settle_writes(
+        self, tmp_path, monkeypatch, path
+    ):
+        server_module = _completion_server_module(monkeypatch)
+        config = _steered_http_config()
+        if path == "stub":
+            config = load_config(REPO_ROOT / "data" / "demo" / "demo.toml")
+            config.execution.enabled = False
+        if path == "llm_off":
+            config.llm.enabled = False
+            # one projected column and few filters: duplicates within a batch
+            config.mechanical = MechConfig(
+                p_where=0.3, p_group_by=0.0, p_having=0.0, p_order_by=0.0, p_aggregate=0.0,
+                projection_count_range=(1, 1),
+            )
+        validate_record = pipeline_mod.validate_record
+
+        def also_rejecting(record, *check):
+            # a second validator, in the analysis child too: it rejects the
+            # accepted candidates whose id ends in 0, under one of 16 reasons
+            # by the digit before, so that reasons first appear all through
+            # a batch, among its duplicates
+            validate_record(record, *check)
+            if record.validation.verdict == "accepted" and record.id[-1] == "0":
+                record.validation.verdict = "rejected"
+                record.validation.rejection_reasons = [f"ends_in_{record.id[-2:]}"]
+                record.profile = None
+
+        monkeypatch.setattr(pipeline_mod, "validate_record", also_rejecting)
+        overlapped_batch = pipeline_mod._overlapped_batch
+        with server_module.CompletionServer(seed=6) as server:
+            config.llm.url = server.url
+            for run in ("streamed", "whole"):
+                monkeypatch.setattr(pipeline_mod, "_overlapped_batch", overlapped_batch
+                                    if run == "streamed" else _settled_whole(overlapped_batch))
+                config.out_dir = str(tmp_path / run)
+                run_pipeline(config)
+                server.reset()  # each run meets every prompt afresh
+        out = tmp_path / "streamed"
+        for name in SETTLED_FILES:
+            got, whole = out / name, tmp_path / "whole" / name
+            if name == "manifest.json":
+                assert _without_url(got) == _without_url(whole)
+            else:
+                assert got.read_bytes() == whole.read_bytes(), name
+        # some batch's first duplicate comes before a reason first seen
+        # later in the batch, and the duplicates are still counted last
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert all(list(b["rejected_by_reason"])[-1] == "duplicate"
+                   for b in manifest["batches"] if b["dedup_dropped"])
+        first_seen = {}  # (batch, reason) -> row in the batch, in candidate order
+        for row, record in enumerate(load_records(out / "records.jsonl")):
+            for reason in record.validation.rejection_reasons:
+                first_seen.setdefault((record.batch, reason), row)
+        assert any(
+            first_seen[batch, "duplicate"] < row
+            for (batch, reason), row in first_seen.items()
+            if reason != "duplicate" and (batch, "duplicate") in first_seen
+        )
+
+    def test_rows_reach_disk_before_the_childs_share_returns(self, tmp_path, monkeypatch):
+        # the child makes its share of batch 0 only once a kept row of the
+        # batch is in kept.jsonl.part: the parent settles its own share first
+        config = _steered_http_config()
+        out = tmp_path / "out"
+        config.out_dir = str(out)
+        config.llm.url = "http://127.0.0.1:9/v1/completions"  # never contacted
+        settled = multiprocessing.get_context("fork").Event()
+        parent, append_jsonl = os.getpid(), pipeline_mod.append_jsonl
+        make_mechanical = pipeline_mod.make_mechanical
+
+        def signalled(fh, rows):
+            rows = list(rows)
+            append_jsonl(fh, rows)
+            if rows and fh.name.endswith("kept.jsonl.part") and not settled.is_set():
+                fh.flush()
+                settled.set()
+
+        def waits_in_child(*args):
+            if os.getpid() != parent:
+                assert settled.wait(10), "no kept row before the child's share"
+                rows = (out / "kept.jsonl.part").read_text(encoding="utf-8").splitlines()
+                assert len(rows) > 1  # the header and a row
+            return make_mechanical(*args)
+
+        monkeypatch.setattr(pipeline_mod, "append_jsonl", signalled)
+        monkeypatch.setattr(pipeline_mod, "make_mechanical", waits_in_child)
+        monkeypatch.setattr(pipeline_mod, "make_backend",
+                            lambda config: ScriptedBackend(at=0, act=None))
+        manifest = run_pipeline(config)
+        assert settled.is_set()
+        assert manifest["counts"]["batches"] == 3
+        assert multiprocessing.active_children() == []
 
 
 class TestExtractSql:

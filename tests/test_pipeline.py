@@ -665,31 +665,37 @@ class TestIncrementalAnalysis:
 
 class TestStreamedBatches:
     def test_run_holds_one_batch_at_a_time(self, tmp_path, monkeypatch):
-        # when batch k settles, every record made during the run is one of
-        # batch k's: the earlier batches' rows are on disk, not in memory
+        # while batch k settles, chunk by chunk, every record made during the
+        # run and alive is one of batch k's: the earlier batches' rows are on
+        # disk, not in memory
         config = demo_config(tmp_path / "out")
         config.loop_limit = 4
         config.coverage.min_clause_freq = 0.99  # the gaps stay open: every batch runs
         gc.collect()
         earlier = [o for o in gc.get_objects() if isinstance(o, QueryRecord)]
         earlier_ids = {id(o) for o in earlier}
-        settle_batch, live = pipeline_mod.settle_batch, []
+        settle_chunk, live = pipeline_mod.settle_chunk, []
 
-        def counted(config, candidates, seen_forms, accounting):
+        def counted(config, chunk, seen_forms, accounting, files, folds):
             gc.collect()
-            live.append((accounting.batch, Counter(
+            live.append((accounting.batch, len(chunk), Counter(
                 o.batch for o in gc.get_objects()
                 if isinstance(o, QueryRecord) and id(o) not in earlier_ids
             )))
-            return settle_batch(config, candidates, seen_forms, accounting)
+            return settle_chunk(config, chunk, seen_forms, accounting, files, folds)
 
-        monkeypatch.setattr(pipeline_mod, "settle_batch", counted)
+        monkeypatch.setattr(pipeline_mod, "settle_chunk", counted)
         manifest = run_pipeline(config)
         assert manifest["counts"]["batches"] == 5
-        assert [batch for batch, _ in live] == [0, 1, 2, 3, 4]
-        for batch, by_batch in live:
+        assert sorted({batch for batch, _, _ in live}) == [0, 1, 2, 3, 4]
+        assert [batch for batch, _, _ in live] == sorted(batch for batch, _, _ in live)
+        for batch, _, by_batch in live:
             assert set(by_batch) == {batch}, (batch, by_batch)
-            assert by_batch[batch] == manifest["batches"][batch]["generated"]
+        for batch in range(5):
+            sizes = [size for settled, size, _ in live if settled == batch]
+            # each batch settles in more than one chunk, and every candidate once
+            assert len(sizes) > 1
+            assert sum(sizes) == manifest["batches"][batch]["generated"]
 
 
 class TestDemoLabelsScore:
