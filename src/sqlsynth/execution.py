@@ -21,17 +21,33 @@ two engine threads, and 6.2-6.8 s per engine with two engine processes. So
 engines that share a process inflate each other's labels by about 1.5x;
 engines in their own processes keep labels uncontended while the engines
 run in parallel.
+
+:func:`restrict_dataset` loads the dataset into a SQLite engine. When a run
+has several SQLite engines, they load it once between them
+(:func:`split_load`): each bulk-loads a share of whole tables, saves its
+database to a part file, waits for every peer to save theirs, then copies
+the peers' tables from their part files. So every row is parsed and
+inserted once, and the engines' processes load different tables at once.
+Two in-memory engines on a 2-core host, loading a 100x TPC-H-style
+dataset (106,718 rows), took a median 0.66 s of wall time when each loaded
+every row, and 0.40 s split: one engine loaded ``lineitem`` (median
+0.32 s) while the other loaded the other seven tables (0.19 s), and saving
+a part took 28 ms and copying a peer's tables 37 ms. The copies hold the
+same schema and the same rows, by rowid, as a direct load.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 import select
 import subprocess
 import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .engine import data_file
 from .errors import EngineConnectionError, LoadError
 from .schema import SchemaCatalog, render_create_statements
 
@@ -227,6 +243,16 @@ class SqliteSession:
         order; returns the loaded count."""
         return self._setup("load", table, str(data_dir), columns, cap)
 
+    def save(self, path) -> None:
+        """Have the engine write its database to the new file ``path``."""
+        self._setup("save", str(path))
+
+    def copy_tables(self, path, tables) -> dict[str, int]:
+        """Have the engine copy every row of ``tables`` from the database
+        file ``path`` into its own empty tables of the same names, in one
+        transaction; returns rows per table."""
+        return self._setup("copy", str(path), list(tables))
+
     def close(self):
         """Close the engine's input and reap the process; idempotent."""
         try:
@@ -308,26 +334,94 @@ def execute_batch(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class LoadShare:
+    """One engine's part in a dataset load split across engines
+    (:func:`split_load`): it bulk-loads ``tables``, saves its database to
+    ``part``, waits at ``rendezvous`` until every peer has saved its own,
+    then copies each peer's tables from the peer's part file (``peers``:
+    part file and tables, one pair per peer that loads any). An engine that
+    fails before it has saved must abort the rendezvous, so that no peer
+    waits for it."""
+
+    tables: tuple[str, ...]
+    part: Path
+    peers: tuple[tuple[Path, tuple[str, ...]], ...]
+    rendezvous: threading.Barrier
+
+
+def split_load(catalog: SchemaCatalog, data_dir, part_dir, engines: int) -> list[LoadShare]:
+    """Share loading the catalog's tables among ``engines`` engines, whole
+    tables each: the largest data file first, each to the engine with the
+    fewest bytes so far (the first such engine on a tie). Engine ``i``
+    saves its part to ``part_dir/part<i>.db``. Returns each engine's
+    share, in engine order; every engine loads with its own thread."""
+    sizes = {}
+    for table in catalog.tables:
+        path = data_file(str(data_dir), table.name)
+        sizes[table.name] = 0 if path is None else os.path.getsize(path)
+    loaded = [0] * engines
+    owner = {}
+    for name in sorted(sizes, key=lambda name: -sizes[name]):  # stable: catalog order on ties
+        owner[name] = loaded.index(min(loaded))
+        loaded[owner[name]] += sizes[name]
+    owned = [tuple(name for name in sizes if owner[name] == i) for i in range(engines)]
+    parts = [Path(part_dir) / f"part{i}.db" for i in range(engines)]
+    rendezvous = threading.Barrier(engines)
+    return [
+        LoadShare(
+            owned[i],
+            parts[i],
+            tuple((parts[j], owned[j]) for j in range(engines) if j != i and owned[j]),
+            rendezvous,
+        )
+        for i in range(engines)
+    ]
+
+
 def restrict_dataset(
     catalog: SchemaCatalog,
     data_dir: str | Path,
     session,
     max_rows_per_table: int,
+    share: LoadShare | None = None,
 ) -> dict[str, int]:
     """Create the catalog's tables in the SQLite ``session`` and load at
     most ``max_rows_per_table`` rows per table from ``<table>.tbl`` (pipe
     delimited) or ``<table>.csv`` files (whose header names the table's
     columns in order); returns loaded counts. The engine process reads the
-    files itself."""
-    if max_rows_per_table < 1:
-        raise LoadError(f"max_rows_per_table must be >= 1, got {max_rows_per_table}")
-    session.executescript("\n".join(render_create_statements(catalog)))
-    return {
-        table.name: session.load_table(
-            table.name, data_dir, table.column_names(), max_rows_per_table
-        )
-        for table in catalog.tables
-    }
+    files itself.
+
+    Given a ``share``, the engine bulk-loads only the share's tables and
+    copies the rest from its peers' part files once every peer has saved
+    one (:class:`LoadShare`). A peer that fails first ends the wait with
+    ``threading.BrokenBarrierError``: the peer's own error says why. The
+    counts are those of every table either way."""
+    try:
+        if max_rows_per_table < 1:
+            raise LoadError(f"max_rows_per_table must be >= 1, got {max_rows_per_table}")
+        session.executescript("\n".join(render_create_statements(catalog)))
+        own = catalog.tables if share is None else [
+            table for table in catalog.tables if table.name in share.tables
+        ]
+        counts = {
+            table.name: session.load_table(
+                table.name, data_dir, table.column_names(), max_rows_per_table
+            )
+            for table in own
+        }
+        if share is None:
+            return counts
+        if share.tables:
+            session.save(share.part)
+        share.rendezvous.wait()
+    except BaseException:
+        if share is not None:
+            share.rendezvous.abort()  # no peer waits for a part that will not come
+        raise
+    for part, tables in share.peers:
+        counts.update(session.copy_tables(part, tables))
+    return {table.name: counts[table.name] for table in catalog.tables}
 
 
 def runtime_bucket_rows(records) -> list[dict]:

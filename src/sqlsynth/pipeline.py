@@ -122,6 +122,7 @@ from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from tempfile import TemporaryDirectory
 
 from .config import PipelineConfig, config_snapshot
 from .coverage import (
@@ -135,7 +136,7 @@ from .coverage import (
     write_csv,
 )
 from .errors import BackendError, SqlsynthError
-from .execution import apply_retention, connect, execute_batch, restrict_dataset
+from .execution import apply_retention, connect, execute_batch, restrict_dataset, split_load
 from .llmgen import (
     HttpBackend,
     PromptSetting,
@@ -982,13 +983,24 @@ def write_coverage(reports, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_engine(config, catalog, kept_records, engine):
-    """One engine worker: load data when configured, run the batch serially."""
-    session = connect(engine)
+def _loads_dataset(config, engine) -> bool:
+    return engine.driver == "sqlite" and bool(config.execution.data_dir)
+
+
+def _run_engine(config, catalog, kept_records, engine, share=None):
+    """One engine worker: load data when configured, run the batch serially.
+    ``share`` is the engine's part of a load split across engines."""
     try:
-        if engine.driver == "sqlite" and config.execution.data_dir:
+        session = connect(engine)
+    except BaseException:
+        if share is not None:
+            share.rendezvous.abort()  # its peers must not wait for its part
+        raise
+    try:
+        if _loads_dataset(config, engine):
+            execution = config.execution
             restrict_dataset(
-                catalog, config.execution.data_dir, session, config.execution.max_rows_per_table
+                catalog, execution.data_dir, session, execution.max_rows_per_table, share
             )
         return execute_batch(
             kept_records, engine, timeout_ms=config.execution.timeout_ms, session=session
@@ -999,11 +1011,31 @@ def _run_engine(config, catalog, kept_records, engine):
 
 def _execute(config, catalog, kept_records):
     engines = list(config.execution.engines)
-    # one serial worker per engine, engines in parallel; results merged in
-    # config order so the labeled output stays byte-stable
-    with ThreadPoolExecutor(max_workers=max(1, len(engines))) as pool:
-        futures = [pool.submit(_run_engine, config, catalog, kept_records, e) for e in engines]
-        per_engine = [future.result() for future in futures]
+    loading = [i for i, engine in enumerate(engines) if _loads_dataset(config, engine)]
+    shares = [None] * len(engines)
+    with ExitStack() as stack:
+        if len(loading) > 1:
+            # the SQLite engines load the dataset once between them, through
+            # part files that last as long as the stage
+            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+            part_dir = stack.enter_context(TemporaryDirectory(prefix=".load-", dir=config.out_dir))
+            split = split_load(catalog, config.execution.data_dir, part_dir, len(loading))
+            for i, share in zip(loading, split):
+                shares[i] = share
+        # one serial worker per engine, engines in parallel; the engines of a
+        # split load wait for each other, so each needs a thread of its own
+        with ThreadPoolExecutor(max_workers=max(1, len(engines))) as pool:
+            futures = [
+                pool.submit(_run_engine, config, catalog, kept_records, engine, share)
+                for engine, share in zip(engines, shares)
+            ]
+    # a failed load breaks its peers' wait, so its own error is raised first;
+    # results merged in config order so the labeled output stays byte-stable
+    for future in sorted(
+        futures, key=lambda f: isinstance(f.exception(), threading.BrokenBarrierError)
+    ):
+        future.result()
+    per_engine = [future.result() for future in futures]
 
     executed = 0
     labels_kept = 0

@@ -168,7 +168,15 @@ class TestStageCommands:
         assert (tmp_path / "csv" / "coverage_clauses.csv").exists()
 
     def test_execute_labels(self, tmp_path):
+        self._execute_labels(tmp_path, ["sqlite-local"])
+
+    def test_execute_on_two_engines_loads_once_and_labels_alike(self, tmp_path):
+        self._execute_labels(tmp_path, ["sqlite-local", "sqlite-w2"])
+
+    def _execute_labels(self, tmp_path, engines):
         config = write_stage_config(tmp_path, per_subschema=1)
+        with config.open("a", encoding="utf-8") as fh:
+            fh.writelines(f'\n[engines.{name}]\ndriver = "sqlite"\n' for name in engines[1:])
         catalog = tmp_path / "catalog.json"
         subschemas = tmp_path / "subschemas.jsonl"
         main(["preprocess", "--config", str(config), "--out", str(catalog)])
@@ -197,7 +205,11 @@ class TestStageCommands:
         assert code == 0
         rows = load_records(labeled)
         assert rows
-        assert all("sqlite-local" in r.labels for r in rows)
+        assert all(list(r.labels) == engines for r in rows)
+        # engines that loaded the dataset between them return the same rows
+        assert all(len({label.row_count for label in r.labels.values()}) == 1 for r in rows)
+        out = tmp_path / "out"
+        assert not out.exists() or list(out.iterdir()) == []  # no part file is left
         report_dir = tmp_path / "report"
         code = main(["report", "--labeled", str(labeled), "--out-dir", str(report_dir)])
         assert code == 0

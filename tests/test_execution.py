@@ -4,13 +4,16 @@ import gc
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
 
+from sqlsynth import engine
 from sqlsynth.errors import EngineConnectionError, LoadError
 from sqlsynth.execution import (
     BUCKET_1M_5M,
@@ -116,6 +119,13 @@ def numbers_script(rows: int) -> str:
         "INSERT INTO n WITH RECURSIVE c(x) AS (SELECT 0 UNION ALL SELECT x + 1 FROM c "
         f"WHERE x + 1 < {rows}) SELECT x FROM c;"
     )
+
+
+def rows_per_insert(width: int) -> int:
+    """Rows in each full INSERT that ``engine.load`` makes for a table of
+    ``width`` columns."""
+    limit = sqlite3.connect(":memory:").getlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER)
+    return max(1, min(engine.ROWS_PER_INSERT, limit // width))
 
 
 def _records(*sqls):
@@ -312,11 +322,14 @@ class TestEngineProcess:
         from sqlsynth.schema import ingest_ddl
 
         catalog = ingest_ddl("CREATE TABLE t (a integer, b varchar(5))")
-        (tmp_path / "t.tbl").write_text("1|x|\n2|y|\n3|\n", encoding="utf-8")
-        session = open_session()
-        with pytest.raises(LoadError, match="t.tbl: expected 2 fields, got 1"):
-            restrict_dataset(catalog, tmp_path, session, 100)
-        assert session.run("SELECT * FROM t", 1_000)[0] == 0
+        # the second case's bad row comes after a whole INSERT has run
+        for good_rows in (2, rows_per_insert(2) + 2):
+            rows = "".join(f"{i}|x{i}|\n" for i in range(good_rows)) + "3|\n"
+            (tmp_path / "t.tbl").write_text(rows, encoding="utf-8")
+            session = open_session()
+            with pytest.raises(LoadError, match="t.tbl: expected 2 fields, got 1"):
+                restrict_dataset(catalog, tmp_path, session, 10**6)
+            assert session.run("SELECT * FROM t", 1_000)[0] == 0
 
     @pytest.mark.parametrize(
         "text, message",
@@ -569,6 +582,45 @@ class TestRestrictDataset:
         )
         assert error is None and not timed_out and elapsed > 0
         assert rows == 5  # France, Germany, Romania, Russia, United Kingdom
+
+    @pytest.mark.parametrize("cap_statements", [None, 1, 2])
+    def test_rows_past_full_inserts_and_caps_load_exactly(
+        self, open_session, tmp_path, cap_statements
+    ):
+        from sqlsynth.schema import ingest_ddl
+
+        catalog = ingest_ddl("CREATE TABLE t (a integer, b varchar(8))")
+        per_insert = rows_per_insert(2)
+        rows = [(i * 7 % 11, f"v{i}") for i in range(2 * per_insert + 3)]  # not a multiple
+        (tmp_path / "t.tbl").write_text(
+            "".join(f"{a}|{b}|\n" for a, b in rows), encoding="utf-8"
+        )
+        # no cap, or a cap one row past one or two full statements
+        cap = 10**6 if cap_statements is None else cap_statements * per_insert + 1
+        expected = rows[:cap]
+        session = open_session()
+        assert restrict_dataset(catalog, tmp_path, session, cap) == {"t": len(expected)}
+        database = tmp_path / "saved.db"
+        session.save(database)
+        with closing(sqlite3.connect(database)) as conn:
+            loaded = conn.execute("SELECT rowid, a, b FROM t ORDER BY rowid").fetchall()
+        assert loaded == [(i + 1, a, b) for i, (a, b) in enumerate(expected)]
+
+    def test_save_writes_unsynced_and_keeps_the_setting(self, tmp_path):
+        part = tmp_path / "part.db"
+        statements = []
+        with closing(sqlite3.connect(":memory:")) as conn:
+            conn.executescript(numbers_script(50))
+            conn.execute("PRAGMA synchronous = NORMAL")
+            conn.set_trace_callback(statements.append)
+            engine.save(conn, str(part))
+            conn.set_trace_callback(None)
+            assert conn.execute("PRAGMA synchronous").fetchone() == (1,)  # NORMAL
+        vacuum = next(i for i, s in enumerate(statements) if s.startswith("VACUUM INTO"))
+        # the copy is made with syncing off, so it need not reach the disk
+        assert statements[vacuum - 1] == "PRAGMA synchronous = OFF"
+        with closing(sqlite3.connect(part)) as saved:
+            assert saved.execute("SELECT COUNT(*), SUM(x) FROM n").fetchone() == (50, 1225)
 
     def test_csv_fallback(self, open_session, tmp_path):
         from sqlsynth.schema import ingest_ddl

@@ -17,7 +17,7 @@ from sqlsynth.config import config_from_dict, load_config
 from sqlsynth.coverage import aggregate_coverage, profile_query
 from sqlsynth.llmgen import PromptSetting, StubBackend, prompt_hash
 from sqlsynth.pipeline import run_pipeline
-from sqlsynth.records import QueryRecord, load_records
+from sqlsynth.records import QueryRecord, load_records, make_record
 from sqlsynth.schema import load_catalog
 from sqlsynth.util import SCHEMA_VERSION, dump_json
 
@@ -500,6 +500,235 @@ class TestCrossEngineExecution:
         assert labeled
         for record in labeled:
             assert list(record.labels) == ["alpha", "beta"]
+
+
+#: Tables of a small dataset that a split load shares out as ``big`` to
+#: one engine and the rest to the other; ``pair``'s key holds every column.
+SHARED_LOAD_DDL = """
+CREATE TABLE big (id integer, "order" integer, "select" varchar(10), PRIMARY KEY (id, "order"));
+CREATE TABLE "group" (id integer, name varchar(10));
+CREATE TABLE pair (a integer, b integer, PRIMARY KEY (a, b));
+"""
+SHARED_LOAD_CAP = 50
+SHARED_LOAD_QUERIES = (
+    "SELECT * FROM big",
+    'SELECT "select" FROM big WHERE "order" > 20',
+    'SELECT * FROM "group"',
+    'SELECT g.name FROM "group" AS g INNER JOIN pair ON g.id = pair.a',
+    "SELECT a FROM pair WHERE b = 1",
+)
+
+
+def shared_load_case(tmp_path, engines: dict):
+    """A config labelling on ``engines`` over the shared-load dataset, the
+    dataset's catalog, and a fresh record per query; rows out of key order."""
+    from sqlsynth.schema import ingest_ddl
+
+    data = tmp_path / "data"
+    data.mkdir(parents=True)
+    (data / "big.tbl").write_text(
+        "".join(f"{i * 37 % 101}|{i}|s{i}|\n" for i in range(120)), encoding="utf-8"
+    )
+    (data / "group.tbl").write_text(
+        "".join(f"{i % 7}|g{i}|\n" for i in range(30)), encoding="utf-8"
+    )
+    (data / "pair.tbl").write_text(
+        "".join(f"{9 - i % 10}|{i // 10}|\n" for i in range(40)), encoding="utf-8"
+    )
+    config = base_config(
+        tmp_path,
+        execution={
+            "enabled": True,
+            "data_dir": str(data),
+            "max_rows_per_table": SHARED_LOAD_CAP,
+            "timeout_ms": 30_000,
+            "min_empty_runtime_ms": 0,
+        },
+        engines=engines,
+    )
+    Path(config.out_dir).mkdir()  # as generation leaves it, empty here
+    records = [make_record(sql, "mechanical", "s") for sql in SHARED_LOAD_QUERIES]
+    return config, ingest_ddl(SHARED_LOAD_DDL), records
+
+
+def database_contents(path) -> tuple:
+    """The schema, then every table's rows with their rowids, of ``path``."""
+    import sqlite3
+    from contextlib import closing
+
+    with closing(sqlite3.connect(path)) as conn:
+        schema = conn.execute("SELECT * FROM sqlite_master ORDER BY name").fetchall()
+        tables = [name for type_, name, *_ in schema if type_ == "table"]
+        return schema, {
+            table: conn.execute(f'SELECT rowid, * FROM "{table}" ORDER BY rowid').fetchall()
+            for table in tables
+        }
+
+
+@pytest.fixture
+def engine_sessions(monkeypatch):
+    """Every engine session started while the test runs, failed ones too."""
+    from sqlsynth.execution import SqliteSession
+
+    started = []
+    start = SqliteSession._start
+
+    def recorded(self):
+        started.append(self)
+        return start(self)
+
+    monkeypatch.setattr(SqliteSession, "_start", recorded)
+    return started
+
+
+@pytest.fixture
+def execute_within(monkeypatch):
+    """``_execute`` on a thread that must finish within ``seconds``; returns
+    its result, or raises its error. If it does not finish, every split
+    load's rendezvous is aborted, so no engine thread outlives the test."""
+    import threading
+
+    shares = []
+    split_load = pipeline_mod.split_load
+
+    def recorded(*args):
+        split = split_load(*args)
+        shares.extend(split)
+        return split
+
+    monkeypatch.setattr(pipeline_mod, "split_load", recorded)
+
+    def execute(config, catalog, records, seconds=60):
+        outcome = {}
+
+        def target():
+            try:
+                outcome["result"] = pipeline_mod._execute(config, catalog, records)
+            except BaseException as exc:  # handed to the test
+                outcome["error"] = exc
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(seconds)
+        if thread.is_alive():
+            for share in shares:
+                share.rendezvous.abort()
+            thread.join(seconds)
+            pytest.fail("an engine was still waiting for its peers")
+        if "error" in outcome:
+            raise outcome["error"]
+        return outcome["result"]
+
+    return execute
+
+
+class TestSharedLoad:
+    """Several SQLite engines load the dataset once between them."""
+
+    def test_split_gives_the_largest_file_to_the_least_loaded_engine(self, tmp_path):
+        from sqlsynth.execution import split_load
+        from sqlsynth.schema import ingest_ddl
+
+        catalog = ingest_ddl(
+            "CREATE TABLE a (x integer); CREATE TABLE b (x integer);"
+            "CREATE TABLE c (x integer); CREATE TABLE d (x integer);"
+            "CREATE TABLE e (x integer)"
+        )
+        for name, size in {"a": 30, "b": 100, "c": 50, "d": 60}.items():  # no e file
+            (tmp_path / f"{name}.tbl").write_text("1\n" * (size // 2), encoding="utf-8")
+        shares = split_load(catalog, tmp_path, tmp_path / "parts", 2)
+        # bytes so far: b -> [100, 0], d -> [100, 60], c -> [100, 110],
+        # a -> [130, 110], e -> [130, 110]; each share in catalog order
+        assert [share.tables for share in shares] == [("a", "b"), ("c", "d", "e")]
+        assert shares[0].peers == ((tmp_path / "parts" / "part1.db", ("c", "d", "e")),)
+        assert shares[1].peers == ((tmp_path / "parts" / "part0.db", ("a", "b")),)
+        # more engines than tables: the last loads none and has no part
+        six = split_load(catalog, tmp_path, tmp_path / "parts", 6)
+        assert [share.tables for share in six] == [("b",), ("d",), ("c",), ("a",), ("e",), ()]
+        assert [len(share.peers) for share in six] == [4, 4, 4, 4, 4, 5]
+
+    # four engines, more than a 2-core host has, and one of them loads none
+    @pytest.mark.parametrize("engine_count", [2, 4])
+    def test_engines_hold_what_one_direct_load_holds(
+        self, tmp_path, engine_sessions, execute_within, engine_count
+    ):
+        from sqlsynth.execution import SqliteSession, restrict_dataset
+
+        names = [f"e{i}" for i in range(1, engine_count + 1)]
+        engines = {
+            name: {"driver": "sqlite", "database": str(tmp_path / f"{name}.db")} for name in names
+        }
+        config, catalog, records = shared_load_case(tmp_path, engines)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the engine threads as finely as possible
+        try:
+            labeled, counts = execute_within(config, catalog, records)
+        finally:
+            sys.setswitchinterval(switch)
+        assert counts["executed"] == engine_count * len(records)
+
+        direct = SqliteSession(str(tmp_path / "direct.db"))
+        try:
+            loaded = restrict_dataset(catalog, config.execution.data_dir, direct, SHARED_LOAD_CAP)
+        finally:
+            direct.close()
+        assert loaded == {"big": SHARED_LOAD_CAP, "group": 30, "pair": 40}
+        expected = database_contents(tmp_path / "direct.db")
+        assert len(expected[1]["big"]) == SHARED_LOAD_CAP
+        for name in names:
+            assert database_contents(tmp_path / f"{name}.db") == expected
+
+        solo_config, _, solo_records = shared_load_case(
+            tmp_path / "solo", {"solo": {"driver": "sqlite"}}
+        )
+        solo, _ = execute_within(solo_config, catalog, solo_records)
+        solo_rows = {record.id: record.labels["solo"].row_count for record in solo}
+        assert len(solo_rows) == len(labeled) == len(records)
+        for record in labeled:
+            assert [record.labels[name].row_count for name in names] == [
+                solo_rows[record.id]
+            ] * engine_count
+        assert all(session.process.poll() is not None for session in engine_sessions)
+        assert list(Path(config.out_dir).iterdir()) == []  # no part file is left
+
+    @pytest.mark.parametrize("table", ["big", "group"])  # one of each engine's share
+    def test_malformed_file_fails_as_one_engine_does(
+        self, tmp_path, engine_sessions, execute_within, table
+    ):
+        from sqlsynth.errors import LoadError
+
+        def failure(case_dir, engines):
+            config, catalog, records = shared_load_case(case_dir, engines)
+            path = Path(config.execution.data_dir) / f"{table}.tbl"
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join(lines[:5] + ["1|\n"] + lines[5:]), encoding="utf-8")
+            with pytest.raises(LoadError) as caught:
+                execute_within(config, catalog, records)
+            assert list(Path(config.out_dir).iterdir()) == []
+            return str(caught.value)
+
+        alone = failure(tmp_path / "one", {"e1": {"driver": "sqlite"}})
+        shared = failure(tmp_path / "two", {"e1": {"driver": "sqlite"}, "e2": {"driver": "sqlite"}})
+        assert alone.startswith(f"{table}.tbl: expected")
+        assert shared == alone
+        assert all(session.process.poll() is not None for session in engine_sessions)
+
+    @pytest.mark.parametrize("broken", ["a-broken", "z-broken"])  # first or last engine
+    def test_engine_that_cannot_open_releases_its_peer(
+        self, tmp_path, engine_sessions, execute_within, broken
+    ):
+        from sqlsynth.errors import EngineConnectionError
+
+        engines = {
+            "m-fine": {"driver": "sqlite"},
+            broken: {"driver": "sqlite", "database": str(tmp_path / "missing" / "e.db")},
+        }
+        config, catalog, records = shared_load_case(tmp_path, engines)
+        with pytest.raises(EngineConnectionError, match="cannot open sqlite database"):
+            execute_within(config, catalog, records)
+        assert len(engine_sessions) == 2
+        assert all(session.process.poll() is not None for session in engine_sessions)
+        assert list(Path(config.out_dir).iterdir()) == []
 
 
 class TestDegenerateInputs:
