@@ -17,8 +17,10 @@ and calls the :mod:`sqlsynth.pipeline` function ``run`` calls for that stage:
 
 So the chain ``preprocess`` → ``subschemas`` → ``gen-mech`` → ``gen-llm`` →
 ``validate`` → ``coverage`` → ``execute`` writes what ``run`` writes for a
-config with ``loop_limit = 0``, runtimes apart. ``evaluate`` and ``report``
-read a finished run's files.
+config with ``loop_limit = 0``, runtimes apart. ``execute`` writes the
+runtime labels, one row per query and engine. ``evaluate`` and ``report``
+read a finished run's files: ``report`` finds each label's prompt setting
+in the kept records by query id.
 
 Exit codes: 0 success, 1 stage-fatal error, 2 configuration/usage error.
 ``--json-errors`` switches error reporting to a machine-readable JSON line
@@ -44,7 +46,7 @@ from .evaluation import (
     route,
     summarize,
 )
-from .execution import runtime_bucket_rows
+from .execution import load_labels, runtime_bucket_rows, save_labels
 from .mechgen import SeedExample
 from .records import load_records, save_records
 from .schema import load_catalog, save_catalog
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
               cmd_execute)
     p.add_argument("--catalog", required=True)
     p.add_argument("--records", required=True)
-    p.add_argument("--out", required=True, help="labeled records JSONL")
+    p.add_argument("--out", required=True, help="runtime labels JSONL")
 
     p = sub.add_parser("evaluate", help="Q-error summary and routing from predictions")
     p.add_argument("--predictions", required=True, help="CSV: query_id,engine_id,predicted_ms,true_ms")
@@ -127,7 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="emit the runtime-bucket table of a labeled run")
-    p.add_argument("--labeled", required=True, help="labeled records JSONL from a run")
+    p.add_argument("--kept", required=True, help="kept records JSONL from a run")
+    p.add_argument("--labels", required=True, help="runtime labels JSONL of those records")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_report)
 
@@ -234,8 +237,8 @@ def cmd_execute(args) -> int:
     if not config.execution.enabled:
         raise ConfigError("execute needs execution.enabled = true in the config")
     records = load_records(args.records)
-    labeled, counts = pipeline._execute(config, load_catalog(args.catalog), records)
-    save_records(labeled, args.out)
+    labels, counts = pipeline._execute(config, load_catalog(args.catalog), records)
+    save_labels(labels, args.out)
     engines = ", ".join(engine.engine_id for engine in config.execution.engines)
     print(
         f"{counts['executed']} executed on {engines}: {counts['labels_kept']} labels kept, "
@@ -302,12 +305,20 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = runtime_bucket_rows(load_records(args.labeled))
+    settings = {record.id: record.setting_label for record in load_records(args.kept)}
+    labels = load_labels(args.labels)
+    # line 1 is the header, and a written file holds no blank line
+    for lineno, label in enumerate(labels, start=2):
+        if label.query_id not in settings:
+            raise DataFileError(
+                f"{args.labels}, line {lineno}: query_id {label.query_id!r} is not in {args.kept}"
+            )
+    rows = runtime_bucket_rows(labels, settings)
     if rows:
         write_csv(rows, out_dir / "runtime_buckets.csv")
         print(f"wrote runtime_buckets.csv -> {out_dir}")
     else:
-        print(f"no labels in {args.labeled}; wrote nothing")
+        print(f"no labels in {args.labels}; wrote nothing")
     return 0
 
 

@@ -6,7 +6,9 @@ anything PEP 249) for real deployments. A label's runtime covers statement
 execution plus full result consumption, timed with ``perf_counter_ns``
 where the statement runs and stored as float milliseconds at microsecond
 resolution. Each engine runs its batch serially, so its labels never
-overlap each other.
+overlap each other. A run writes each label once, as a
+:class:`RuntimeLabel` row of ``labels.jsonl`` (:func:`save_labels`), which
+names its query and engine by id.
 
 Every engine, of either driver, runs in its own child process
 (``engine.py``), which opens the connection, runs and times every
@@ -50,6 +52,7 @@ from pathlib import Path
 from .engine import data_file
 from .errors import EngineConnectionError, LoadError
 from .schema import SchemaCatalog, render_create_statements
+from .util import read_jsonl, write_jsonl
 
 DEFAULT_TIMEOUT_MS = 600_000  # ten minutes
 DEFAULT_MIN_EMPTY_RUNTIME_MS = 10_000  # empty results faster than this are dropped
@@ -75,18 +78,9 @@ class EngineSpec:
 
 
 @dataclass
-class EngineLabel:
-    """A runtime label as a record holds it, under its engine id: the
-    :class:`RuntimeLabel` without its ids."""
-
-    runtime_ms: float
-    row_count: int | None
-    timed_out: bool = False
-    error: str | None = None
-
-
-@dataclass
 class RuntimeLabel:
+    """One query's runtime on one engine: a row of ``labels.jsonl``."""
+
     query_id: str
     engine_id: str
     runtime_ms: float
@@ -94,11 +88,8 @@ class RuntimeLabel:
     timed_out: bool = False
     error: str | None = None
 
-    def engine_label(self) -> EngineLabel:
-        return EngineLabel(self.runtime_ms, self.row_count, self.timed_out, self.error)
 
-
-def bucket_runtime(label: RuntimeLabel | EngineLabel) -> str:
+def bucket_runtime(label: RuntimeLabel) -> str:
     """Bucket per the partition [0,1s) [1s,1m) [1m,5m) [5m,inf)."""
     for edge, name in _BUCKET_EDGES:
         if label.runtime_ms < edge:
@@ -424,20 +415,26 @@ def restrict_dataset(
     return {table.name: counts[table.name] for table in catalog.tables}
 
 
-def runtime_bucket_rows(records) -> list[dict]:
-    """Histogram rows (setting, engine, bucket, count) over labeled records,
-    for the workload-balance report."""
+def save_labels(labels, path) -> None:
+    write_jsonl(path, "runtime_labels", labels)
+
+
+def load_labels(path) -> list[RuntimeLabel]:
+    return read_jsonl(path, "runtime_labels", RuntimeLabel)
+
+
+def runtime_bucket_rows(labels, settings: dict[str, str]) -> list[dict]:
+    """Histogram rows (setting, engine, bucket, count) over ``labels``, for
+    the workload-balance report; ``settings`` maps each label's query id to
+    its record's setting label."""
     counts: dict[tuple[str, str, str], int] = {}
-    for record in records:
-        setting = record.setting_label
-        for engine_id, label in sorted(record.labels.items()):
-            key = (setting, engine_id, bucket_runtime(label))
-            counts[key] = counts.get(key, 0) + 1
+    for label in labels:
+        key = (settings[label.query_id], label.engine_id, bucket_runtime(label))
+        counts[key] = counts.get(key, 0) + 1
     bucket_order = {BUCKET_LT_1S: 0, BUCKET_1S_1M: 1, BUCKET_1M_5M: 2, BUCKET_GT_5M: 3}
-    rows = [
+    return [
         {"setting": setting, "engine": engine, "bucket": bucket, "count": count}
         for (setting, engine, bucket), count in sorted(
             counts.items(), key=lambda kv: (kv[0][0], kv[0][1], bucket_order[kv[0][2]])
         )
     ]
-    return rows

@@ -10,7 +10,8 @@ Stage outputs land in the configured output directory:
 * ``kept.jsonl``         the deduplicated kept corpus
 * ``coverage.json``      per-setting and overall coverage reports
 * ``coverage_facets.csv`` / ``coverage_clauses.csv`` tabular exports
-* ``labeled.jsonl``      kept records with runtime labels (execution runs)
+* ``labels.jsonl``       runtime labels of the kept records, one row per
+  query and engine (execution runs)
 * ``manifest.json``      counts, accounting, file map, config snapshot
 
 Each stage has one implementation here. :func:`run_pipeline` calls them in
@@ -136,7 +137,14 @@ from .coverage import (
     write_csv,
 )
 from .errors import BackendError, SqlsynthError
-from .execution import apply_retention, connect, execute_batch, restrict_dataset, split_load
+from .execution import (
+    apply_retention,
+    connect,
+    execute_batch,
+    restrict_dataset,
+    save_labels,
+    split_load,
+)
 from .llmgen import (
     HttpBackend,
     PromptSetting,
@@ -191,7 +199,7 @@ FILES = {
     "facets_csv": "coverage_facets.csv",
     "clauses_csv": "coverage_clauses.csv",
     "training": "training.jsonl",
-    "labeled": "labeled.jsonl",
+    "labels": "labels.jsonl",
     "manifest": "manifest.json",
 }
 
@@ -312,9 +320,9 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
 
     # -- execution labeling ---------------------------------------------------
     if config.execution.enabled:
-        labeled, label_counts = _execute(config, catalog, kept_records)
-        save_records(labeled, paths["labeled"])
-        manifest["files"]["labeled"] = FILES["labeled"]
+        labels, label_counts = _execute(config, catalog, kept_records)
+        save_labels(labels, paths["labels"])
+        manifest["files"]["labels"] = FILES["labels"]
         manifest["counts"].update(label_counts)
         dump_json(manifest, paths["manifest"])
 
@@ -1010,6 +1018,9 @@ def _run_engine(config, catalog, kept_records, engine, share=None):
 
 
 def _execute(config, catalog, kept_records):
+    """Label ``kept_records`` on every configured engine; returns the labels
+    retention keeps, engines in config order and each engine's in corpus
+    order, and the stage's counts."""
     engines = list(config.execution.engines)
     loading = [i for i, engine in enumerate(engines) if _loads_dataset(config, engine)]
     shares = [None] * len(engines)
@@ -1029,35 +1040,18 @@ def _execute(config, catalog, kept_records):
                 pool.submit(_run_engine, config, catalog, kept_records, engine, share)
                 for engine, share in zip(engines, shares)
             ]
-    # a failed load breaks its peers' wait, so its own error is raised first;
-    # results merged in config order so the labeled output stays byte-stable
+    # a failed load breaks its peers' wait, so its own error is raised first
     for future in sorted(
         futures, key=lambda f: isinstance(f.exception(), threading.BrokenBarrierError)
     ):
         future.result()
-    per_engine = [future.result() for future in futures]
-
-    executed = 0
-    labels_kept = 0
-    labels_dropped = 0
-    labeled_ids = set()
-    for engine, labels in zip(engines, per_engine):
-        executed += len(labels)
-        kept, dropped = apply_retention(labels, config.execution.min_empty_runtime_ms)
-        labels_kept += len(kept)
-        labels_dropped += len(dropped)
-        by_query = {label.query_id: label for label in kept}
-        for record in kept_records:
-            label = by_query.get(record.id)
-            if label is not None:
-                record.labels[engine.engine_id] = label.engine_label()
-                labeled_ids.add(record.id)
-    labeled = [record for record in kept_records if record.id in labeled_ids]
-    return labeled, {
-        "executed": executed,
-        "labels_kept": labels_kept,
-        "labels_dropped": labels_dropped,
-        "labeled_records": len(labeled),
+    labels = [label for future in futures for label in future.result()]
+    kept, dropped = apply_retention(labels, config.execution.min_empty_runtime_ms)
+    return kept, {
+        "executed": len(labels),
+        "labels_kept": len(kept),
+        "labels_dropped": len(dropped),
+        "labeled_records": len({label.query_id for label in kept}),
     }
 
 

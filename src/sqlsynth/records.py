@@ -1,13 +1,11 @@
-"""QueryRecord: one query plus provenance, validation, profile, and labels.
+"""QueryRecord: one query plus provenance, validation and profile.
 
 This is the dataset row every stage appends to. A JSONL row holds its
 fields in declaration order, nested records (prompt setting, generation
 parameters, validation report, complexity profile) as the objects of
 their own fields, through the codec in :mod:`sqlsynth.util`; loading checks
-every field. Runtime labels map each engine id to an
-:class:`~sqlsynth.execution.EngineLabel` (``runtime_ms``, ``row_count``,
-``timed_out``, ``error``: the runtime label without its ids), so a label
-with a missing or mistyped field fails to load.
+every field. A record holds no runtime labels: execution writes them to
+their own file, keyed by record id (:func:`~sqlsynth.execution.save_labels`).
 
 :func:`make_record` takes the query's two normalized forms: the record id
 is the hash of the literal form, and the record holds both strings as
@@ -24,10 +22,9 @@ the codec neither writes nor reads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coverage import ComplexityProfile
-from .execution import EngineLabel
 from .llmgen import GenParams, PromptSetting
 from .sqltree import normalized_forms
 from .util import read_jsonl, write_jsonl
@@ -50,7 +47,6 @@ class QueryRecord:
     generation_params: GenParams | None = None
     validation: ValidationReport | None = None
     profile: ComplexityProfile | None = None  # set on kept records
-    labels: dict[str, EngineLabel] = field(default_factory=dict)  # engine id -> label
 
     # Transient, never written (see the module docstring).
     forms = None  # (literal form, placeholder form) | None

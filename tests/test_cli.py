@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from sqlsynth.cli import main
+from sqlsynth.execution import load_labels
 from sqlsynth.records import load_records
 from sqlsynth.util import load_json
 
@@ -192,26 +193,30 @@ class TestStageCommands:
                 "--out", str(records),
             ]
         )
-        labeled = tmp_path / "labeled.jsonl"
+        labels_path = tmp_path / "labels.jsonl"
         code = main(
             [
                 "execute",
                 "--config", str(config),
                 "--catalog", str(catalog),
                 "--records", str(records),
-                "--out", str(labeled),
+                "--out", str(labels_path),
             ]
         )
         assert code == 0
-        rows = load_records(labeled)
-        assert rows
-        assert all(list(r.labels) == engines for r in rows)
+        labels = load_labels(labels_path)
+        assert labels
+        by_query = {}
+        for label in labels:
+            by_query.setdefault(label.query_id, []).append(label)
+        assert all([label.engine_id for label in ls] == engines for ls in by_query.values())
         # engines that loaded the dataset between them return the same rows
-        assert all(len({label.row_count for label in r.labels.values()}) == 1 for r in rows)
+        assert all(len({label.row_count for label in ls}) == 1 for ls in by_query.values())
         out = tmp_path / "out"
         assert not out.exists() or list(out.iterdir()) == []  # no part file is left
         report_dir = tmp_path / "report"
-        code = main(["report", "--labeled", str(labeled), "--out-dir", str(report_dir)])
+        code = main(["report", "--kept", str(records), "--labels", str(labels_path),
+                     "--out-dir", str(report_dir)])
         assert code == 0
         assert (report_dir / "runtime_buckets.csv").exists()
 
@@ -467,18 +472,30 @@ class TestWrongInputs:
         assert error["message"] == f"{records}, line 3: sql: missing"
         assert not (tmp_path / "v.jsonl").exists()
 
-    def test_label_without_runtime_is_a_json_error(self, tmp_path, capsys):
-        lines = (DEMO_OUT / "labeled.jsonl").read_text(encoding="utf-8").splitlines()
+    def _report_failure(self, tmp_path, capsys, edit) -> str:
+        """The error ``report`` gives on the demo's kept records and a labels
+        file of the demo's first label, changed by ``edit``."""
+        lines = (DEMO_OUT / "labels.jsonl").read_text(encoding="utf-8").splitlines()
         row = json.loads(lines[1])
-        for label in row["labels"].values():
-            del label["runtime_ms"]
-        labeled = tmp_path / "labeled.jsonl"
-        labeled.write_text(f"{lines[0]}\n{json.dumps(row)}\n", encoding="utf-8")
+        edit(row)
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(f"{lines[0]}\n{json.dumps(row)}\n", encoding="utf-8")
         error = self._one_json_error(capsys, [
-            "report", "--labeled", str(labeled), "--out-dir", str(tmp_path / "report"),
+            "report", "--kept", str(DEMO_OUT / "kept.jsonl"), "--labels", str(labels),
+            "--out-dir", str(tmp_path / "report"),
         ])
-        assert error["message"] == f"{labeled}, line 2: labels.runtime_ms: missing"
         assert not (tmp_path / "report" / "runtime_buckets.csv").exists()
+        return error["message"].removeprefix(f"{labels}, ")
+
+    def test_label_without_runtime_is_a_json_error(self, tmp_path, capsys):
+        message = self._report_failure(tmp_path, capsys, lambda row: row.pop("runtime_ms"))
+        assert message == "line 2: runtime_ms: missing"
+
+    def test_label_of_a_query_not_kept_is_a_json_error(self, tmp_path, capsys):
+        message = self._report_failure(
+            tmp_path, capsys, lambda row: row.update(query_id="0000000000000000")
+        )
+        assert message == f"line 2: query_id '0000000000000000' is not in {DEMO_OUT / 'kept.jsonl'}"
 
     def test_resume_with_malformed_batches_is_a_json_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -523,11 +540,10 @@ def demo_config_copy(tmp_path, loop_limit: int = 0):
 
 def _without_runtimes(path):
     rows = [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
+    assert len(rows) > 1
     for row in rows[1:]:
-        assert row["labels"]
-        for label in row["labels"].values():
-            assert label["runtime_ms"] > 0
-            label["runtime_ms"] = None
+        assert row["runtime_ms"] > 0
+        row["runtime_ms"] = None
     return rows
 
 
@@ -550,7 +566,7 @@ class TestStagesMatchRun:
             ["validate", *common, "--subschemas", subschemas, "--records", mech,
              "--records", llm, "--out", str(cli / "records.jsonl"), "--kept", kept],
             ["coverage", *common, "--records", kept, "--out", str(cli / "coverage.json")],
-            ["execute", *common, "--records", kept, "--out", str(cli / "labeled.jsonl")],
+            ["execute", *common, "--records", kept, "--out", str(cli / "labels.jsonl")],
         ):
             assert main(argv) == 0, argv
 
@@ -560,8 +576,8 @@ class TestStagesMatchRun:
         for name in ("catalog.json", "subschemas.jsonl", "records.jsonl", "kept.jsonl",
                      "coverage.json", "coverage_facets.csv", "coverage_clauses.csv"):
             assert (cli / name).read_bytes() == (run_dir / name).read_bytes(), name
-        assert _without_runtimes(cli / "labeled.jsonl") == _without_runtimes(
-            run_dir / "labeled.jsonl"
+        assert _without_runtimes(cli / "labels.jsonl") == _without_runtimes(
+            run_dir / "labels.jsonl"
         )
 
 
@@ -624,7 +640,7 @@ class TestCrossProcessDeterminism:
             )
             assert result.returncode == 0, result.stderr
             outputs.append(out_dir)
-        # labeled.jsonl carries measured runtimes and is rightly excluded
+        # labels.jsonl carries measured runtimes and is rightly excluded
         for name in ("kept.jsonl", "records.jsonl", "coverage.json", "manifest.json"):
             a = (outputs[0] / name).read_bytes()
             b = (outputs[1] / name).read_bytes()

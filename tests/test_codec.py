@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sqlsynth.coverage import ComplexityProfile
 from sqlsynth.errors import DataFileError
-from sqlsynth.execution import EngineLabel
+from sqlsynth.execution import RuntimeLabel, load_labels, save_labels
 from sqlsynth.llmgen import BIAS_GROUP_BY, BIAS_NONE, BIAS_ORDER_BY, GenParams, PromptSetting
 from sqlsynth.records import QueryRecord, load_records, save_records
 from sqlsynth.schema import load_catalog, save_catalog
@@ -28,7 +28,7 @@ DEMO_OUT = REPO_ROOT / "out" / "demo"
         ("subschemas.jsonl", load_subschemas, save_subschemas),
         ("records.jsonl", load_records, save_records),
         ("kept.jsonl", load_records, save_records),
-        ("labeled.jsonl", load_records, save_records),
+        ("labels.jsonl", load_labels, save_labels),
     ],
 )
 def test_committed_demo_artifact_resaves_byte_for_byte(tmp_path, name, load, save):
@@ -61,16 +61,14 @@ profiles = st.builds(
     referenced_tables=counts,
     referenced_columns=counts,
 )
-labels = st.dictionaries(
-    names,
-    st.builds(
-        EngineLabel,
-        runtime_ms=st.floats(0, 1e6),
-        row_count=st.none() | st.integers(0, 10**6),
-        timed_out=st.booleans(),
-        error=st.none() | st.text(max_size=20),
-    ),
-    max_size=3,
+runtime_labels = st.builds(
+    RuntimeLabel,
+    query_id=names,
+    engine_id=names,
+    runtime_ms=st.floats(0, 1e6),
+    row_count=st.none() | st.integers(0, 10**6),
+    timed_out=st.booleans(),
+    error=st.none() | st.text(max_size=20),
 )
 
 
@@ -84,7 +82,6 @@ def _records(origin: str, prompt: dict):
         batch=st.integers(0, 20),
         validation=st.none() | validations,
         profile=st.none() | profiles,
-        labels=labels,
         **prompt,
     )
 
@@ -120,6 +117,14 @@ def test_saved_records_load_back_equal(tmp_path_factory, records):
     assert load_records(path) == records
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(runtime_labels, max_size=6))
+def test_saved_labels_load_back_equal(tmp_path_factory, labels):
+    path = tmp_path_factory.mktemp("codec") / "labels.jsonl"
+    save_labels(labels, path)
+    assert load_labels(path) == labels
+
+
 # ---------------------------------------------------------------------------
 # Strict reading
 # ---------------------------------------------------------------------------
@@ -127,7 +132,11 @@ def test_saved_records_load_back_equal(tmp_path_factory, records):
 ROW = {
     "id": "q1", "sql": "SELECT 1", "origin": "mechanical", "subschema_id": "s", "batch": 0,
     "prompt_setting": None, "prompt_hash": None, "model_name": None,
-    "generation_params": None, "validation": None, "profile": None, "labels": {},
+    "generation_params": None, "validation": None, "profile": None,
+}
+LABEL = {
+    "query_id": "q1", "engine_id": "e", "runtime_ms": 1.5, "row_count": 1, "timed_out": False,
+    "error": None,
 }
 
 
@@ -138,16 +147,11 @@ ROW = {
         ({**ROW, "batch": "0"}, "batch: expected int, got '0'"),
         ({**ROW, "batch": True}, "batch: expected int, got True"),
         ({**ROW, "extra": 1}, "extra: unknown key"),
-        ({k: v for k, v in ROW.items() if k != "labels"}, "labels: missing"),
+        ({**ROW, "labels": {}}, "labels: unknown key"),  # a row of the old format
         ({**ROW, "origin": "human"}, "QueryRecord: unknown origin 'human'"),
         ({**ROW, "validation": {"query_id": "q1", "verdict": "accepted"}},
          "validation.rejection_reasons: missing"),
         ({**ROW, "profile": {"join_count": 0}}, "profile.clause_counts: missing"),
-        ({**ROW, "labels": {"e": {"row_count": 1, "timed_out": False, "error": None}}},
-         "labels.runtime_ms: missing"),
-        ({**ROW, "labels": {"e": {"runtime_ms": "1", "row_count": 1, "timed_out": False,
-                                  "error": None}}},
-         "labels.runtime_ms: expected float, got '1'"),
     ],
 )
 def test_bad_field_names_file_line_and_field(tmp_path, row, named):
@@ -155,6 +159,21 @@ def test_bad_field_names_file_line_and_field(tmp_path, row, named):
     write_jsonl(path, "query_records", [ROW, row])
     with pytest.raises(DataFileError) as error:
         load_records(path)
+    assert str(error.value) == f"{path}, line 3: {named}"
+
+
+@pytest.mark.parametrize(
+    "row, named",
+    [
+        ({k: v for k, v in LABEL.items() if k != "runtime_ms"}, "runtime_ms: missing"),
+        ({**LABEL, "runtime_ms": "1"}, "runtime_ms: expected float, got '1'"),
+    ],
+)
+def test_bad_label_field_names_file_line_and_field(tmp_path, row, named):
+    path = tmp_path / "labels.jsonl"
+    write_jsonl(path, "runtime_labels", [LABEL, row])
+    with pytest.raises(DataFileError) as error:
+        load_labels(path)
     assert str(error.value) == f"{path}, line 3: {named}"
 
 

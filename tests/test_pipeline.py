@@ -15,11 +15,12 @@ from sqlsynth import sqltree as sqltree_mod
 from sqlsynth import validation as validation_mod
 from sqlsynth.config import config_from_dict, load_config
 from sqlsynth.coverage import aggregate_coverage, profile_query
+from sqlsynth.execution import load_labels
 from sqlsynth.llmgen import PromptSetting, StubBackend, prompt_hash
 from sqlsynth.pipeline import run_pipeline
 from sqlsynth.records import QueryRecord, load_records, make_record
 from sqlsynth.schema import load_catalog
-from sqlsynth.util import SCHEMA_VERSION, dump_json
+from sqlsynth.util import SCHEMA_VERSION, dump_json, load_json
 
 from tests.conftest import REPO_ROOT, TPCH_DDL_PATH, tokenizes
 
@@ -360,10 +361,10 @@ class TestExecutionStage:
         manifest = run_pipeline(config)
         assert manifest["counts"]["executed"] == manifest["counts"]["kept"]
         assert manifest["counts"]["labels_kept"] > 0
-        labeled = load_records(Path(config.out_dir) / "labeled.jsonl")
-        assert labeled
-        for record in labeled:
-            label = record.labels["sqlite-mem"]
+        labels = load_labels(Path(config.out_dir) / "labels.jsonl")
+        assert len(labels) == manifest["counts"]["labels_kept"]
+        for label in labels:
+            assert label.engine_id == "sqlite-mem"
             assert label.error is None
             assert label.row_count is not None
 
@@ -496,10 +497,13 @@ class TestCrossEngineExecution:
             },
         )
         run_pipeline(config)
-        labeled = load_records(Path(config.out_dir) / "labeled.jsonl")
-        assert labeled
-        for record in labeled:
-            assert list(record.labels) == ["alpha", "beta"]
+        kept_ids = [record.id for record in load_records(Path(config.out_dir) / "kept.jsonl")]
+        labels = load_labels(Path(config.out_dir) / "labels.jsonl")
+        assert kept_ids
+        # engines in config order, each engine's labels in corpus order
+        assert [(label.engine_id, label.query_id) for label in labels] == [
+            (engine, query) for engine in ("alpha", "beta") for query in kept_ids
+        ]
 
 
 #: Tables of a small dataset that a split load shares out as ``big`` to
@@ -662,7 +666,7 @@ class TestSharedLoad:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the engine threads as finely as possible
         try:
-            labeled, counts = execute_within(config, catalog, records)
+            labels, counts = execute_within(config, catalog, records)
         finally:
             sys.setswitchinterval(switch)
         assert counts["executed"] == engine_count * len(records)
@@ -682,12 +686,10 @@ class TestSharedLoad:
             tmp_path / "solo", {"solo": {"driver": "sqlite"}}
         )
         solo, _ = execute_within(solo_config, catalog, solo_records)
-        solo_rows = {record.id: record.labels["solo"].row_count for record in solo}
-        assert len(solo_rows) == len(labeled) == len(records)
-        for record in labeled:
-            assert [record.labels[name].row_count for name in names] == [
-                solo_rows[record.id]
-            ] * engine_count
+        solo_rows = [label.row_count for label in solo]
+        assert len(solo_rows) == len(records)
+        assert [label.engine_id for label in labels] == [name for name in names for _ in records]
+        assert [label.row_count for label in labels] == solo_rows * engine_count
         assert all(session.process.poll() is not None for session in engine_sessions)
         assert list(Path(config.out_dir).iterdir()) == []  # no part file is left
 
@@ -791,7 +793,7 @@ def count_calls(monkeypatch, functions: dict) -> Counter:
 
 
 class TestCommittedDemoOutputs:
-    # labeled.jsonl holds measured runtimes; every other file of the
+    # labels.jsonl holds measured runtimes; every other file of the
     # committed demo run is pinned, the manifest from any checkout.
     GOLDEN = (
         "catalog.json",
@@ -810,6 +812,34 @@ class TestCommittedDemoOutputs:
         run_pipeline(config)
         for name in self.GOLDEN:
             assert (tmp_path / name).read_bytes() == (COMMITTED_DEMO_OUT / name).read_bytes(), name
+
+    def test_demo_directory_holds_what_its_manifest_lists(self):
+        # a rerun into the directory leaves any file the run no longer writes
+        manifest = load_json(COMMITTED_DEMO_OUT / "manifest.json")
+        assert sorted(path.name for path in COMMITTED_DEMO_OUT.iterdir()) == sorted(
+            [*manifest["files"].values(), "manifest.json"]
+        )
+
+    def test_every_kept_demo_query_prepares_on_the_catalog(self):
+        # SQLite as the validator's oracle: a kept query compiles against
+        # the catalog's tables alone, with no rows loaded
+        import sqlite3
+        from contextlib import closing
+
+        from sqlsynth.schema import render_create_statements
+
+        catalog = load_catalog(COMMITTED_DEMO_OUT / "catalog.json")
+        kept = load_records(COMMITTED_DEMO_OUT / "kept.jsonl")
+        assert len(kept) == load_json(COMMITTED_DEMO_OUT / "manifest.json")["counts"]["kept"]
+        failed = []
+        with closing(sqlite3.connect(":memory:")) as conn:
+            conn.executescript("\n".join(render_create_statements(catalog)))
+            for record in kept:
+                try:
+                    conn.execute(f"EXPLAIN {record.sql}").fetchall()
+                except sqlite3.Error as exc:
+                    failed.append((record.id, str(exc)))
+        assert failed == []
 
 
 class TestIncrementalAnalysis:
@@ -938,22 +968,22 @@ class TestDemoLabelsScore:
         config = load_config(DEMO_CONFIG)
         config.out_dir = str(tmp_path / "out")
         counts = run_pipeline(config)["counts"]
-        labeled = load_records(tmp_path / "out" / "labeled.jsonl")
-        assert len(labeled) == counts["kept"] == counts["labels_kept"]
+        labels = load_labels(tmp_path / "out" / "labels.jsonl")
+        assert len(labels) == counts["labels_kept"]
+        assert len({label.query_id for label in labels}) == counts["kept"]
 
         predictions = tmp_path / "predictions.csv"
         with open(predictions, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["query_id", "engine_id", "predicted_ms", "true_ms"])
-            for record in labeled:
-                for engine_id, label in record.labels.items():
-                    assert label.runtime_ms > 0, record.id
-                    writer.writerow(
-                        [record.id, engine_id, 2 * label.runtime_ms, label.runtime_ms]
-                    )
+            for label in labels:
+                assert label.runtime_ms > 0, label.query_id
+                writer.writerow(
+                    [label.query_id, label.engine_id, 2 * label.runtime_ms, label.runtime_ms]
+                )
         summary_path = tmp_path / "evaluation.json"
         assert main(["evaluate", "--predictions", str(predictions), "--out", str(summary_path)]) == 0
         evaluation = json.loads(summary_path.read_text(encoding="utf-8"))
         summary = evaluation["summary"]
         assert (summary["q_median"], summary["q_mean"], summary["q_p95"]) == (2.0, 2.0, 2.0)
-        assert len(evaluation["routing"]["assignments"]) == len(labeled)
+        assert len(evaluation["routing"]["assignments"]) == counts["kept"]
