@@ -8,6 +8,7 @@ The package splits into stages mirroring the generation pipeline:
 * :mod:`sqlsynth.llmgen`      prompt construction, backends, SQL extraction
 * :mod:`sqlsynth.validation`  syntax/relevance checks and deduplication
 * :mod:`sqlsynth.coverage`    structural profiling, gap detection, steering
+* :mod:`sqlsynth.training`    training-subset selection
 * :mod:`sqlsynth.execution`   engine drivers, runtime labels, retention
 * :mod:`sqlsynth.engine`      the child process behind each engine session
 * :mod:`sqlsynth.evaluation`  Q-error aggregates and routing simulation

@@ -2,7 +2,7 @@
 
 ``run`` drives the whole pipeline from a TOML config. Each per-stage command
 takes the same config through ``--config``, plus its input and output paths,
-and calls the :mod:`sqlsynth.pipeline` function ``run`` calls for that stage:
+and calls the function ``run`` calls for that stage:
 
 ==============  ==============================================================
 ``preprocess``  :func:`~sqlsynth.pipeline.build_catalog`
@@ -12,13 +12,14 @@ and calls the :mod:`sqlsynth.pipeline` function ``run`` calls for that stage:
 ``validate``    :func:`~sqlsynth.pipeline.validate_batch`
 ``coverage``    :func:`~sqlsynth.pipeline.coverage_reports` and
                 :func:`~sqlsynth.pipeline.write_coverage`
-``execute``     :func:`~sqlsynth.pipeline._execute`, on every configured engine
+``execute``     :func:`~sqlsynth.execution.label_corpus`, on every configured engine
 ==============  ==============================================================
 
 So the chain ``preprocess`` → ``subschemas`` → ``gen-mech`` → ``gen-llm`` →
 ``validate`` → ``coverage`` → ``execute`` writes what ``run`` writes for a
 config with ``loop_limit = 0``, runtimes apart. ``execute`` writes the
-runtime labels, one row per query and engine. ``evaluate`` and ``report``
+runtime labels, one row per query and engine, and the part files of a
+shared dataset load beside them. ``evaluate`` and ``report``
 read a finished run's files: ``report`` finds each label's prompt setting
 in the kept records by query id.
 
@@ -46,7 +47,7 @@ from .evaluation import (
     route,
     summarize,
 )
-from .execution import load_labels, runtime_bucket_rows, save_labels
+from .execution import label_corpus, load_labels, runtime_bucket_rows, save_labels
 from .mechgen import SeedExample
 from .records import load_records, save_records
 from .schema import load_catalog, save_catalog
@@ -237,7 +238,8 @@ def cmd_execute(args) -> int:
     if not config.execution.enabled:
         raise ConfigError("execute needs execution.enabled = true in the config")
     records = load_records(args.records)
-    labels, counts = pipeline._execute(config, load_catalog(args.catalog), records)
+    catalog = load_catalog(args.catalog)
+    labels, counts = label_corpus(config.execution, catalog, records, Path(args.out).parent)
     save_labels(labels, args.out)
     engines = ", ".join(engine.engine_id for engine in config.execution.engines)
     print(

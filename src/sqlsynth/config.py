@@ -22,6 +22,7 @@ file's shape for the run manifest.
 
 from __future__ import annotations
 
+import math
 import os
 import tomllib
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -30,14 +31,11 @@ from typing import get_type_hints
 
 from .coverage import CoverageTargets
 from .errors import ConfigError
-from .execution import DEFAULT_MIN_EMPTY_RUNTIME_MS, DEFAULT_TIMEOUT_MS, EngineSpec
+from .execution import EngineSpec, ExecutionSettings
 from .llmgen import CANONICAL_SETTINGS, GenParams, PromptSetting, split_url
 from .mechgen import MechConfig
-from .util import FieldError, decode
-
-#: Field metadata of a path key: a relative value resolves against the
-#: config file's directory, and the snapshot writes it relative to it.
-PATH = {"path": True}
+from .training import SelectionSettings
+from .util import PATH, FieldError, decode
 
 #: The keys of an ``[engines.<id>]`` table besides ``driver``, by driver.
 ENGINE_OPTIONS = {
@@ -99,22 +97,6 @@ class ValidatorSettings:
 
 
 @dataclass
-class SelectionSettings:
-    size: int | None = None  # training-subset size; None keeps everything
-    mode: str = "stratified"  # stratified | first_n
-
-
-@dataclass
-class ExecutionSettings:
-    enabled: bool = False
-    timeout_ms: int = DEFAULT_TIMEOUT_MS
-    min_empty_runtime_ms: int = DEFAULT_MIN_EMPTY_RUNTIME_MS
-    data_dir: str | None = field(default=None, metadata=PATH)
-    max_rows_per_table: int = 40_000
-    engines: tuple[EngineSpec, ...] = field(default=(), init=False)  # the [engines.*] tables
-
-
-@dataclass
 class PipelineConfig:
     name: str = "run"
     out_dir: str = field(default="out", metadata=PATH)
@@ -145,11 +127,9 @@ class PipelineConfig:
             raise ConfigError("[pipeline] loop_limit must be >= 0")
         if self.mech_per_subschema < 0:
             raise ConfigError("[pipeline] mech_per_subschema must be >= 0")
-        if self.selection.size is not None and self.selection.size < 1:
-            raise ConfigError("[selection] size must be >= 1 when given")
-        if self.selection.mode not in ("stratified", "first_n"):
-            raise ConfigError("[selection] mode must be 'stratified' or 'first_n'")
-        for section, checked in (("mechanical", self.mechanical), ("llm.params", self.llm.params)):
+        sections = (("mechanical", self.mechanical), ("llm.params", self.llm.params),
+                    ("selection", self.selection), ("execution", self.execution))
+        for section, checked in sections:
             try:
                 checked.validate()
             except ValueError as exc:
@@ -165,10 +145,12 @@ class PipelineConfig:
                 split_url(self.llm.url)
             except ValueError as exc:
                 raise ConfigError(f"[llm] url: {exc}") from exc
-        if self.execution.enabled and not self.execution.engines:
-            raise ConfigError("[execution] enabled requires at least one [engines.*] section")
-        if self.execution.enabled and not self.execution.data_dir:
-            raise ConfigError("[execution] data_dir is required when execution is enabled")
+        if not 0 < self.llm.timeout < math.inf:  # a socket cannot wait forever
+            raise ConfigError(f"[llm] timeout must be > 0 and finite, got {self.llm.timeout}")
+        if self.llm.retries < 0:
+            raise ConfigError(f"[llm] retries must be >= 0, got {self.llm.retries}")
+        if self.llm.concurrency < 1:
+            raise ConfigError(f"[llm] concurrency must be >= 1, got {self.llm.concurrency}")
 
 
 # ---------------------------------------------------------------------------

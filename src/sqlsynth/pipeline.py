@@ -1,5 +1,5 @@
 """End-to-end orchestration: preprocess, subschemas, generate, validate,
-coverage-steer, execute, with JSONL checkpoints and a run manifest.
+coverage-steer, select, execute, with JSONL checkpoints and a run manifest.
 
 Stage outputs land in the configured output directory:
 
@@ -10,13 +10,14 @@ Stage outputs land in the configured output directory:
 * ``kept.jsonl``         the deduplicated kept corpus
 * ``coverage.json``      per-setting and overall coverage reports
 * ``coverage_facets.csv`` / ``coverage_clauses.csv`` tabular exports
+* ``training.jsonl``     the training subset (runs with ``[selection] size``)
 * ``labels.jsonl``       runtime labels of the kept records, one row per
   query and engine (execution runs)
 * ``manifest.json``      counts, accounting, file map, config snapshot
 
-Each stage has one implementation here. :func:`run_pipeline` calls them in
-turn, and each per-stage command of :mod:`sqlsynth.cli` calls the same one
-from the same config:
+Each stage has one implementation, here or in its own module.
+:func:`run_pipeline` calls them in turn, and each per-stage command of
+:mod:`sqlsynth.cli` calls the same one from the same config:
 
 ==============  ==========================================================
 ``preprocess``  :func:`build_catalog`
@@ -25,7 +26,7 @@ from the same config:
 ``gen-llm``     :func:`_llm_batch` (batch 0, no directives)
 ``validate``    :func:`validate_batch`
 ``coverage``    :func:`coverage_reports`, then :func:`write_coverage`
-``execute``     :func:`_execute`
+``execute``     :func:`~sqlsynth.execution.label_corpus`
 ==============  ==========================================================
 
 So ``run`` with ``loop_limit = 0`` and that chain of commands write the same
@@ -123,7 +124,6 @@ from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from tempfile import TemporaryDirectory
 
 from .config import PipelineConfig, config_snapshot
 from .coverage import (
@@ -137,14 +137,7 @@ from .coverage import (
     write_csv,
 )
 from .errors import BackendError, SqlsynthError
-from .execution import (
-    apply_retention,
-    connect,
-    execute_batch,
-    restrict_dataset,
-    save_labels,
-    split_load,
-)
+from .execution import label_corpus, save_labels
 from .llmgen import (
     HttpBackend,
     PromptSetting,
@@ -167,6 +160,7 @@ from .schema import (
 )
 from .subschema import build_join_graph, enumerate_subschemas, load_subschemas, save_subschemas
 from .sqltree import normalized_forms
+from .training import select_training_subset
 from .util import (
     SCHEMA_VERSION,
     append_jsonl,
@@ -320,7 +314,7 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
 
     # -- execution labeling ---------------------------------------------------
     if config.execution.enabled:
-        labels, label_counts = _execute(config, catalog, kept_records)
+        labels, label_counts = label_corpus(config.execution, catalog, kept_records, out)
         save_labels(labels, paths["labels"])
         manifest["files"]["labels"] = FILES["labels"]
         manifest["counts"].update(label_counts)
@@ -825,7 +819,7 @@ class PromptRequests:
         self.config, self.catalog, self.directives = config, catalog, directives
         self.backend, self.batch, self.analysis = backend, batch, analysis
         self.settings = _batch_settings(config, directives)
-        self._pool = ThreadPoolExecutor(max_workers=max(1, config.llm.concurrency))
+        self._pool = ThreadPoolExecutor(max_workers=config.llm.concurrency)
         self._failed = threading.Event()
         self._sent: list = []  # (subschema, setting, request future) in prompt order
 
@@ -872,16 +866,15 @@ class PromptRequests:
         if self._failed.is_set():
             raise CancelledError  # an earlier request failed the batch
         try:
-            attempts = self.config.llm.retries + 1
-            for attempt in range(attempts):
+            retries = self.config.llm.retries
+            for attempt in range(retries + 1):
                 try:
                     completions = generate_llm(prompt, self.backend, self.config.llm.params)
                 except BackendError as exc:
-                    if not exc.retryable or attempt == attempts - 1:
+                    if not exc.retryable or attempt == retries:
                         return exc
                 else:
                     return self.analysis.submit(completions, draft)
-            return BackendError("unreachable")  # pragma: no cover
         except BaseException:
             self._failed.set()
             raise
@@ -986,110 +979,6 @@ def write_coverage(reports, path) -> None:
         write_csv(clause_presence_rows(reports), path.with_name(FILES["clauses_csv"]))
 
 
-# ---------------------------------------------------------------------------
-# Execution
-# ---------------------------------------------------------------------------
-
-
-def _loads_dataset(config, engine) -> bool:
-    return engine.driver == "sqlite" and bool(config.execution.data_dir)
-
-
-def _run_engine(config, catalog, kept_records, engine, share=None):
-    """One engine worker: load data when configured, run the batch serially.
-    ``share`` is the engine's part of a load split across engines."""
-    try:
-        session = connect(engine)
-    except BaseException:
-        if share is not None:
-            share.rendezvous.abort()  # its peers must not wait for its part
-        raise
-    try:
-        if _loads_dataset(config, engine):
-            execution = config.execution
-            restrict_dataset(
-                catalog, execution.data_dir, session, execution.max_rows_per_table, share
-            )
-        return execute_batch(
-            kept_records, engine, timeout_ms=config.execution.timeout_ms, session=session
-        )
-    finally:
-        session.close()
-
-
-def _execute(config, catalog, kept_records):
-    """Label ``kept_records`` on every configured engine; returns the labels
-    retention keeps, engines in config order and each engine's in corpus
-    order, and the stage's counts."""
-    engines = list(config.execution.engines)
-    loading = [i for i, engine in enumerate(engines) if _loads_dataset(config, engine)]
-    shares = [None] * len(engines)
-    with ExitStack() as stack:
-        if len(loading) > 1:
-            # the SQLite engines load the dataset once between them, through
-            # part files that last as long as the stage
-            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-            part_dir = stack.enter_context(TemporaryDirectory(prefix=".load-", dir=config.out_dir))
-            split = split_load(catalog, config.execution.data_dir, part_dir, len(loading))
-            for i, share in zip(loading, split):
-                shares[i] = share
-        # one serial worker per engine, engines in parallel; the engines of a
-        # split load wait for each other, so each needs a thread of its own
-        with ThreadPoolExecutor(max_workers=max(1, len(engines))) as pool:
-            futures = [
-                pool.submit(_run_engine, config, catalog, kept_records, engine, share)
-                for engine, share in zip(engines, shares)
-            ]
-    # a failed load breaks its peers' wait, so its own error is raised first
-    for future in sorted(
-        futures, key=lambda f: isinstance(f.exception(), threading.BrokenBarrierError)
-    ):
-        future.result()
-    labels = [label for future in futures for label in future.result()]
-    kept, dropped = apply_retention(labels, config.execution.min_empty_runtime_ms)
-    return kept, {
-        "executed": len(labels),
-        "labels_kept": len(kept),
-        "labels_dropped": len(dropped),
-        "labeled_records": len({label.query_id for label in kept}),
-    }
-
-
-def select_training_subset(kept_records, size: int, mode: str = "stratified"):
-    """Pick the training subset from the kept corpus.
-
-    ``first_n`` takes the first ``size`` kept records; ``stratified`` takes
-    them round-robin across origin/prompt-setting groups (preserving each
-    group's order) so no setting dominates the training set.
-    """
-    if size >= len(kept_records):
-        return list(kept_records)
-    if mode == "first_n":
-        return kept_records[:size]
-    if mode != "stratified":
-        raise ValueError(f"unknown selection mode {mode!r}")
-    groups: dict[str, list] = {}
-    order: list[str] = []
-    for record in kept_records:
-        label = record.setting_label
-        if label not in groups:
-            groups[label] = []
-            order.append(label)
-        groups[label].append(record)
-    picked = []
-    index = 0
-    while len(picked) < size:
-        progressed = False
-        for label in order:
-            bucket = groups[label]
-            if index < len(bucket):
-                picked.append(bucket[index])
-                progressed = True
-                if len(picked) == size:
-                    break
-        if not progressed:
-            break
-        index += 1
-    # keep corpus order in the output for diff-friendliness
-    chosen = {id(record) for record in picked}
-    return [record for record in kept_records if id(record) in chosen]
+#: The name ``perfbench/run.py`` probes the execution stage by, until its
+#: probes name the stage itself (ROADMAP item 10).
+_execute = label_corpus

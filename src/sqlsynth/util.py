@@ -31,6 +31,10 @@ from .errors import DataFileError
 
 SCHEMA_VERSION = 1
 
+#: Field metadata of a config path key: a relative value resolves against
+#: the config file's directory, and the snapshot writes it relative to it.
+PATH = {"path": True}
+
 _SEP = "\x1f"
 
 

@@ -212,8 +212,9 @@ class TestStageCommands:
         assert all([label.engine_id for label in ls] == engines for ls in by_query.values())
         # engines that loaded the dataset between them return the same rows
         assert all(len({label.row_count for label in ls}) == 1 for ls in by_query.values())
-        out = tmp_path / "out"
-        assert not out.exists() or list(out.iterdir()) == []  # no part file is left
+        # the part files live beside --out, not in the config's out_dir, and none is left
+        assert not (tmp_path / "out").exists()
+        assert list(tmp_path.glob(".load-*")) == []
         report_dir = tmp_path / "report"
         code = main(["report", "--kept", str(records), "--labels", str(labels_path),
                      "--out-dir", str(report_dir)])

@@ -216,6 +216,17 @@ WRONG_TYPES = [
      '[engines.e1]\ndriver = "dbapi"\nmodule = "m"\nconnect_args = 1'),
 ]
 
+#: Values out of their key's range.
+OUT_OF_RANGE = [
+    ("[execution] timeout_ms", "[execution]\ntimeout_ms = 0"),
+    ("[execution] max_rows_per_table", "[execution]\nmax_rows_per_table = 0"),
+    ("[llm] retries", "[llm]\nretries = -1"),
+    ("[llm] concurrency", "[llm]\nconcurrency = 0"),
+    ("[llm] timeout", "[llm]\ntimeout = 0"),
+    ("[llm] timeout", "[llm]\ntimeout = nan"),
+    ("[llm] timeout", "[llm]\ntimeout = inf"),
+]
+
 
 class TestStrictLoader:
     def test_file_with_only_a_ddl_is_all_defaults(self):
@@ -223,7 +234,10 @@ class TestStrictLoader:
         assert config == PipelineConfig(schema=SchemaSettings(ddl=str(TPCH_DDL_PATH)))
 
     @pytest.mark.parametrize(
-        "named, text", UNKNOWN_KEYS + WRONG_TYPES, ids=[n for n, _ in UNKNOWN_KEYS + WRONG_TYPES]
+        "named, text",
+        UNKNOWN_KEYS + WRONG_TYPES + OUT_OF_RANGE,
+        ids=[n for n, _ in UNKNOWN_KEYS + WRONG_TYPES]
+        + [text.replace("\n", " ") for _, text in OUT_OF_RANGE],
     )
     def test_bad_key_is_named_and_run_exits_2(self, tmp_path, capsys, named, text):
         with pytest.raises(ConfigError) as error:

@@ -16,7 +16,7 @@ from sqlsynth import validation as validation_mod
 from sqlsynth.config import config_from_dict, load_config
 from sqlsynth.coverage import aggregate_coverage, profile_query
 from sqlsynth.execution import load_labels
-from sqlsynth.llmgen import PromptSetting, StubBackend, prompt_hash
+from sqlsynth.llmgen import StubBackend, prompt_hash
 from sqlsynth.pipeline import run_pipeline
 from sqlsynth.records import QueryRecord, load_records, make_record
 from sqlsynth.schema import load_catalog
@@ -410,30 +410,6 @@ class TestVerdictInvariant:
 
 
 class TestTrainingSelection:
-    def test_stratified_balances_settings(self):
-        from sqlsynth.pipeline import select_training_subset
-
-        mech = [make_fake_record("mechanical", i) for i in range(20)]
-        llm = [make_fake_record("llm", i) for i in range(20)]
-        subset = select_training_subset(mech + llm, 10, "stratified")
-        origins = [r.origin for r in subset]
-        assert origins.count("mechanical") == 5
-        assert origins.count("llm") == 5
-
-    def test_first_n(self):
-        from sqlsynth.pipeline import select_training_subset
-
-        mech = [make_fake_record("mechanical", i) for i in range(20)]
-        llm = [make_fake_record("llm", i) for i in range(5)]
-        subset = select_training_subset(mech + llm, 10, "first_n")
-        assert all(r.origin == "mechanical" for r in subset)
-
-    def test_size_beyond_corpus_keeps_everything(self):
-        from sqlsynth.pipeline import select_training_subset
-
-        mech = [make_fake_record("mechanical", i) for i in range(3)]
-        assert len(select_training_subset(mech, 10)) == 3
-
     def test_pipeline_writes_training_file(self, tmp_path):
         config = base_config(tmp_path)
         config.selection.size = 15
@@ -441,22 +417,6 @@ class TestTrainingSelection:
         training = load_records(Path(config.out_dir) / "training.jsonl")
         assert len(training) == 15
         assert manifest["counts"]["training_selected"] == 15
-
-
-def make_fake_record(origin, index):
-    from sqlsynth.records import make_record
-
-    sql = f"SELECT {'a' * (1 + index % 7)}_{index} FROM t{index}"
-    if origin == "llm":
-        return make_record(
-            sql,
-            "llm",
-            "s1",
-            prompt_setting=PromptSetting(0, "none"),
-            prompt_hash="x",
-            model_name="m",
-        )
-    return make_record(sql, "mechanical", "s1")
 
 
 class TestManifestOnStageFailure:
@@ -587,27 +547,33 @@ def engine_sessions(monkeypatch):
 
 @pytest.fixture
 def execute_within(monkeypatch):
-    """``_execute`` on a thread that must finish within ``seconds``; returns
-    its result, or raises its error. If it does not finish, every split
-    load's rendezvous is aborted, so no engine thread outlives the test."""
+    """``label_corpus`` of a config's execution settings, with its out_dir
+    as the work directory, on a thread that must finish within ``seconds``;
+    returns its result, or raises its error. If it does not finish, every
+    split load's rendezvous is aborted, so no engine thread outlives the
+    test."""
     import threading
 
+    from sqlsynth import execution as execution_mod
+
     shares = []
-    split_load = pipeline_mod.split_load
+    split_load = execution_mod.split_load
 
     def recorded(*args):
         split = split_load(*args)
         shares.extend(split)
         return split
 
-    monkeypatch.setattr(pipeline_mod, "split_load", recorded)
+    monkeypatch.setattr(execution_mod, "split_load", recorded)
 
     def execute(config, catalog, records, seconds=60):
         outcome = {}
 
         def target():
             try:
-                outcome["result"] = pipeline_mod._execute(config, catalog, records)
+                outcome["result"] = execution_mod.label_corpus(
+                    config.execution, catalog, records, config.out_dir
+                )
             except BaseException as exc:  # handed to the test
                 outcome["error"] = exc
 
