@@ -7,8 +7,8 @@ and calls the function ``run`` calls for that stage:
 ==============  ==============================================================
 ``preprocess``  :func:`~sqlsynth.pipeline.build_catalog`
 ``subschemas``  :func:`~sqlsynth.pipeline.build_subschemas`
-``gen-mech``    :func:`~sqlsynth.pipeline.mechanical_batch`, batch 0
-``gen-llm``     :func:`~sqlsynth.pipeline._llm_batch`, batch 0, no directives
+``gen-mech``    :func:`~sqlsynth.pipeline.generate_batch`, batch 0, no backend
+``gen-llm``     :func:`~sqlsynth.pipeline.generate_batch`, batch 0, seeds from ``--pool``
 ``validate``    :func:`~sqlsynth.pipeline.validate_batch`
 ``coverage``    :func:`~sqlsynth.pipeline.coverage_reports` and
                 :func:`~sqlsynth.pipeline.write_coverage`
@@ -17,11 +17,11 @@ and calls the function ``run`` calls for that stage:
 
 So the chain ``preprocess`` → ``subschemas`` → ``gen-mech`` → ``gen-llm`` →
 ``validate`` → ``coverage`` → ``execute`` writes what ``run`` writes for a
-config with ``loop_limit = 0``, runtimes apart. ``execute`` writes the
-runtime labels, one row per query and engine, and the part files of a
-shared dataset load beside them. ``evaluate`` and ``report``
-read a finished run's files: ``report`` finds each label's prompt setting
-in the kept records by query id.
+config with ``loop_limit = 0``, runtimes apart; neither generation command
+validates what it writes. ``execute`` writes the runtime labels, one row per
+query and engine, and the part files of a shared dataset load beside them.
+``evaluate`` and ``report`` read a finished run's files: ``report`` finds
+each label's prompt setting in the kept records by query id.
 
 Exit codes: 0 success, 1 stage-fatal error, 2 configuration/usage error.
 ``--json-errors`` switches error reporting to a machine-readable JSON line
@@ -166,11 +166,8 @@ def cmd_subschemas(args) -> int:
 def cmd_gen_mech(args) -> int:
     config = load_config(args.config)
     subs = load_subschemas(args.subschemas)
-    records = [
-        record
-        for made in pipeline.mechanical_batch(config, load_catalog(args.catalog), subs, batch=0)
-        for record in made
-    ]
+    accounting = pipeline.BatchAccounting(batch=0)
+    records = _batch_zero(config, load_catalog(args.catalog), subs, {}, None, accounting)
     save_records(records, args.out)
     print(f"{len(records)} mechanical queries over {len(subs)} subschemas -> {args.out}")
     return 0
@@ -183,18 +180,13 @@ def cmd_gen_llm(args) -> int:
     pools: dict[str, list[SeedExample]] = {}
     for record in load_records(args.pool):
         pools.setdefault(record.subschema_id, []).append(SeedExample.from_record(record))
+    config.mech_per_subschema = 0  # the records of --pool stand in for the batch's
     accounting = pipeline.BatchAccounting(batch=0)
     with closing(pipeline.make_backend(config)) as backend:
-        records = list(pipeline._llm_batch(
-            config,
-            load_catalog(args.catalog),
-            load_subschemas(args.subschemas),
-            pools,
-            pipeline.RegenDirectives(),
-            backend,
-            batch=0,
-            accounting=accounting,
-        ))
+        records = _batch_zero(
+            config, load_catalog(args.catalog), load_subschemas(args.subschemas), pools,
+            backend, accounting,
+        )
     save_records(records, args.out)
     print(
         f"{len(records)} candidates from {accounting.llm_calls} backend calls "
@@ -203,7 +195,18 @@ def cmd_gen_llm(args) -> int:
     return 0
 
 
+def _batch_zero(config, catalog, subschemas, pools, backend, accounting) -> list:
+    """A run's batch 0, as :func:`~sqlsynth.pipeline.generate_batch` makes
+    it with no directives, not validated."""
+    return [record for chunk in pipeline.generate_batch(
+        config, catalog, subschemas, pools, pipeline.RegenDirectives(), backend, 0,
+        accounting, pipeline.InlineAnalysis(),
+    ) for record in chunk]
+
+
 def cmd_validate(args) -> int:
+    if Path(args.out).resolve() == Path(args.kept).resolve():
+        raise ConfigError(f"--out and --kept are the same file: {args.out}")
     config = load_config(args.config)
     subschema_by_id = {s.id: s for s in load_subschemas(args.subschemas)}
     records = [record for path in args.records for record in load_records(path)]

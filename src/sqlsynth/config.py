@@ -22,8 +22,8 @@ file's shape for the run manifest.
 
 from __future__ import annotations
 
-import math
 import os
+import threading
 import tomllib
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -145,8 +145,9 @@ class PipelineConfig:
                 split_url(self.llm.url)
             except ValueError as exc:
                 raise ConfigError(f"[llm] url: {exc}") from exc
-        if not 0 < self.llm.timeout < math.inf:  # a socket cannot wait forever
-            raise ConfigError(f"[llm] timeout must be > 0 and finite, got {self.llm.timeout}")
+        timeout, longest = self.llm.timeout, threading.TIMEOUT_MAX  # as long as a socket waits
+        if not 0 < timeout <= longest:
+            raise ConfigError(f"[llm] timeout must be > 0 and <= {longest:g}, got {timeout}")
         if self.llm.retries < 0:
             raise ConfigError(f"[llm] retries must be >= 0, got {self.llm.retries}")
         if self.llm.concurrency < 1:

@@ -93,6 +93,10 @@ class ExecutionSettings:
     def validate(self):
         if self.timeout_ms < 1:
             raise ValueError(f"timeout_ms must be >= 1, got {self.timeout_ms}")
+        # an engine's reply is awaited past the timeout, and select waits no longer
+        longest_ms = (threading.TIMEOUT_MAX - SqliteSession._REPLY_GRACE_S) * 1000
+        if self.timeout_ms > longest_ms:
+            raise ValueError(f"timeout_ms must be at most {longest_ms:.0f}, got {self.timeout_ms}")
         if self.max_rows_per_table < 1:
             raise ValueError(f"max_rows_per_table must be >= 1, got {self.max_rows_per_table}")
         if self.enabled and not self.engines:

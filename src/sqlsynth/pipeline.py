@@ -22,8 +22,8 @@ Each stage has one implementation, here or in its own module.
 ==============  ==========================================================
 ``preprocess``  :func:`build_catalog`
 ``subschemas``  :func:`build_subschemas`
-``gen-mech``    :func:`mechanical_batch` (batch 0)
-``gen-llm``     :func:`_llm_batch` (batch 0, no directives)
+``gen-mech``    :func:`generate_batch` (batch 0, no backend, not validated)
+``gen-llm``     :func:`generate_batch` (batch 0, seeds from ``--pool``, not validated)
 ``validate``    :func:`validate_batch`
 ``coverage``    :func:`coverage_reports`, then :func:`write_coverage`
 ``execute``     :func:`~sqlsynth.execution.label_corpus`
@@ -45,7 +45,7 @@ mechanical candidate holds the syntax tree it was built as: one walk of
 prints its forms, so it is never scanned, tokenized or parsed. An LLM
 candidate, or a record read from a file, is scanned once for its forms and
 parsed once.
-:func:`mechanical_batch` makes candidates one subschema at a time and
+:func:`generate_batch` makes candidates one subschema at a time and
 :class:`PromptRequests` one prompt at a time, and :func:`validate_record`
 analyses each: it takes the record's tree or parses its SQL, resolves the
 references in the one walk over the tree, derives the relevance codes from
@@ -53,17 +53,19 @@ them, profiles an accepted candidate from the counts that walk took and
 takes its dedup key from the record's forms; the forms and the tree are
 dropped there. An LLM prompt's completions are analysed together
 (:func:`analyse_completions`: extract the SQL, make the records, validate
-them). Every backend runs each batch through one driver,
-:func:`_overlapped_batch`, which overlaps the batch's requests with its
-generation: the parent first makes the queries of the subschemas the batch
-prompts for (none with the LLM off), sending each one's prompts as soon as
-its seed pool is filled (:class:`PromptRequests`), then makes the other
-subschemas' queries while the requests are in flight. Only the analysis
-that holds the batch depends on the backend. With the HTTP backend one
-forked child process per :func:`run_pipeline` call (:class:`ChildAnalysis`)
-makes all but the parent's share (:data:`PARENT_MECH_SHARE`) of those
-other subschemas, then analyses each prompt's completions, which the
-request threads hand it as they arrive (:func:`make_mechanical` and
+them). Every backend, and each generation command, makes its batches
+through one function, :func:`generate_batch`, which overlaps a batch's
+requests with its generation: the parent first makes the queries of the
+subschemas the batch prompts for (none with the LLM off), sending each
+one's prompts as soon as its seed pool is filled (:class:`PromptRequests`),
+then makes the other subschemas' queries while the requests are in flight.
+``gen-mech`` prompts for none and ``gen-llm`` makes no query: its prompts
+draw on the seed pools of ``--pool``. Only the analysis that holds the
+batch depends on the backend. With the HTTP backend one forked child
+process per :func:`run_pipeline` call (:class:`ChildAnalysis`) makes all
+but the parent's share (:data:`PARENT_MECH_SHARE`) of those other
+subschemas, then analyses each prompt's completions, which the request
+threads hand it as they arrive (:func:`make_mechanical` and
 :func:`analyse_completions` on either side). So generation, requests and
 analysis run on two cores, and no request waits for the queries its prompt
 does not draw on. With the stub backend or the LLM off there is no wait to
@@ -73,7 +75,7 @@ every request is in. Either way the records come back in subschema and
 prompt order, so the outputs are the same.
 
 A batch settles as its candidates arrive, not once it is all made:
-:func:`_overlapped_batch` yields them in candidate order as lists of
+:func:`generate_batch` yields them in candidate order as lists of
 consecutive candidates, each list as soon as it and every candidate before
 it exist, and :func:`settle_batch` settles each list in turn
 (:func:`settle_chunk`). It counts the candidates, deduplicates the accepted
@@ -386,7 +388,7 @@ def _generate(config, catalog, subschemas, backend, paths):
         while True:
             accounting = BatchAccounting(batch=batch)
             # closed on any error, so that the batch's queued requests are not sent
-            with closing(_overlapped_batch(
+            with closing(generate_batch(
                 config, catalog, subschemas, mech_pools, directives, backend, batch,
                 accounting, analysis,
             )) as chunks:
@@ -432,7 +434,7 @@ def _appending(*paths):
 
 
 #: The share of each mechanical batch's subschemas that no prompt draws on,
-#: from the first, that :func:`mechanical_batch` makes in the parent while
+#: from the first, that :func:`generate_batch` makes in the parent while
 #: the analysis child makes the others; on the HTTP path the parent makes
 #: the prompted subschemas too, first, so it makes 3 + 12 of the demo's 32
 #: and the child 17. A constant, not a measured split, so each side's
@@ -445,57 +447,64 @@ def _appending(*paths):
 PARENT_MECH_SHARE = 0.4
 
 
-def mechanical_batch(
-    config, catalog, subschemas, batch: int, analysis=None, first=(), then=None
+def generate_batch(
+    config, catalog, subschemas, mech_pools, directives, backend, batch, accounting, analysis,
 ):
-    """One batch of mechanical queries, ``mech_per_subschema`` per subschema,
-    yielded in subschema order as lists of consecutive records.
+    """One batch of candidates, prompting ``backend`` (None for none) and
+    analysed by ``analysis`` (:class:`ChildAnalysis` or
+    :class:`InlineAnalysis`). The parent makes the queries of the
+    subschemas the batch prompts for first, adding them to the seed pools
+    ``mech_pools`` and sending each one's prompts as soon as its pool is
+    filled, then the first :data:`PARENT_MECH_SHARE` of the other
+    subschemas' queries, while the analysis makes the rest. ``run`` makes
+    each batch here; ``gen-mech`` makes batch 0 with no backend and an
+    analysis without a check, which validates nothing, and ``gen-llm`` with
+    ``mech_per_subschema`` 0, so that its prompts draw on the pools it read.
 
-    Without ``analysis`` the caller makes every query, one subschema's list
-    at a time, and validates none. Given ``analysis``
-    (:class:`ChildAnalysis` or :class:`InlineAnalysis`, holding a check),
-    the caller makes and validates the queries of the ``first`` subschemas,
-    each in turn, calling ``then(subschema, records)`` as each is done, then
-    those of the first :data:`PARENT_MECH_SHARE` of the others, while the
-    analysis makes the rest. Each list is yielded as soon as its records and
-    every record before them exist: once the caller's share is made, the
-    records of its subschemas up to the first of the analysis's, before it
-    waits for the analysis's share, and the rest when that share is in.
-    SqlsynthError names the batch if the analysis child dies."""
-    if config.mech_per_subschema == 0:
-        for subschema in first:
-            then(subschema, [])
-        return
-    args = (config.mechanical, config.mech_per_subschema,
-            derive_seed(config.seed, "mechanical-batch", batch), batch)
-    if analysis is None:
-        for subschema in subschemas:
-            yield make_mechanical([subschema], catalog, *args)
-        return
-    first_ids = {subschema.id for subschema in first}
-    others = [subschema for subschema in subschemas if subschema.id not in first_ids]
+    Yields the candidates in candidate order, mechanical in subschema order
+    then LLM in prompt order, as lists of consecutive candidates, each as
+    soon as it and every candidate before it exist: the parent's subschemas
+    up to the analysis's first, the rest once the analysis's share is in,
+    then each prompt's records as its request and analysis end, counting
+    the calls and failures into ``accounting``. So the caller settles the
+    batch while the rest of it is made. SqlsynthError names the batch if
+    the analysis child dies."""
+    n = config.mech_per_subschema
+    prompted = [] if backend is None else _choose_subschemas(config, subschemas, directives, batch)
+    prompted_ids = {subschema.id for subschema in prompted}
+    # gen-llm's batch makes no mechanical query: its seed pools come filled
+    others = [s for s in subschemas if s.id not in prompted_ids] if n else []
     split = math.ceil(PARENT_MECH_SHARE * len(others))
-    tail = analysis.submit_mechanical(others[split:], *args)
+    seed = derive_seed(config.seed, "mechanical-batch", batch)
+    args = (catalog, config.mechanical, n, seed, batch)
     made: dict[str, list[QueryRecord]] = {}  # subschema id -> its records
-    for subschema in first:
-        made[subschema.id] = make_mechanical([subschema], catalog, *args, analysis.check)
-        then(subschema, made[subschema.id])
-    for subschema in others[:split]:
-        made[subschema.id] = make_mechanical([subschema], catalog, *args, analysis.check)
-    # the caller's subschemas up to the analysis's first, then the rest
-    ahead = next((i for i, s in enumerate(subschemas) if s.id not in made), len(subschemas))
-    if ahead:
-        yield [record for subschema in subschemas[:ahead] for record in made[subschema.id]]
-    try:
-        records = tail.result()
-    except BrokenExecutor as exc:
-        raise SqlsynthError(
-            f"mechanical batch {batch}: the analysis process died ({exc})"
-        ) from exc
-    for record in records:
-        made.setdefault(record.subschema_id, []).append(record)
-    if ahead < len(subschemas):
-        yield [record for subschema in subschemas[ahead:] for record in made[subschema.id]]
+
+    def add(records):
+        for record in records:
+            made.setdefault(record.subschema_id, []).append(record)
+            mech_pools.setdefault(record.subschema_id, []).append(SeedExample.from_record(record))
+
+    with PromptRequests(config, catalog, directives, backend, batch, analysis) as requests:
+        tail = analysis.submit_mechanical(others[split:], *args)
+        for subschema in prompted:
+            if n:
+                add(make_mechanical([subschema], *args, analysis.check))
+            requests.send(subschema, mech_pools.get(subschema.id, []))
+        for subschema in others[:split]:
+            add(make_mechanical([subschema], *args, analysis.check))
+        # the parent's subschemas up to the analysis's first, then the rest
+        ahead = next((i for i, s in enumerate(subschemas) if s.id not in made), len(subschemas))
+        if ahead:
+            yield [record for subschema in subschemas[:ahead] for record in made[subschema.id]]
+        try:
+            add(tail.result())
+        except BrokenExecutor as exc:
+            raise SqlsynthError(
+                f"mechanical batch {batch}: the analysis process died ({exc})"
+            ) from exc
+        if n and ahead < len(subschemas):
+            yield [record for subschema in subschemas[ahead:] for record in made[subschema.id]]
+        yield from requests.records(accounting)
 
 
 def make_mechanical(subschemas, catalog, mech, n: int, seed: int, batch: int, check=None):
@@ -639,9 +648,8 @@ class InlineAnalysis:
     the ``result()`` of a future. So the parent makes every query of a
     batch and analyses each prompt's completions once every request is in.
     This is the analysis of the stub backend, of a run with the LLM off and
-    of ``gen-llm``; with ``check`` None, as in ``gen-llm``, the records are
-    not validated, and :meth:`submit_mechanical`, which needs the check's
-    catalog, is not called."""
+    of ``gen-mech`` and ``gen-llm``, which give no ``check``: their records
+    are not validated."""
 
     def __init__(self, check=None):
         self.check = check
@@ -649,8 +657,7 @@ class InlineAnalysis:
     def submit(self, completions, draft: dict):
         return _Deferred(partial(analyse_completions, completions, draft, self.check))
 
-    def submit_mechanical(self, subschemas, mech, n: int, seed: int, batch: int):
-        catalog = self.check[0]
+    def submit_mechanical(self, subschemas, catalog, mech, n: int, seed: int, batch: int):
         return _Deferred(partial(
             make_mechanical, subschemas, catalog, mech, n, seed, batch, self.check
         ))
@@ -690,8 +697,7 @@ class ChildAnalysis:
     warn when a process with live threads forks, as one running an
     in-process completion server does. Leaving the ``with`` block shuts
     the child down, whatever ended the block; a child that dies makes the
-    batch raise SqlsynthError (see :func:`mechanical_batch` and
-    :meth:`PromptRequests.records`)."""
+    batch raise SqlsynthError (see :func:`generate_batch`)."""
 
     def __init__(self, check):
         self.check = check
@@ -701,7 +707,8 @@ class ChildAnalysis:
     def submit(self, completions, draft: dict):
         return self._pool.submit(_analyse_in_child, completions, draft)
 
-    def submit_mechanical(self, subschemas, mech, n: int, seed: int, batch: int):
+    def submit_mechanical(self, subschemas, catalog, mech, n: int, seed: int, batch: int):
+        # the child holds the catalog from its start
         return self._pool.submit(_make_mechanical_in_child, subschemas, mech, n, seed, batch)
 
     def __enter__(self):
@@ -749,61 +756,6 @@ def _analyse_in_child(completions, draft: dict) -> list[QueryRecord]:
 
 def _make_mechanical_in_child(subschemas, mech, n: int, seed: int, batch: int):
     return make_mechanical(subschemas, _child_check[0], mech, n, seed, batch, _child_check)
-
-
-def _add_seeds(mech_pools, records) -> None:
-    """Add mechanical ``records`` to the seed pools of their subschemas."""
-    for record in records:
-        mech_pools.setdefault(record.subschema_id, []).append(SeedExample.from_record(record))
-
-
-def _overlapped_batch(
-    config, catalog, subschemas, mech_pools, directives, backend, batch, accounting, analysis,
-):
-    """One batch of a run, whatever its ``backend`` (None when the LLM is
-    off) and ``analysis`` (:class:`ChildAnalysis` or
-    :class:`InlineAnalysis`): :func:`mechanical_batch` makes the subschemas
-    the batch prompts for first, none without a backend, and each one's
-    prompts are sent as soon as its seed pool is filled, so the requests
-    are in flight while the rest of the batch is made.
-
-    Yields the batch's validated candidates in candidate order, mechanical
-    in subschema order then LLM in prompt order, as lists of consecutive
-    candidates, each list as soon as its candidates and every one before
-    them exist: the parent's own subschemas before it waits for the
-    analysis's share, that share when it is in, and each prompt's records
-    as its request and their analysis end. So the caller settles the batch
-    while the rest of it is made. The candidates and the seed pools are
-    those of :func:`mechanical_batch` followed by :func:`_llm_batch`."""
-    prompted = []
-    if backend is not None:
-        prompted = _choose_subschemas(config, subschemas, directives, batch)
-    prompted_ids = {subschema.id for subschema in prompted}
-
-    def send(subschema, records):
-        _add_seeds(mech_pools, records)
-        requests.send(subschema, mech_pools.get(subschema.id, []))
-
-    with PromptRequests(config, catalog, directives, backend, batch, analysis) as requests:
-        for records in mechanical_batch(
-            config, catalog, subschemas, batch, analysis, first=prompted, then=send
-        ):
-            _add_seeds(mech_pools, (r for r in records if r.subschema_id not in prompted_ids))
-            yield records
-        yield from requests.records(accounting)
-
-
-def _llm_batch(config, catalog, subschemas, mech_pools, directives, backend, batch, accounting):
-    """``gen-llm``'s batch: prompt ``backend`` once per chosen subschema and
-    setting, and yield the unvalidated records of each prompt's completions
-    in prompt order (see :class:`PromptRequests`). Counts the calls and
-    failures into ``accounting``. A run's batches prompt through
-    :func:`_overlapped_batch`."""
-    with PromptRequests(config, catalog, directives, backend, batch, InlineAnalysis()) as requests:
-        for subschema in _choose_subschemas(config, subschemas, directives, batch):
-            requests.send(subschema, mech_pools.get(subschema.id, []))
-        for records in requests.records(accounting):
-            yield from records
 
 
 class PromptRequests:

@@ -423,6 +423,25 @@ class TestWrongInputs:
         assert error["kind"] == "DataFileError"
         assert "line 1" in error["message"]
 
+    def test_same_out_and_kept_is_a_config_error(
+        self, tmp_path, config_path, catalog_path, subschemas_path, capsys
+    ):
+        records = tmp_path / "mech.jsonl"
+        assert main(["gen-mech", "--config", str(config_path), "--catalog", str(catalog_path),
+                     "--subschemas", str(subschemas_path), "--out", str(records)]) == 0
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        code = main([
+            "--json-errors", "validate", "--config", str(config_path),
+            "--catalog", str(catalog_path), "--subschemas", str(subschemas_path),
+            "--records", str(records), "--out", str(tmp_path / "same.jsonl"),
+            "--kept", f"{tmp_path}/elsewhere/../same.jsonl",
+        ])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config" and "same file" in error["message"]
+        assert sorted(tmp_path.iterdir()) == before
+
     def _one_json_error(self, capsys, argv) -> dict:
         capsys.readouterr()
         code = main(["--json-errors", *argv])

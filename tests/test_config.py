@@ -225,6 +225,9 @@ OUT_OF_RANGE = [
     ("[llm] timeout", "[llm]\ntimeout = 0"),
     ("[llm] timeout", "[llm]\ntimeout = nan"),
     ("[llm] timeout", "[llm]\ntimeout = inf"),
+    # longer than a socket or select can wait on this platform
+    ("[llm] timeout", "[llm]\ntimeout = 1e10"),
+    ("[execution] timeout_ms", "[execution]\ntimeout_ms = 10_000_000_000_000"),
 ]
 
 

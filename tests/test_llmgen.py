@@ -672,18 +672,18 @@ class TestAnalysisChild:
         # the child dies once batch 0's mechanical queries are all in, while
         # it analyses the batch's completions
         mechanical_done = threading.Event()
-        mechanical_batch = pipeline_mod.mechanical_batch
+        records = pipeline_mod.PromptRequests.records
 
         def signalled(*args, **kwargs):
-            yield from mechanical_batch(*args, **kwargs)
-            mechanical_done.set()
+            mechanical_done.set()  # read once the batch's mechanical queries are all in
+            yield from records(*args, **kwargs)
 
         def kill_child():
             assert mechanical_done.wait(10)
             [child] = multiprocessing.active_children()
             os.kill(child.pid, signal.SIGKILL)
 
-        monkeypatch.setattr(pipeline_mod, "mechanical_batch", signalled)
+        monkeypatch.setattr(pipeline_mod.PromptRequests, "records", signalled)
         backend = ScriptedBackend(at=5, act=kill_child)
         with pytest.raises(SqlsynthError, match="LLM batch 0: the analysis process died"):
             self._run(tmp_path, monkeypatch, backend)
@@ -810,25 +810,47 @@ class TestAnalysisChild:
         config.execution.enabled = False
         manifest = run_pipeline(config)
         assert manifest["counts"]["llm_calls"] > 0
-        # gen-llm writes its candidates unvalidated
+        # gen-mech and gen-llm write their candidates unvalidated
+        common = ["--config", str(demo), "--catalog", str(out / "catalog.json"),
+                  "--subschemas", str(out / "subschemas.jsonl")]
+        mech, llm = tmp_path / "mech.jsonl", tmp_path / "llm.jsonl"
+        assert cli_main(["gen-mech", *common, "--out", str(mech)]) == 0
+        assert cli_main(["gen-llm", *common, "--pool", str(out / "kept.jsonl"),
+                         "--out", str(llm)]) == 0
+        for path in (mech, llm):
+            records = load_records(path)
+            assert records and all(r.validation is None and r.profile is None for r in records)
+
+    def test_gen_llm_makes_no_mechanical_query(self, tmp_path, monkeypatch):
+        # gen-llm's prompts draw only on --pool: it never calls the generator
+        demo = REPO_ROOT / "data" / "demo" / "demo.toml"
+        config = load_config(demo)
+        out = tmp_path / "out"
+        config.out_dir = str(out)
+        config.execution.enabled = False
+        run_pipeline(config)
+
+        def fails(*args, **kwargs):
+            raise AssertionError("gen-llm made a mechanical query")
+
+        monkeypatch.setattr(pipeline_mod, "generate_mechanical", fails)
         llm = tmp_path / "llm.jsonl"
         assert cli_main([
             "gen-llm", "--config", str(demo), "--catalog", str(out / "catalog.json"),
             "--subschemas", str(out / "subschemas.jsonl"), "--pool", str(out / "kept.jsonl"),
             "--out", str(llm),
         ]) == 0
-        records = load_records(llm)
-        assert records and all(record.validation is None for record in records)
+        assert load_records(llm)
 
 
 SETTLED_FILES = ("kept.jsonl", "records.jsonl", "coverage.json",
                  "coverage_facets.csv", "coverage_clauses.csv", "manifest.json")
 
 
-def _settled_whole(overlapped_batch):
-    """``_overlapped_batch`` as one chunk: the batch settles once it is all made."""
+def _settled_whole(generate_batch):
+    """``generate_batch`` as one chunk: the batch settles once it is all made."""
     def whole(*args, **kwargs):
-        yield [record for chunk in overlapped_batch(*args, **kwargs) for record in chunk]
+        yield [record for chunk in generate_batch(*args, **kwargs) for record in chunk]
     return whole
 
 
@@ -866,12 +888,12 @@ class TestStreamedSettle:
                 record.profile = None
 
         monkeypatch.setattr(pipeline_mod, "validate_record", also_rejecting)
-        overlapped_batch = pipeline_mod._overlapped_batch
+        generate_batch = pipeline_mod.generate_batch
         with server_module.CompletionServer(seed=6) as server:
             config.llm.url = server.url
             for run in ("streamed", "whole"):
-                monkeypatch.setattr(pipeline_mod, "_overlapped_batch", overlapped_batch
-                                    if run == "streamed" else _settled_whole(overlapped_batch))
+                monkeypatch.setattr(pipeline_mod, "generate_batch", generate_batch
+                                    if run == "streamed" else _settled_whole(generate_batch))
                 config.out_dir = str(tmp_path / run)
                 run_pipeline(config)
                 server.reset()  # each run meets every prompt afresh
