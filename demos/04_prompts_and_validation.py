@@ -13,6 +13,7 @@ from sqlsynth.llmgen import CANONICAL_SETTINGS, PromptSetting, build_prompt, ext
 from sqlsynth.mechgen import MechConfig, SeedExample, generate_mechanical, select_seed_examples
 from sqlsynth.records import make_record
 from sqlsynth.schema import CsvDirSampler, infer_foreign_keys, ingest_ddl, profile_columns
+from sqlsynth.sqltree import normalize_sql
 from sqlsynth.subschema import build_join_graph, enumerate_subschemas
 from sqlsynth.validation import ValidationReport, deduplicate, validate_relevance, validate_syntax
 
@@ -64,6 +65,6 @@ variants = [
 ]
 records = [make_record(sql, "mechanical", subschema.id) for sql in variants]
 for record in records:
-    record.validation = ValidationReport(query_id=record.id, verdict="accepted")
+    record.validation = ValidationReport(normalized_form=normalize_sql(record.sql))
 kept, dropped = deduplicate(records)
 print(f"  {len(variants)} in -> {len(kept)} kept, {len(dropped)} duplicate(s)")

@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--out", required=True,
-        help="the records not kept (rejected or duplicates), with verdicts",
+        help="the records not kept (rejected or duplicates), with their rejection reasons",
     )
     p.add_argument("--kept", required=True, help="the kept records, profiled")
 

@@ -74,6 +74,14 @@ class SubschemaPolicy:
     safety_limit: int = 24
     llm_sample_count: int = 4  # subschemas prompted per batch
 
+    def validate(self):
+        if self.min_tables < 1:
+            raise ValueError(f"min_tables must be >= 1, got {self.min_tables}")
+        if self.max_tables is not None and self.max_tables < self.min_tables:
+            raise ValueError(f"max_tables must be >= min_tables, got {self.max_tables}")
+        if self.llm_sample_count < 0:
+            raise ValueError(f"llm_sample_count must be >= 0, got {self.llm_sample_count}")
+
 
 @dataclass
 class LlmSettings:
@@ -127,8 +135,9 @@ class PipelineConfig:
             raise ConfigError("[pipeline] loop_limit must be >= 0")
         if self.mech_per_subschema < 0:
             raise ConfigError("[pipeline] mech_per_subschema must be >= 0")
-        sections = (("mechanical", self.mechanical), ("llm.params", self.llm.params),
-                    ("selection", self.selection), ("execution", self.execution))
+        sections = (("subschema", self.subschema), ("mechanical", self.mechanical),
+                    ("llm.params", self.llm.params), ("selection", self.selection),
+                    ("execution", self.execution))
         for section, checked in sections:
             try:
                 checked.validate()

@@ -294,11 +294,9 @@ class HttpBackend:
 def _readable(sock) -> bool:
     """Whether ``sock`` has bytes or an end of stream waiting. On an idle
     keep-alive connection either means it cannot carry another request."""
-    if hasattr(select, "poll"):
-        poller = select.poll()
-        poller.register(sock, select.POLLIN)
-        return bool(poller.poll(0))
-    return bool(select.select([sock], [], [], 0)[0])
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
 
 
 def generate_llm(prompt: str, backend, params: GenParams) -> list[str]:

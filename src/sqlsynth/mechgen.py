@@ -124,7 +124,7 @@ def clause_tags(sql: str) -> frozenset:
     """Clause tags present in a query: group_by / order_by / having /
     where / aggregate / join (an explicit JOIN), read from the counts its
     resolution takes. The tags are syntactic, so it resolves against an
-    empty catalog and ignores the verdict. Used for biased seed-example
+    empty catalog and ignores the relevance codes. Used for biased seed-example
     selection."""
     refs = resolve_references(parse_select(sql), SchemaCatalog(name=""))
     tags = {name for name in ("group_by", "order_by", "having", "where") if refs.clauses[name]}

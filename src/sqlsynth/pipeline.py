@@ -6,11 +6,12 @@ Stage outputs land in the configured output directory:
 * ``catalog.json``       schema catalog (after inference and profiling)
 * ``subschemas.jsonl``   enumerated generation targets
 * ``records.jsonl``      the candidates not kept (rejected or duplicates),
-  with their validation verdicts, in candidate order
+  with their rejection reasons, in candidate order
 * ``kept.jsonl``         the deduplicated kept corpus
 * ``coverage.json``      per-setting and overall coverage reports
 * ``coverage_facets.csv`` / ``coverage_clauses.csv`` tabular exports
-* ``training.jsonl``     the training subset (runs with ``[selection] size``)
+* ``training.jsonl``     the training subset's query ids, in corpus order
+  (runs with ``[selection] size``)
 * ``labels.jsonl``       runtime labels of the kept records, one row per
   query and engine (execution runs)
 * ``manifest.json``      counts, accounting, file map, config snapshot
@@ -150,7 +151,7 @@ from .llmgen import (
     prompt_hash,
 )
 from .mechgen import SeedExample, generate_mechanical, select_seed_examples
-from .records import ORIGIN_LLM, QueryRecord, load_records, make_record, save_records
+from .records import ORIGIN_LLM, QueryRecord, load_records, make_record
 from .schema import (
     CsvDirSampler,
     derive_column_prefixes,
@@ -172,11 +173,10 @@ from .util import (
     fields_of,
     load_json,
     open_jsonl,
+    write_jsonl,
 )
 from .validation import (
     REJECT_SYNTAX,
-    VERDICT_ACCEPTED,
-    VERDICT_REJECTED,
     ValidationReport,
     deduplicate,
     relevance_codes,
@@ -309,7 +309,7 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
         training = select_training_subset(
             kept_records, config.selection.size, config.selection.mode
         )
-        save_records(training, paths["training"])
+        write_jsonl(paths["training"], "training_ids", ({"query_id": r.id} for r in training))
         manifest["files"]["training"] = FILES["training"]
         manifest["counts"]["training_selected"] = len(training)
         dump_json(manifest, paths["manifest"])
@@ -392,7 +392,7 @@ def _generate(config, catalog, subschemas, backend, paths):
                 config, catalog, subschemas, mech_pools, directives, backend, batch,
                 accounting, analysis,
             )) as chunks:
-                settle_batch(config, chunks, seen_forms, accounting, files, folds)
+                settle_batch(chunks, seen_forms, accounting, files, folds)
             batches.append(accounting)
 
             # the overall coverage of the cumulative kept corpus steers the next batch
@@ -533,9 +533,9 @@ def validate_record(record, catalog, subschema_by_id, validators) -> None:
     from :func:`~sqlsynth.records.make_record`), or scans ``record.sql`` for
     them for a record read from a file; both are dropped. Sets
     ``record.validation`` and ``record.profile``: an accepted candidate's
-    profile is read off the same resolution, and its report
-    holds its dedup key (the normalized form under
-    ``validators.literal_placeholder_dedup``); a rejected one's profile is
+    profile is read off the same resolution, and its report holds its dedup
+    key, which is chosen here only: the normalized form under
+    ``validators.literal_placeholder_dedup``. A rejected one's profile is
     None.
     """
     forms, tree = record.forms, record.tree
@@ -545,40 +545,33 @@ def validate_record(record, catalog, subschema_by_id, validators) -> None:
         if tree is None:
             tree = validate_syntax(record.sql)
     except SqlsynthError:
-        record.validation = ValidationReport(
-            query_id=record.id, verdict=VERDICT_REJECTED, rejection_reasons=[REJECT_SYNTAX]
-        )
+        record.validation = ValidationReport(rejection_reasons=[REJECT_SYNTAX])
         return
     refs = resolve_references(tree, catalog)
     subschema = subschema_by_id.get(record.subschema_id)
     codes = relevance_codes(refs, subschema, validators.require_exact_tables)
     if codes:
-        record.validation = ValidationReport(
-            query_id=record.id, verdict=VERDICT_REJECTED, rejection_reasons=codes
-        )
+        record.validation = ValidationReport(rejection_reasons=codes)
         return
     literal, placeholder = forms if forms is not None else normalized_forms(record.sql)
-    record.validation = ValidationReport(
-        query_id=record.id,
-        verdict=VERDICT_ACCEPTED,
-        normalized_form=placeholder if validators.literal_placeholder_dedup else literal,
-    )
+    key = placeholder if validators.literal_placeholder_dedup else literal
+    record.validation = ValidationReport(normalized_form=key)
     record.profile = profile_tree(refs)
 
 
-def settle_batch(config, chunks, seen_forms, accounting, files, folds) -> None:
+def settle_batch(chunks, seen_forms, accounting, files, folds) -> None:
     """Settle one batch of validated candidates, which come as ``chunks``,
     lists of consecutive candidates in candidate order: each chunk as it
     arrives (:func:`settle_chunk`), so that a batch still being made is
     settled as far as it exists. The batch's duplicates are counted into
     ``accounting.rejected_by_reason`` last, after every validator reason."""
     for chunk in chunks:
-        settle_chunk(config, chunk, seen_forms, accounting, files, folds)
+        settle_chunk(chunk, seen_forms, accounting, files, folds)
     if accounting.dedup_dropped:
         accounting.rejected_by_reason["duplicate"] = accounting.dedup_dropped
 
 
-def settle_chunk(config, chunk, seen_forms, accounting, files, folds) -> None:
+def settle_chunk(chunk, seen_forms, accounting, files, folds) -> None:
     """Settle consecutive validated candidates of a batch: count them into
     ``accounting``, deduplicate the accepted ones against ``seen_forms``
     (the kept corpus's normalized forms, extended in place; a duplicate
@@ -590,7 +583,7 @@ def settle_chunk(config, chunk, seen_forms, accounting, files, folds) -> None:
     accounting.generated += len(chunk)
     accepted: list[QueryRecord] = []
     for record in chunk:
-        if record.validation.verdict == VERDICT_ACCEPTED:
+        if record.validation.accepted:
             accepted.append(record)
         else:
             accounting.rejected += 1
@@ -598,14 +591,12 @@ def settle_chunk(config, chunk, seen_forms, accounting, files, folds) -> None:
                 accounting.rejected_by_reason[reason] = (
                     accounting.rejected_by_reason.get(reason, 0) + 1
                 )
-    kept, dropped = deduplicate(
-        accepted, literal_placeholders=config.validators.literal_placeholder_dedup, seen=seen_forms
-    )
+    kept, dropped = deduplicate(accepted, seen=seen_forms)
     accounting.kept += len(kept)
     accounting.dedup_dropped += len(dropped)
     for record in dropped:
         record.profile = None  # a duplicate is not part of the corpus
-    append_jsonl(files[0], [r for r in chunk if r.validation.verdict != VERDICT_ACCEPTED])
+    append_jsonl(files[0], [r for r in chunk if not r.validation.accepted])
     append_jsonl(files[1], kept)
     _fold_by_setting(folds, kept)
 
@@ -620,7 +611,7 @@ def validate_batch(config, catalog, subschema_by_id, candidates, paths) -> Batch
         validate_record(record, catalog, subschema_by_id, config.validators)
     accounting = BatchAccounting(batch=0)
     with _appending(*map(Path, paths)) as files:
-        settle_batch(config, [candidates], set(), accounting, files, {})
+        settle_batch([candidates], set(), accounting, files, {})
     return accounting
 
 

@@ -10,10 +10,11 @@ The resolver is the library's one walk over a syntax tree (apart from the
 parser that builds it and :func:`~sqlsynth.sqltree.print_sql` that prints it).
 It visits every node once and, as it goes, counts the query's shape:
 SELECT cores, joins, clauses, operators and function calls. So one
-:class:`ResolvedReferences` holds the verdict, the reference multisets and
-the counts that the coverage profile (:func:`~sqlsynth.coverage.profile_tree`)
-and the clause tags (:func:`~sqlsynth.mechgen.clause_tags`) read, and
-generation, validation and coverage all agree on what "resolves" means.
+:class:`ResolvedReferences` holds the relevance codes, the reference
+multisets and the counts that the coverage profile
+(:func:`~sqlsynth.coverage.profile_tree`) and the clause tags
+(:func:`~sqlsynth.mechgen.clause_tags`) read, and generation, validation
+and coverage all agree on what "resolves" means.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .sqltree import (
     TableName,
     Unary,
     _COMPARISON_OPS,
-    normalize_sql,
     normalized_forms,
     parse_select,
 )
@@ -59,18 +59,19 @@ REJECT_ENUM_LITERAL = "enum_literal_violation"
 REJECT_DUPLICATE = "duplicate"
 REJECT_WRONG_TABLES = "uses_wrong_tables"
 
-VERDICT_ACCEPTED = "accepted"
-VERDICT_REJECTED = "rejected"
-
 _ARITHMETIC_OPS = frozenset({"+", "-", "*", "/", "%"})
 
 
 @dataclass
 class ValidationReport:
-    query_id: str
-    verdict: str
+    """Why a candidate was rejected, if it was, and its dedup key."""
+
     rejection_reasons: list[str] = field(default_factory=list)
     normalized_form: str = ""
+
+    @property
+    def accepted(self) -> bool:
+        return not self.rejection_reasons
 
 
 def query_id(sql: str, literal_form: str | None = None) -> str:
@@ -603,36 +604,27 @@ def _check_literal_in_enum(column: ColumnDef, literal: Literal, refs: ResolvedRe
 # ---------------------------------------------------------------------------
 
 
-def deduplicate(records, literal_placeholders: bool = True, seen: set[str] | None = None):
-    """Split ``records`` into (kept, dropped) by normalized-form identity.
+def deduplicate(records, seen: set[str] | None = None):
+    """Split ``records`` into (kept, dropped) by their dedup keys
+    (``validation.normalized_form``).
 
-    The first occurrence of each normalized form is kept; later ones are
-    rejected with reason ``duplicate``. Literal placeholders are on by
-    default so queries differing only in constants collapse. Order is
-    preserved; every record's report gains its normalized form. A report
-    that already holds one, made with the same ``literal_placeholders`` (as
-    the pipeline's validator stores it from the candidate's normalized forms),
-    is not normalized again.
+    The first record of each key is kept; later ones are rejected with
+    reason ``duplicate``. Order is preserved. A record without a key is a
+    ValueError naming it.
 
-    ``seen`` holds the forms already kept, such as those of earlier
-    batches, and gains the forms kept here. A caller folding batches passes
-    the same set each time, so each record is normalized once.
+    ``seen`` holds the keys already kept, such as those of earlier batches,
+    and gains the keys kept here.
     """
     if seen is None:
         seen = set()
     kept, dropped = [], []
     for record in records:
-        if record.validation is not None and record.validation.normalized_form:
-            form = record.validation.normalized_form
-        else:
-            form = normalize_sql(record.sql, literal_placeholders=literal_placeholders)
-            if record.validation is not None:
-                record.validation.normalized_form = form
+        if record.validation is None or not record.validation.normalized_form:
+            raise ValueError(f"record {record.id} has no dedup key")
+        form = record.validation.normalized_form
         if form in seen:
-            if record.validation is not None:
-                record.validation.verdict = VERDICT_REJECTED
-                if REJECT_DUPLICATE not in record.validation.rejection_reasons:
-                    record.validation.rejection_reasons.append(REJECT_DUPLICATE)
+            if REJECT_DUPLICATE not in record.validation.rejection_reasons:
+                record.validation.rejection_reasons.append(REJECT_DUPLICATE)
             dropped.append(record)
         else:
             seen.add(form)

@@ -52,8 +52,8 @@ def _report(number: int, name: str):
             return self
 
         def __exit__(self, exc_type, exc, tb):
-            verdict = "PASS" if exc_type is None else "FAIL"
-            print(f"\nACCEPTANCE {number} ({name}): {verdict}")
+            outcome = "PASS" if exc_type is None else "FAIL"
+            print(f"\nACCEPTANCE {number} ({name}): {outcome}")
             return False
 
     return _Reporter()

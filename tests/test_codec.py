@@ -46,8 +46,6 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 validations = st.builds(
     ValidationReport,
-    query_id=names,
-    verdict=st.sampled_from(["accepted", "rejected"]),
     rejection_reasons=st.lists(names, max_size=3),
     normalized_form=st.text(max_size=40),
 )
@@ -149,9 +147,13 @@ LABEL = {
         ({**ROW, "extra": 1}, "extra: unknown key"),
         ({**ROW, "labels": {}}, "labels: unknown key"),  # a row of the old format
         ({**ROW, "origin": "human"}, "QueryRecord: unknown origin 'human'"),
-        ({**ROW, "validation": {"query_id": "q1", "verdict": "accepted"}},
+        ({**ROW, "validation": {"normalized_form": "select 1"}},
          "validation.rejection_reasons: missing"),
         ({**ROW, "profile": {"join_count": 0}}, "profile.clause_counts: missing"),
+        # a report of the old format, which repeated the id and the verdict
+        ({**ROW, "validation": {"query_id": "q1", "verdict": "accepted",
+                                "rejection_reasons": [], "normalized_form": "select 1"}},
+         "validation.query_id: unknown key"),
     ],
 )
 def test_bad_field_names_file_line_and_field(tmp_path, row, named):

@@ -228,6 +228,10 @@ OUT_OF_RANGE = [
     # longer than a socket or select can wait on this platform
     ("[llm] timeout", "[llm]\ntimeout = 1e10"),
     ("[execution] timeout_ms", "[execution]\ntimeout_ms = 10_000_000_000_000"),
+    ("[subschema] llm_sample_count", "[subschema]\nllm_sample_count = -1"),
+    ("[subschema] min_tables", "[subschema]\nmin_tables = 0"),
+    ("[subschema] max_tables", "[subschema]\nmax_tables = 0"),
+    ("[subschema] max_tables", "[subschema]\nmin_tables = 3\nmax_tables = 2"),
 ]
 
 

@@ -20,7 +20,7 @@ from sqlsynth.llmgen import StubBackend, prompt_hash
 from sqlsynth.pipeline import run_pipeline
 from sqlsynth.records import QueryRecord, load_records, make_record
 from sqlsynth.schema import load_catalog
-from sqlsynth.util import SCHEMA_VERSION, dump_json, load_json
+from sqlsynth.util import SCHEMA_VERSION, dump_json, load_json, read_jsonl
 
 from tests.conftest import REPO_ROOT, TPCH_DDL_PATH, tokenizes
 
@@ -34,6 +34,16 @@ def load_candidates(out_dir) -> list:
     the kept ones (``kept.jsonl``)."""
     out = Path(out_dir)
     return load_records(out / "records.jsonl") + load_records(out / "kept.jsonl")
+
+
+def assert_split_by_reasons(out_dir) -> None:
+    """Every row of ``records.jsonl`` has a rejection reason, and no row of
+    ``kept.jsonl`` has one."""
+    out = Path(out_dir)
+    for record in load_records(out / "records.jsonl"):
+        assert record.validation.rejection_reasons, record.sql
+    for record in load_records(out / "kept.jsonl"):
+        assert record.validation.rejection_reasons == [], record.sql
 
 
 def base_config(tmp_path, **overrides):
@@ -136,7 +146,7 @@ class TestMechanicalOnly:
         run_pipeline(config)
         kept = load_records(Path(config.out_dir) / "kept.jsonl")
         for record in kept:
-            assert record.validation.verdict == "accepted"
+            assert record.validation.accepted
             assert record.profile is not None
             assert record.id
 
@@ -381,8 +391,8 @@ class TestManifestShape:
         assert raw == manifest
 
 
-class TestVerdictInvariant:
-    def test_rejected_iff_reasons_nonempty(self, tmp_path, monkeypatch):
+class TestRejectionReasons:
+    def test_records_rows_have_reasons_kept_rows_none(self, tmp_path, monkeypatch):
         from sqlsynth.llmgen import StubBackend
 
         stub_dir = tmp_path / "stub"
@@ -402,11 +412,8 @@ class TestVerdictInvariant:
                 stub_dir, prompt, ["SELECT ghost FROM nowhere", "SELECT FROM", "SELECT 1"]
             )
         run_pipeline(config)
-        records = load_candidates(config.out_dir)
-        assert records
-        for record in records:
-            rejected = record.validation.verdict == "rejected"
-            assert rejected == bool(record.validation.rejection_reasons), record.sql
+        assert load_records(Path(config.out_dir) / "records.jsonl")
+        assert_split_by_reasons(config.out_dir)
 
 
 class TestTrainingSelection:
@@ -414,8 +421,11 @@ class TestTrainingSelection:
         config = base_config(tmp_path)
         config.selection.size = 15
         manifest = run_pipeline(config)
-        training = load_records(Path(config.out_dir) / "training.jsonl")
-        assert len(training) == 15
+        out = Path(config.out_dir)
+        ids = [row["query_id"] for row in read_jsonl(out / "training.jsonl", "training_ids")]
+        assert len(set(ids)) == len(ids) == 15
+        chosen = set(ids)
+        assert ids == [r.id for r in load_records(out / "kept.jsonl") if r.id in chosen]
         assert manifest["counts"]["training_selected"] == 15
 
 
@@ -779,6 +789,9 @@ class TestCommittedDemoOutputs:
         for name in self.GOLDEN:
             assert (tmp_path / name).read_bytes() == (COMMITTED_DEMO_OUT / name).read_bytes(), name
 
+    def test_demo_rows_split_by_rejection_reasons(self):
+        assert_split_by_reasons(COMMITTED_DEMO_OUT)
+
     def test_demo_directory_holds_what_its_manifest_lists(self):
         # a rerun into the directory leaves any file the run no longer writes
         manifest = load_json(COMMITTED_DEMO_OUT / "manifest.json")
@@ -839,7 +852,7 @@ class TestIncrementalAnalysis:
 
         # records.jsonl holds the candidates not kept; with kept.jsonl, every one
         records = load_records(out / "records.jsonl")
-        assert not any(r.validation.verdict == "accepted" for r in records)
+        assert not any(r.validation.accepted for r in records)
         assert any("duplicate" in r.validation.rejection_reasons for r in records)
         assert any("duplicate" not in r.validation.rejection_reasons for r in records)
         assert len(records) + len(kept) == manifest["counts"]["generated"]
@@ -901,13 +914,13 @@ class TestStreamedBatches:
         earlier_ids = {id(o) for o in earlier}
         settle_chunk, live = pipeline_mod.settle_chunk, []
 
-        def counted(config, chunk, seen_forms, accounting, files, folds):
+        def counted(chunk, seen_forms, accounting, files, folds):
             gc.collect()
             live.append((accounting.batch, len(chunk), Counter(
                 o.batch for o in gc.get_objects()
                 if isinstance(o, QueryRecord) and id(o) not in earlier_ids
             )))
-            return settle_chunk(config, chunk, seen_forms, accounting, files, folds)
+            return settle_chunk(chunk, seen_forms, accounting, files, folds)
 
         monkeypatch.setattr(pipeline_mod, "settle_chunk", counted)
         manifest = run_pipeline(config)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sqlsynth.errors import SqlSyntaxError
 from sqlsynth.records import make_record
 from sqlsynth.schema import ingest_ddl, profile_columns
+from sqlsynth.sqltree import normalize_sql
 from sqlsynth.subschema import Subschema, subschema_id
 from sqlsynth.validation import (
     REJECT_DUPLICATE,
@@ -222,9 +223,11 @@ class TestDeduplicate:
     def _records(self, *sqls):
         return [make_record(sql, "mechanical", "s1") for sql in sqls]
 
-    def _with_reports(self, records):
+    def _with_reports(self, records, literal_placeholders=True):
+        # the dedup key as validate_record chooses it
         for record in records:
-            record.validation = ValidationReport(query_id=record.id, verdict="accepted")
+            key = normalize_sql(record.sql, literal_placeholders=literal_placeholders)
+            record.validation = ValidationReport(normalized_form=key)
         return records
 
     def test_whitespace_case_duplicates(self):
@@ -243,9 +246,10 @@ class TestDeduplicate:
 
     def test_literal_placeholders_off(self):
         records = self._with_reports(
-            self._records("SELECT a FROM t WHERE x=1", "SELECT a FROM t WHERE x=2")
+            self._records("SELECT a FROM t WHERE x=1", "SELECT a FROM t WHERE x=2"),
+            literal_placeholders=False,
         )
-        kept, dropped = deduplicate(records, literal_placeholders=False)
+        kept, dropped = deduplicate(records)
         assert len(kept) == 2 and not dropped
 
     def test_structurally_different_kept(self):
@@ -285,6 +289,13 @@ class TestDeduplicate:
         kept_again, dropped_again = deduplicate(kept)
         assert not dropped_again
         assert [r.sql for r in kept_again] == [r.sql for r in kept]
+
+    @pytest.mark.parametrize("report", [None, ValidationReport()])
+    def test_record_without_key_is_named(self, report):
+        records = self._with_reports(self._records("SELECT a FROM t", "SELECT b FROM t"))
+        records[1].validation = report
+        with pytest.raises(ValueError, match=f"record {records[1].id} has no dedup key"):
+            deduplicate(records)
 
 
 class TestQueryId:
