@@ -75,6 +75,8 @@ class SubschemaPolicy:
     llm_sample_count: int = 4  # subschemas prompted per batch
 
     def validate(self):
+        if self.safety_limit < 1:
+            raise ValueError(f"safety_limit must be >= 1, got {self.safety_limit}")
         if self.min_tables < 1:
             raise ValueError(f"min_tables must be >= 1, got {self.min_tables}")
         if self.max_tables is not None and self.max_tables < self.min_tables:
@@ -135,9 +137,17 @@ class PipelineConfig:
             raise ConfigError("[pipeline] loop_limit must be >= 0")
         if self.mech_per_subschema < 0:
             raise ConfigError("[pipeline] mech_per_subschema must be >= 0")
+        if self.kept_target is not None and self.kept_target < 1:
+            raise ConfigError(f"[pipeline] kept_target must be >= 1, got {self.kept_target}")
+        if self.schema.sample_cap < 1:
+            raise ConfigError(f"[schema] sample_cap must be >= 1, got {self.schema.sample_cap}")
+        if self.schema.enum_threshold < 0:
+            raise ConfigError(
+                f"[schema] enum_threshold must be >= 0, got {self.schema.enum_threshold}"
+            )
         sections = (("subschema", self.subschema), ("mechanical", self.mechanical),
-                    ("llm.params", self.llm.params), ("selection", self.selection),
-                    ("execution", self.execution))
+                    ("llm.params", self.llm.params), ("coverage", self.coverage),
+                    ("selection", self.selection), ("execution", self.execution))
         for section, checked in sections:
             try:
                 checked.validate()
@@ -283,6 +293,37 @@ def config_snapshot(config: PipelineConfig) -> dict:
             options["database"] = _relative(options["database"], config.base_dir)
         snapshot["engines"][engine.engine_id] = {"driver": engine.driver, **options}
     return snapshot
+
+
+#: The sections a resumed run may change: their stages run again on every resume.
+RERUN_SECTIONS = ("selection", "execution", "engines")
+
+
+def check_resume(snapshot: dict, config: PipelineConfig) -> None:
+    """Raise a ConfigError naming the first ``[section] key`` whose value
+    differs between ``snapshot``, the config in the manifest of the run
+    being resumed, and ``config``, leaving out :data:`RERUN_SECTIONS`."""
+    old, now = (
+        {name: table for name, table in tables.items() if name not in RERUN_SECTIONS}
+        for tables in (snapshot, config_snapshot(config))
+    )
+    changed = _difference(old, now, ())
+    if changed is not None:
+        raise ConfigError(f"--resume: {changed} differs from the run being resumed")
+
+
+def _difference(old, new, where: tuple) -> str | None:
+    if isinstance(old, dict) or isinstance(new, dict):
+        old = old if isinstance(old, dict) else {}
+        new = new if isinstance(new, dict) else {}
+        for key in [*new, *(key for key in old if key not in new)]:
+            found = _difference(old.get(key), new.get(key), (*where, key))
+            if found is not None:
+                return found
+        return None
+    if old == new:
+        return None
+    return f"[{'.'.join(where[:-1])}] {where[-1]}"
 
 
 def _dump(section, base_dir: str | None) -> dict:

@@ -104,6 +104,12 @@ class CoverageTargets:
     min_clause_freq: float = 0.10  # share of queries carrying each steerable clause
     min_column_freq: float = 0.005  # columns below this presence count as unused
 
+    def validate(self):
+        for name in ("min_table_freq", "min_clause_freq", "min_column_freq"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be finite and within [0, 1], got {value}")
+
 
 @dataclass
 class CoverageGap:

@@ -110,7 +110,8 @@ Everything stochastic draws through seeds derived from the global seed plus
 stage/batch labels, so a rerun with the same config is byte-identical up to
 (and excluding) measured runtimes. The manifest carries no timestamps for
 the same reason. With ``resume=True`` existing checkpoints are loaded
-instead of recomputed.
+instead of recomputed, once the config matches the manifest's
+(:func:`~sqlsynth.config.check_resume`).
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .config import PipelineConfig, config_snapshot
+from .config import PipelineConfig, check_resume, config_snapshot
 from .coverage import (
     CoverageFold,
     CoverageReport,
@@ -231,6 +232,9 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {key: out / name for key, name in FILES.items()}
+    manifest_prev = load_json(paths["manifest"]) if resume and paths["manifest"].exists() else None
+    if manifest_prev is not None:
+        check_resume(manifest_prev.get("config") or {}, config)
 
     # -- preprocessing -----------------------------------------------------
     if resume and paths["catalog"].exists():
@@ -248,11 +252,7 @@ def run_pipeline(config: PipelineConfig, resume: bool = False) -> dict:
 
     # -- generation loop -----------------------------------------------------
     # the batch accounting lives in the manifest: without it, generate again
-    generation_done = resume and all(
-        paths[key].exists() for key in ("kept", "records", "manifest")
-    )
-    if generation_done:
-        manifest_prev = load_json(paths["manifest"])
+    if manifest_prev is not None and paths["kept"].exists() and paths["records"].exists():
         batches = decode_in(
             list[BatchAccounting], manifest_prev.get("batches", []), paths["manifest"],
             path=("batches",),
@@ -456,7 +456,8 @@ def generate_batch(
     subschemas the batch prompts for first, adding them to the seed pools
     ``mech_pools`` and sending each one's prompts as soon as its pool is
     filled, then the first :data:`PARENT_MECH_SHARE` of the other
-    subschemas' queries, while the analysis makes the rest. ``run`` makes
+    subschemas' queries, while the analysis makes the rest
+    (``analysis.submit(make_mechanical, ...)``). ``run`` makes
     each batch here; ``gen-mech`` makes batch 0 with no backend and an
     analysis without a check, which validates nothing, and ``gen-llm`` with
     ``mech_per_subschema`` 0, so that its prompts draw on the pools it read.
@@ -485,7 +486,7 @@ def generate_batch(
             mech_pools.setdefault(record.subschema_id, []).append(SeedExample.from_record(record))
 
     with PromptRequests(config, catalog, directives, backend, batch, analysis) as requests:
-        tail = analysis.submit_mechanical(others[split:], *args)
+        tail = analysis.submit(make_mechanical, others[split:], *args)
         for subschema in prompted:
             if n:
                 add(make_mechanical([subschema], *args, analysis.check))
@@ -633,25 +634,20 @@ def analyse_completions(completions, draft: dict, check=None) -> list[QueryRecor
 
 
 class InlineAnalysis:
-    """Analyses each prompt's completions, and makes the analysis's share of
-    each mechanical batch, in the calling thread when the records are read:
-    :meth:`submit` and :meth:`submit_mechanical` return a deferred call with
-    the ``result()`` of a future. So the parent makes every query of a
-    batch and analyses each prompt's completions once every request is in.
-    This is the analysis of the stub backend, of a run with the LLM off and
-    of ``gen-mech`` and ``gen-llm``, which give no ``check``: their records
-    are not validated."""
+    """Runs the analysis's work in the calling thread when the records are
+    read: ``submit(work, *args)``, ``work`` being :func:`make_mechanical` or
+    :func:`analyse_completions`, returns a deferred ``work(*args,
+    check=check)`` with the ``result()`` of a future. So the parent makes
+    every query of a batch and analyses each prompt's completions once
+    every request is in. This is the analysis of the stub backend, of a run
+    with the LLM off and of ``gen-mech`` and ``gen-llm``, which give no
+    ``check``: their records are not validated."""
 
     def __init__(self, check=None):
         self.check = check
 
-    def submit(self, completions, draft: dict):
-        return _Deferred(partial(analyse_completions, completions, draft, self.check))
-
-    def submit_mechanical(self, subschemas, catalog, mech, n: int, seed: int, batch: int):
-        return _Deferred(partial(
-            make_mechanical, subschemas, catalog, mech, n, seed, batch, self.check
-        ))
+    def submit(self, work, *args):
+        return _Deferred(partial(work, *args, check=self.check))
 
     def __enter__(self):
         return self
@@ -672,16 +668,18 @@ class ChildAnalysis:
     no prompt draws on, after the parent's :data:`PARENT_MECH_SHARE` of
     them), then analyses each prompt's completions, in one child process,
     with the submit interface of :class:`InlineAnalysis`: :meth:`submit`,
-    which the request threads call, and :meth:`submit_mechanical` return a
+    which :func:`generate_batch` and the request threads call, returns a
     future of finished records, validated and profiled, their forms and
-    trees dropped and a mechanical record's clause tags kept. The HTTP
+    trees dropped and a mechanical record's clause tags kept. ``work`` is
+    pickled by reference, so it must be a module-level function. The HTTP
     backend's path.
 
     The child is forked (``multiprocessing`` start method ``fork``) when the
     pool is made, before the first batch's request threads start. spawn
     and forkserver would import the package afresh in every call, about
     150-200 ms on a shared 2-core host, which a short run cannot hide. The child holds ``check``
-    from its start, so the catalog is not pickled with every prompt. It
+    from its start, so a prompt's completions cross without the catalog;
+    the mechanical share's arguments carry it, once per batch. It
     ignores SIGINT: a Ctrl-C stops the parent, whose ``__exit__`` then
     stops the child; and it exits by itself within a second of its parent's
     death. It neither logs nor draws random numbers. Python 3.12 and later
@@ -695,12 +693,8 @@ class ChildAnalysis:
         self._pool = _fork_pool(check)
         self._pool.submit(int)  # a fork pool forks at its first submit
 
-    def submit(self, completions, draft: dict):
-        return self._pool.submit(_analyse_in_child, completions, draft)
-
-    def submit_mechanical(self, subschemas, catalog, mech, n: int, seed: int, batch: int):
-        # the child holds the catalog from its start
-        return self._pool.submit(_make_mechanical_in_child, subschemas, mech, n, seed, batch)
+    def submit(self, work, *args):
+        return self._pool.submit(_in_child, work, *args)
 
     def __enter__(self):
         return self
@@ -741,12 +735,8 @@ def _exit_with_parent(parent: int) -> None:
     os._exit(1)
 
 
-def _analyse_in_child(completions, draft: dict) -> list[QueryRecord]:
-    return analyse_completions(completions, draft, _child_check)
-
-
-def _make_mechanical_in_child(subschemas, mech, n: int, seed: int, batch: int):
-    return make_mechanical(subschemas, _child_check[0], mech, n, seed, batch, _child_check)
+def _in_child(work, *args):  # the analysis child's one entry point
+    return work(*args, check=_child_check)
 
 
 class PromptRequests:
@@ -817,7 +807,7 @@ class PromptRequests:
                     if not exc.retryable or attempt == retries:
                         return exc
                 else:
-                    return self.analysis.submit(completions, draft)
+                    return self.analysis.submit(analyse_completions, completions, draft)
         except BaseException:
             self._failed.set()
             raise

@@ -439,9 +439,10 @@ def _resolve_column(
 
 
 def _resolve_expr(expr: Node, catalog, refs, scope: _Scope, aliases: frozenset | set):
+    """Resolve ``expr`` into ``refs``; returns the base-table column a
+    column reference lands on (:func:`_resolve_column`), None otherwise."""
     if isinstance(expr, ColumnRef):
-        _resolve_column(expr, refs, scope, aliases)
-        return
+        return _resolve_column(expr, refs, scope, aliases)
     if isinstance(expr, Star):
         _record_star(expr, catalog, refs, scope)
         return
@@ -461,28 +462,27 @@ def _resolve_expr(expr: Node, catalog, refs, scope: _Scope, aliases: frozenset |
             refs.operators[op] += 1
         elif op in _COMPARISON_OPS:
             refs.operators["comparison"] += 1
-        _resolve_expr(expr.left, catalog, refs, scope, aliases)
-        _resolve_expr(expr.right, catalog, refs, scope, aliases)
+        left = _resolve_expr(expr.left, catalog, refs, scope, aliases)
+        right = _resolve_expr(expr.right, catalog, refs, scope, aliases)
         if op in _ARITHMETIC_OPS:
-            for side in (expr.left, expr.right):
-                _check_label_arithmetic(side, catalog, refs, scope, aliases, op)
+            for column in (left, right):
+                _check_label_arithmetic(column, refs, op)
         if op == "=":
-            _check_enum_literal(expr.left, expr.right, catalog, refs, scope, aliases)
-            _check_enum_literal(expr.right, expr.left, catalog, refs, scope, aliases)
+            _check_enum_literal(left, expr.right, refs)
+            _check_enum_literal(right, expr.left, refs)
         return
     if isinstance(expr, Unary):
         if expr.op == "not":
             refs.operators["not"] += 1
-        _resolve_expr(expr.operand, catalog, refs, scope, aliases)
+        column = _resolve_expr(expr.operand, catalog, refs, scope, aliases)
         if expr.op in ("-", "+"):
-            _check_label_arithmetic(expr.operand, catalog, refs, scope, aliases, expr.op)
+            _check_label_arithmetic(column, refs, expr.op)
         return
     if isinstance(expr, InList):
         refs.operators["in"] += 1
-        _resolve_expr(expr.expr, catalog, refs, scope, aliases)
+        column = _resolve_expr(expr.expr, catalog, refs, scope, aliases)
         for item in expr.items:
             _resolve_expr(item, catalog, refs, scope, aliases)
-        column = _peek_base_column(expr.expr, scope)
         if column is not None and column.metadata.enumerated_values is not None:
             for item in expr.items:
                 literal = _enum_operand(item)
@@ -529,16 +529,7 @@ def _resolve_expr(expr: Node, catalog, refs, scope: _Scope, aliases: frozenset |
     raise TypeError(f"unexpected expression node {type(expr).__name__}")
 
 
-def _peek_base_column(expr: Node, scope: _Scope) -> ColumnDef | None:
-    """Quietly resolve ``expr`` to a base-table column if it is one."""
-    if not isinstance(expr, ColumnRef):
-        return None
-    probe = ResolvedReferences()
-    return _resolve_column(expr, probe, scope, frozenset())
-
-
-def _check_label_arithmetic(side: Node, catalog, refs, scope, aliases, op: str):
-    column = _peek_base_column(side, scope)
+def _check_label_arithmetic(column: ColumnDef | None, refs, op: str):
     if column is not None and column.metadata.is_label:
         refs.add_code(
             REJECT_LABEL_ARITHMETIC,
@@ -562,14 +553,12 @@ def _enum_operand(node: Node) -> Literal | None:
     return None
 
 
-def _check_enum_literal(maybe_col: Node, maybe_lit: Node, catalog, refs, scope, aliases):
-    literal = _enum_operand(maybe_lit)
-    if literal is None:
-        return
-    column = _peek_base_column(maybe_col, scope)
+def _check_enum_literal(column: ColumnDef | None, maybe_lit: Node, refs):
     if column is None or column.metadata.enumerated_values is None:
         return
-    _check_literal_in_enum(column, literal, refs)
+    literal = _enum_operand(maybe_lit)
+    if literal is not None:
+        _check_literal_in_enum(column, literal, refs)
 
 
 def _check_literal_in_enum(column: ColumnDef, literal: Literal, refs: ResolvedReferences):

@@ -325,6 +325,18 @@ class TestRun:
         assert manifest["seed"] == 9
         assert manifest["config"]["pipeline"]["seed"] == 9
 
+    def test_resume_with_another_seed_exits_2(self, tmp_path, capsys):
+        config = self._write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        finished = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        argv = ["--json-errors", "run", "--config", str(config), "--resume", "--seed", "7"]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config" and "[pipeline] seed" in error["message"]
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == finished
+
 
 class TestEntryPoint:
     def test_installed_script(self):

@@ -232,6 +232,14 @@ OUT_OF_RANGE = [
     ("[subschema] min_tables", "[subschema]\nmin_tables = 0"),
     ("[subschema] max_tables", "[subschema]\nmax_tables = 0"),
     ("[subschema] max_tables", "[subschema]\nmin_tables = 3\nmax_tables = 2"),
+    ("[subschema] safety_limit", "[subschema]\nsafety_limit = 0"),
+    ("[schema] sample_cap", "[schema]\nsample_cap = 0"),
+    ("[schema] enum_threshold", "[schema]\nenum_threshold = -1"),
+    ("[pipeline] kept_target", "[pipeline]\nkept_target = 0"),
+    ("[coverage] min_table_freq", "[coverage]\nmin_table_freq = -0.1"),
+    ("[coverage] min_clause_freq", "[coverage]\nmin_clause_freq = nan"),
+    ("[coverage] min_clause_freq", "[coverage]\nmin_clause_freq = 1.5"),
+    ("[coverage] min_column_freq", "[coverage]\nmin_column_freq = inf"),
 ]
 
 

@@ -927,7 +927,7 @@ class TestStreamedSettle:
         config.llm.url = "http://127.0.0.1:9/v1/completions"  # never contacted
         settled = multiprocessing.get_context("fork").Event()
         parent, append_jsonl = os.getpid(), pipeline_mod.append_jsonl
-        make_mechanical = pipeline_mod.make_mechanical
+        generate = pipeline_mod.generate_mechanical
 
         def signalled(fh, rows):
             rows = list(rows)
@@ -936,15 +936,15 @@ class TestStreamedSettle:
                 fh.flush()
                 settled.set()
 
-        def waits_in_child(*args):
+        def waits_in_child(*args, **kwargs):
             if os.getpid() != parent:
                 assert settled.wait(10), "no kept row before the child's share"
                 rows = (out / "kept.jsonl.part").read_text(encoding="utf-8").splitlines()
                 assert len(rows) > 1  # the header and a row
-            return make_mechanical(*args)
+            return generate(*args, **kwargs)
 
         monkeypatch.setattr(pipeline_mod, "append_jsonl", signalled)
-        monkeypatch.setattr(pipeline_mod, "make_mechanical", waits_in_child)
+        monkeypatch.setattr(pipeline_mod, "generate_mechanical", waits_in_child)
         monkeypatch.setattr(pipeline_mod, "make_backend",
                             lambda config: ScriptedBackend(at=0, act=None))
         manifest = run_pipeline(config)

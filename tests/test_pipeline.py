@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import shutil
 import sys
 from collections import Counter
 from pathlib import Path
@@ -15,6 +16,7 @@ from sqlsynth import sqltree as sqltree_mod
 from sqlsynth import validation as validation_mod
 from sqlsynth.config import config_from_dict, load_config
 from sqlsynth.coverage import aggregate_coverage, profile_query
+from sqlsynth.errors import ConfigError
 from sqlsynth.execution import load_labels
 from sqlsynth.llmgen import StubBackend, prompt_hash
 from sqlsynth.pipeline import run_pipeline
@@ -317,13 +319,44 @@ class TestStubLlmPipeline:
 
 class TestResume:
     def test_resume_reuses_checkpoints(self, tmp_path):
-        config = base_config(tmp_path)
+        ddl = tmp_path / "schema.sql"
+        shutil.copyfile(TPCH_DDL_PATH, ddl)
+        config = base_config(tmp_path, schema={"ddl": str(ddl)})
         first = run_pipeline(config)
         # Make the DDL unreadable: a resumed run must not re-ingest it.
-        config.schema.ddl = str(tmp_path / "gone.sql")
+        ddl.unlink()
         second = run_pipeline(config, resume=True)
         assert second["counts"]["kept"] == first["counts"]["kept"]
         assert second["counts"]["batches"] == first["counts"]["batches"]
+
+    def test_resume_with_another_seed_is_a_config_error(self, tmp_path):
+        config = base_config(tmp_path)
+        run_pipeline(config)
+        out = Path(config.out_dir)
+        finished = {path.name: path.read_bytes() for path in out.iterdir()}
+        config.seed += 1
+        with pytest.raises(ConfigError, match=r"\[pipeline\] seed"):
+            run_pipeline(config, resume=True)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == finished
+
+    def test_resume_with_another_selection_size_reuses_the_generation(
+        self, tmp_path, monkeypatch
+    ):
+        config = base_config(tmp_path)
+        first = run_pipeline(config)
+        out = Path(config.out_dir)
+        kept = (out / "kept.jsonl").read_bytes()
+
+        def generate(*args):
+            raise AssertionError("a resume with the generation done generated again")
+
+        monkeypatch.setattr(pipeline_mod, "_generate", generate)
+        config.selection.size = 3
+        second = run_pipeline(config, resume=True)
+        assert second["counts"]["kept"] == first["counts"]["kept"]
+        assert second["counts"]["training_selected"] == 3
+        assert len(read_jsonl(out / "training.jsonl", "training_ids")) == 3
+        assert (out / "kept.jsonl").read_bytes() == kept
 
     def test_resume_without_manifest_generates_again(self, tmp_path):
         config = base_config(tmp_path)
